@@ -8,6 +8,14 @@ strictly closer than their current one. Decisions at position j always use
 the centroids as they stand when j is reached, so every add or shift changes
 what later points see. Singleton clusters are peeled off afterwards as
 outliers.
+
+The sweep is evaluated in windows that double while they hold no hit and
+shrink after one, so finding the next hit costs about the distance to it
+rather than the length of the remaining data. Each point's squared distance
+to its own centroid is cached and refreshed only for the clusters whose
+centroid moved. Neither changes a decision: a squared distance is always the
+row-wise einsum of z - c, whose value for a row does not depend on which
+other rows share the call, and the affinity is always exp(gap2 / -2sigma).
 """
 
 from __future__ import annotations
@@ -17,6 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .preprocess import AffinityModel, DistanceMatrix, NormalizedData
+
+# Width of the first window a sweep tests, and the narrowest it shrinks to.
+_FIRST_WINDOW = 32
 
 
 @dataclass
@@ -46,6 +57,10 @@ class ClusterState:
     size s moves the centroid to (s * c + z_j) / (s + 1), removal is the
     inverse. Cluster ids start at 1; row 0 of the centroid table is a
     sentinel so assignment values can index it directly.
+
+    own2[i] caches the squared distance from assigned point i to its own
+    centroid. add_point and remove_point leave it alone; the scan calls
+    refresh_own2 for every cluster whose centroid it moved.
     """
 
     def __init__(self, points: np.ndarray):
@@ -54,6 +69,7 @@ class ClusterState:
         self.assignment = np.zeros(n, dtype=np.int64)
         self.centroids = np.zeros((n + 1, d))
         self.sizes = np.zeros(n + 1, dtype=np.int64)
+        self.own2 = np.zeros(n)
         self.opened = 0
 
     def open_cluster(self, i: int) -> int:
@@ -83,6 +99,11 @@ class ClusterState:
         self.assignment[j] = 0
         return k
 
+    def refresh_own2(self, k: int) -> None:
+        rows = np.flatnonzero(self.assignment == k)
+        diff = self.points[rows] - self.centroids[k]
+        self.own2[rows] = np.einsum("ij,ij->i", diff, diff)
+
     def finalize(self) -> Clustering:
         """Drop clusters emptied by shifting and compact ids to 1..p."""
         keep = np.flatnonzero(self.sizes[1 : self.opened + 1] > 0) + 1
@@ -98,31 +119,54 @@ class ClusterState:
 def _absorb_pass(state: ClusterState, k: int, two_sigma: float, threshold: float) -> None:
     """One full sweep on behalf of freshly opened cluster k.
 
-    Semantically a plain j = 1..n loop; between two modifications nothing
-    changes, so the loop is evaluated in vectorized stretches that restart
-    after every add or shift to honor the updated centroids.
+    Semantically a plain j = 1..n loop. Between two modifications nothing
+    changes, so positions are tested in vectorized windows: a window with no
+    hit is skipped and the next one is twice as wide, a hit is applied and
+    the scan resumes right after it with a narrower window. The shift test
+    compares against the cached own2 instead of gathering every owner's
+    centroid. Rows owned by k are masked out of it: their distance to their
+    own centroid is gap2 itself and the test is a strict <, so they can
+    never pass, and their cache entries may go stale until the sweep ends.
+    A shift moves the donor's centroid, so the donor's rows are refreshed at
+    once; k's rows are refreshed when the sweep ends.
     """
     z = state.points
     n = z.shape[0]
+    assignment = state.assignment
+    own2 = state.own2
     j = 0
+    width = _FIRST_WINDOW
     while j < n:
-        tail = z[j:]
-        owners = state.assignment[j:]
-        diff = tail - state.centroids[k]
+        stop = min(j + width, n)
+        diff = z[j:stop] - state.centroids[k]
         gap2 = np.einsum("ij,ij->i", diff, diff)
+        owners = assignment[j:stop]
         unassigned = owners == 0
         hits = unassigned & (np.exp(gap2 / (-two_sigma)) > threshold)
-        own_diff = tail - state.centroids[owners]
-        own2 = np.einsum("ij,ij->i", own_diff, own_diff)
-        hits |= ~unassigned & (gap2 < own2)
+        hits |= ~unassigned & (owners != k) & (gap2 < own2[j:stop])
         pos = int(np.argmax(hits))
         if not hits[pos]:
-            return
+            j = stop
+            width *= 2
+            continue
         jj = j + pos
-        if state.assignment[jj] != 0:
+        donor = int(assignment[jj])
+        if donor != 0:
             state.remove_point(jj)
+            state.refresh_own2(donor)
         state.add_point(k, jj)
         j = jj + 1
+        width = max(_FIRST_WINDOW, width // 2)
+    state.refresh_own2(k)
+
+
+def _sweep(z: np.ndarray, two_sigma: float, threshold: float) -> ClusterState:
+    """Open a cluster at every point still unassigned, in order, and sweep."""
+    state = ClusterState(z)
+    for i in range(z.shape[0]):
+        if state.assignment[i] == 0:
+            _absorb_pass(state, state.open_cluster(i), two_sigma, threshold)
+    return state
 
 
 def find_clusters(
@@ -149,15 +193,7 @@ def find_clusters(
     if affinity is None:
         raise ValueError("affinity model is required unless the data is degenerate")
 
-    state = ClusterState(z)
-    two_sigma = 2.0 * distances.dispersion
-    threshold = affinity.threshold
-    for i in range(n):
-        if state.assignment[i] != 0:
-            continue
-        k = state.open_cluster(i)
-        _absorb_pass(state, k, two_sigma, threshold)
-    return state.finalize()
+    return _sweep(z, 2.0 * distances.dispersion, affinity.threshold).finalize()
 
 
 def extract_outliers(clustering: Clustering) -> Clustering:

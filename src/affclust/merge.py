@@ -101,10 +101,19 @@ def estimate_cluster_count(sizes) -> int:
     if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
         raise ValueError("sizes must be sorted in descending order")
     p = len(s)
+    # Running sums of s and s^2 over the k-1 larger clusters, and totals,
+    # turn both gap sums into O(1) updates:
+    #   above = sum(s_i^2) - s_k * sum(s_i) over the larger clusters,
+    #   below = s_k * sum(s_j) - sum(s_j^2) over the smaller ones.
+    total1 = sum(s)
+    total2 = sum(v * v for v in s)
+    head1 = head2 = 0
     for k in range(2, p + 1):
+        head1 += s[k - 2]
+        head2 += s[k - 2] * s[k - 2]
         sk = s[k - 1]
-        above = sum((s[i] - sk) * s[i] for i in range(k - 1))
-        below = sum((sk - s[j]) * s[j] for j in range(k, p))
+        above = head2 - sk * head1
+        below = sk * (total1 - head1 - sk) - (total2 - head2 - sk * sk)
         if above > below:
             return k
     return p

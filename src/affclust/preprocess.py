@@ -53,15 +53,26 @@ def normalize(dataset: Dataset) -> NormalizedData:
     """Z-score each column using the population standard deviation.
 
     Constant columns carry no spatial information and map to all zeros
-    instead of dividing by zero.
+    instead of dividing by zero. Each column is first scaled by the power of
+    two that brings its largest magnitude into [0.5, 1), so the squares
+    inside std can neither overflow nor underflow to zero at any finite
+    input scale. Power-of-two scaling is exact for normal numbers, so the
+    z-scores, means and stds (reported back in input units) are the bits
+    an unscaled computation gives wherever that one does not overflow.
     """
-    pts = dataset.points
-    means = pts.mean(axis=0)
-    stds = pts.std(axis=0)  # ddof=0: population convention
+    _, exponents = np.frexp(np.abs(dataset.points).max(axis=0, initial=0.0))
+    z = np.ldexp(dataset.points, -exponents)  # scaled points, z-scores below
+    means = z.mean(axis=0)
+    stds = z.std(axis=0)  # ddof=0: population convention
     safe = np.where(stds == 0.0, 1.0, stds)
-    z = (pts - means) / safe
+    z -= means
+    z /= safe
     z[:, stds == 0.0] = 0.0
-    return NormalizedData(values=z, column_means=means, column_stds=stds)
+    return NormalizedData(
+        values=z,
+        column_means=np.ldexp(means, exponents),
+        column_stds=np.ldexp(stds, exponents),
+    )
 
 
 def distance_matrix(normalized: NormalizedData) -> DistanceMatrix:

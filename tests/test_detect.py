@@ -4,10 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic
-from affclust.detect import Clustering, ClusterState, extract_outliers, find_clusters
-from affclust.preprocess import build_affinity_model, distance_matrix, normalize
+from affclust.detect import (
+    _FIRST_WINDOW,
+    Clustering,
+    ClusterState,
+    _sweep,
+    extract_outliers,
+    find_clusters,
+)
+from affclust.preprocess import (
+    NormalizedData,
+    build_affinity_model,
+    distance_matrix,
+    normalize,
+)
 
 
 def prepared(points):
@@ -90,6 +104,52 @@ def test_scan_matches_naive_reference(seed):
     got = find_clusters(norm, dm, model)
     expect = naive_find_clusters(norm.values, dm.dispersion, model.threshold)
     assert got.assignment.tolist() == expect
+
+
+@st.composite
+def grid_points(draw):
+    """Small z-score sets on an integer grid, sized around the window edges.
+
+    Coordinates are 10 * coarse + fine, so the points fall into a few
+    blobs. They are used as z-scores as they are: squared distances between
+    grid points and two-point midpoints are exact, so a point equidistant
+    from its own and the open centroid really ties (gap2 == own2) in the
+    shift test, as do duplicated points.
+    """
+    w = _FIRST_WINDOW
+    n = draw(st.sampled_from([2, 3, w - 1, w, w + 1, 2 * w, 2 * w + 1, 3 * w + 2]))
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    coord = st.builds(lambda c, f: 10 * c + f, st.integers(0, 2), st.integers(-2, 2))
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
+    for src, dst in copies:
+        rows[dst] = list(rows[src])
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_points())
+def test_windowed_scan_matches_naive_reference_on_grids(pts):
+    norm = NormalizedData(pts, np.zeros(pts.shape[1]), np.ones(pts.shape[1]))
+    dm = distance_matrix(norm)
+    assume(dm.dispersion > 0)
+    model = build_affinity_model(dm)
+    got = find_clusters(norm, dm, model)
+    expect = naive_find_clusters(norm.values, dm.dispersion, model.threshold)
+    assert got.assignment.tolist() == expect
+
+
+def test_own_distance_cache_is_fresh_after_full_scan():
+    spec = SyntheticSpec(
+        cluster_count=4, points_per_cluster=50, dimension=6,
+        center_separation=6.0, noise_fraction=0.1, noise_margin=0.75,
+        center_scheme="axes", seed=3,
+    )
+    norm, dm, model = prepared(generate_synthetic(spec).points)
+    state = _sweep(norm.values, 2.0 * dm.dispersion, model.threshold)
+    assert (state.assignment > 0).all()
+    diff = norm.values - state.centroids[state.assignment]
+    assert np.array_equal(state.own2, np.einsum("ij,ij->i", diff, diff))
 
 
 def test_two_far_duplicate_pairs_form_two_clusters():

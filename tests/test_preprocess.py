@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from affclust.data import Dataset
 from affclust.errors import DegenerateDataError
+from affclust.pipeline import run_pipeline
 from affclust.preprocess import (
     NormalizedData,
     DistanceMatrix,
@@ -254,16 +255,33 @@ def test_normalize_invariants_hold_on_random_data(seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]))
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([2.0**-600, 0.25, 0.5, 2.0, 4.0, 8.0, 2.0**600]),
+)
 def test_power_of_two_column_scaling_is_exactly_invisible(seed, factor):
     """Column scaling by a binade multiple changes no bit downstream."""
     base = random_dataset(seed)
     scaled = Dataset(points=base.points * factor, name=base.name)
-    m1 = build_affinity_model(distance_matrix(normalize(base)))
-    m2 = build_affinity_model(distance_matrix(normalize(scaled)))
+    n1, n2 = normalize(base), normalize(scaled)
+    assert np.array_equal(n2.column_means, n1.column_means * factor)
+    assert np.array_equal(n2.column_stds, n1.column_stds * factor)
+    m1 = build_affinity_model(distance_matrix(n1))
+    m2 = build_affinity_model(distance_matrix(n2))
     assert np.array_equal(m1.values, m2.values)
     assert np.array_equal(m1.histogram, m2.histogram)
     assert m1.threshold == m2.threshold
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
+def test_two_blobs_survive_extreme_input_scales(factor):
+    rng = np.random.default_rng(4)
+    blobs = np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 10.0])
+    base = run_pipeline(ds(blobs))
+    scaled = run_pipeline(ds(blobs * factor))
+    assert not scaled.degenerate
+    assert scaled.final_count == base.final_count == 2
+    assert np.array_equal(scaled.assignment, base.assignment)
 
 
 def test_arbitrary_positive_scaling_leaves_z_scores_close():
