@@ -44,7 +44,6 @@ from .preprocess import (
     DistanceMatrix,
     NormalizedData,
     affinity_histogram,
-    affinity_matrix,
     build_affinity_model,
     distance_matrix,
     normalize,
@@ -73,7 +72,6 @@ __all__ = [
     "SyntheticSpec",
     "adjusted_rand_index",
     "affinity_histogram",
-    "affinity_matrix",
     "build_affinity_model",
     "corpus_accuracy",
     "distance_matrix",

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from affclust.data import (
     Dataset,
@@ -34,7 +35,12 @@ from affclust.evaluate import (
 )
 from affclust.merge import estimate_cluster_count
 from affclust.pipeline import run_pipeline
-from affclust.preprocess import build_affinity_model, distance_matrix, normalize
+from affclust.preprocess import (
+    affinity_histogram,
+    build_affinity_model,
+    distance_matrix,
+    normalize,
+)
 
 MANIFEST_PATH = Path(__file__).resolve().parents[1] / "data" / "reference_corpus.ini"
 SKIP = "corpus file not available; criterion replaced by the synthetic suite (criterion 5)"
@@ -320,6 +326,7 @@ def test_criterion_6d_bench_reruns_are_byte_identical(tmp_path):
 
 
 def test_criterion_6e_preprocess_invariants_on_random_data():
+    """Production streams the distances; the dense matrices here are the reference."""
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(2, 101))
@@ -335,15 +342,19 @@ def test_criterion_6e_preprocess_invariants_on_random_data():
         assert not norm.values[:, ~live].any()
 
         dist = distance_matrix(norm)
-        assert dist.values.min() >= 0.0
-        assert np.abs(np.diagonal(dist.values)).max() == 0.0
-        assert np.abs(dist.values - dist.values.T).max() <= 1e-9
+        dense = cdist(norm.values, norm.values)
+        assert dense.min() >= 0.0
+        assert np.abs(np.diagonal(dense)).max() == 0.0
+        assert np.abs(dense - dense.T).max() <= 1e-9
         assert dist.dispersion > 0.0
+        assert abs(dist.dispersion - dense.std()) <= 1e-12 * dense.std()
 
         model = build_affinity_model(dist, bins=10)
-        assert model.values.min() > 0.0
-        assert model.values.max() <= 1.0
-        assert (np.diagonal(model.values) == 1.0).all()
+        affinity = np.exp(dense * dense / (-2.0 * dist.dispersion))
+        assert affinity.min() > 0.0
+        assert affinity.max() <= 1.0
+        assert (np.diagonal(affinity) == 1.0).all()
+        assert np.array_equal(model.histogram, affinity_histogram(affinity, 10))
         assert model.histogram.sum() == n * n
         assert 1 <= model.threshold_bin <= model.bins - 1
         assert abs(model.threshold - (model.threshold_bin - 0.5) / model.bins) < 1e-15

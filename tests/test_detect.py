@@ -1,7 +1,5 @@
 """Detection scan: sequential absorption, incremental centroids, outliers."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,11 +29,22 @@ def prepared(points):
     return norm, dm, model
 
 
+def gap2(z, j, c):
+    """Squared distance from point j to centroid c as a one-row array.
+
+    It is production's row-wise einsum, which may fuse multiply-adds, so a
+    plain sum of squares can differ from it in the last bit; the oracle must
+    compare the same values.
+    """
+    diff = z[j : j + 1] - c
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def naive_find_clusters(z, sigma, threshold):
     """Literal per-point transcription of the detection scan.
 
-    Plain Python loops, dict-backed state, no vectorization: the reference
-    the production scan must agree with exactly.
+    Plain Python loops, dict-backed state, no windows or caches: the
+    reference the production scan must agree with exactly.
     """
     n = z.shape[0]
     assign = [0] * n
@@ -52,17 +61,14 @@ def naive_find_clusters(z, sigma, threshold):
         sizes[k] = 1
         for j in range(n):
             if assign[j] == 0:
-                gap2 = float(((centroids[k] - z[j]) ** 2).sum())
-                if math.exp(-gap2 / (2.0 * sigma)) > threshold:
+                if np.exp(gap2(z, j, centroids[k]) / (-2.0 * sigma))[0] > threshold:
                     s = sizes[k]
                     centroids[k] = (s * centroids[k] + z[j]) / (s + 1)
                     sizes[k] = s + 1
                     assign[j] = k
             elif assign[j] != k:
                 old = assign[j]
-                gap_new = float(((centroids[k] - z[j]) ** 2).sum())
-                gap_old = float(((centroids[old] - z[j]) ** 2).sum())
-                if gap_new < gap_old:
+                if gap2(z, j, centroids[k])[0] < gap2(z, j, centroids[old])[0]:
                     s = sizes[old]
                     if s <= 1:
                         del centroids[old]

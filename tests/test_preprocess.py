@@ -1,20 +1,27 @@
-"""Preprocess stage: z-scores, distance matrix, affinities, histogram, threshold."""
+"""Preprocess stage: z-scores, distance dispersion, affinity histogram, threshold.
+
+Production streams the distances in blocks and never holds an n x n matrix;
+the dense matrices these tests compare against are built here, by
+`dense_distances` and `dense_affinities`.
+"""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from affclust.data import Dataset
+from affclust.data import Dataset, SyntheticSpec, generate_synthetic
 from affclust.errors import DegenerateDataError
 from affclust.pipeline import run_pipeline
 from affclust.preprocess import (
     NormalizedData,
     DistanceMatrix,
+    _distance_blocks,
     affinity_histogram,
-    affinity_matrix,
     build_affinity_model,
     distance_matrix,
     normalize,
@@ -39,6 +46,23 @@ def random_dataset(seed, max_n=40, max_d=5):
     return ds(rng.normal(scale=rng.uniform(0.5, 20.0), size=(n, d)))
 
 
+def dense_distances(z):
+    """Reference: the full n x n distance matrix."""
+    return cdist(z, z)
+
+
+def dense_affinities(dist, sigma):
+    """Reference: the full affinity matrix, with production's per-entry expression."""
+    a = dist * dist
+    a /= -2.0 * sigma
+    return np.exp(a)
+
+
+def streamed_upper(z):
+    """Every distance the block stream yields, concatenated in stream order."""
+    return np.concatenate(list(_distance_blocks(z)))
+
+
 # ---------------------------------------------------------------------------
 # normalize
 
@@ -54,6 +78,14 @@ def test_constant_column_normalizes_to_zeros():
     assert np.array_equal(out.values[:, 0], [0.0, 0.0, 0.0])
     assert out.column_stds[0] == 0.0
     assert np.abs(out.values[:, 1]).max() > 0
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+def test_constant_column_with_inexact_mean_normalizes_to_zeros(rows):
+    # the mean of n copies of 0.1 rounds away from 0.1, so std is ~1e-17, not 0
+    out = normalize(ds([[0.1, float(i)] for i in range(rows)]))
+    assert out.column_stds[0] == 0.0
+    assert np.array_equal(out.values[:, 0], np.zeros(rows))
 
 
 def test_normalization_divides_by_population_std():
@@ -74,37 +106,39 @@ def test_normalized_columns_recompute_to_zero_mean_unit_spread():
 
 
 # ---------------------------------------------------------------------------
-# distance matrix
+# distance dispersion
 
 def test_three_four_five_triangle_distance():
     out = distance_matrix(nd([[0.0, 0.0], [3.0, 4.0]]))
-    assert out.values[0, 1] == pytest.approx(5.0, abs=1e-12)
-    assert out.values[1, 0] == pytest.approx(5.0, abs=1e-12)
+    assert streamed_upper(out.points).tolist() == pytest.approx([5.0], abs=1e-12)
+    assert out.dispersion == pytest.approx(2.5, abs=1e-12)  # std of [0, 5, 5, 0]
 
 
 def test_distance_matrix_matches_double_loop_oracle():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(5, 2))
-    out = distance_matrix(nd(z))
-    for i in range(5):
-        for j in range(5):
-            expect = math.sqrt(((z[i] - z[j]) ** 2).sum())
-            assert abs(out.values[i, j] - expect) < 1e-12
+    got = streamed_upper(distance_matrix(nd(z)).points)
+    expect = [math.sqrt(((z[i] - z[j]) ** 2).sum()) for i in range(5) for j in range(i + 1, 5)]
+    assert np.abs(got - expect).max() < 1e-12
 
 
 def test_distance_diagonal_zero_and_symmetric():
-    out = distance_matrix(nd(np.random.default_rng(5).normal(size=(9, 3))))
-    assert np.array_equal(np.diag(out.values), np.zeros(9))
-    assert np.array_equal(out.values, out.values.T)
+    """Streaming only the upper triangle is exact: the dense matrix mirrors it."""
+    z = np.random.default_rng(5).normal(size=(9, 3))
+    dist = dense_distances(z)
+    assert np.array_equal(np.diag(dist), np.zeros(9))
+    assert np.array_equal(dist, dist.T)
+    assert np.array_equal(streamed_upper(z), dist[np.triu_indices(9, 1)])
 
 
 def test_dispersion_is_population_std_over_all_entries():
     """Dispersion covers the full n*n matrix, zero diagonal included."""
-    out = distance_matrix(nd(np.random.default_rng(11).normal(size=(7, 2))))
-    flat = [out.values[i, j] for i in range(7) for j in range(7)]
+    z = np.random.default_rng(11).normal(size=(7, 2))
+    dist = dense_distances(z)
+    flat = [dist[i, j] for i in range(7) for j in range(7)]
     mean = sum(flat) / len(flat)
     var = sum((v - mean) ** 2 for v in flat) / len(flat)
-    assert out.dispersion == pytest.approx(math.sqrt(var), abs=1e-12)
+    assert distance_matrix(nd(z)).dispersion == pytest.approx(math.sqrt(var), abs=1e-12)
 
 
 def test_distance_matrix_rejects_single_point():
@@ -113,44 +147,90 @@ def test_distance_matrix_rejects_single_point():
 
 
 # ---------------------------------------------------------------------------
-# affinity matrix
+# affinities
 
 def test_zero_distance_gives_unit_affinity():
-    out = affinity_matrix(distance_matrix(nd(np.random.default_rng(0).normal(size=(6, 2)))))
-    assert np.array_equal(np.diag(out), np.ones(6))
+    # the far pair's affinity is exp(-50), bin 1; the two self-affinities are exactly 1
+    model = build_affinity_model(distance_matrix(nd([[0.0], [50.0]])), bins=10)
+    assert model.histogram.tolist() == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
 
 
 def test_distance_squared_twice_dispersion_maps_to_e_inverse():
     sigma = 0.37
     d = math.sqrt(2.0 * sigma)
-    dm = DistanceMatrix(values=np.array([[0.0, d], [d, 0.0]]), dispersion=sigma)
-    out = affinity_matrix(dm)
-    assert out[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-9)
+    bins = 10_000
+    dm = DistanceMatrix(points=np.array([[0.0], [d]]), dispersion=sigma)
+    model = build_affinity_model(dm, bins=bins)
+    expect = np.zeros(bins, dtype=np.int64)
+    expect[math.ceil(math.exp(-1.0) * bins) - 1] = 2  # 0.36788 lands in bin 3679
+    expect[-1] = 2
+    assert np.array_equal(model.histogram, expect)
 
 
 def test_affinity_matches_scalar_recomputation():
     norm = normalize(random_dataset(23))
     dm = distance_matrix(norm)
-    out = affinity_matrix(dm)
+    dist = dense_distances(norm.values)
     n = norm.values.shape[0]
+    bins = 10
+    expect = [0] * bins
     for i in range(n):
         for j in range(n):
-            expect = math.exp(-dm.values[i, j] ** 2 / (2.0 * dm.dispersion))
-            assert abs(out[i, j] - expect) < 1e-12
+            v = math.exp(-dist[i, j] ** 2 / (2.0 * dm.dispersion))
+            expect[min(bins, max(1, math.ceil(v * bins))) - 1] += 1
+    assert build_affinity_model(dm, bins).histogram.tolist() == expect
 
 
 def test_identical_points_are_rejected_as_degenerate():
     with pytest.raises(DegenerateDataError):
-        affinity_matrix(distance_matrix(normalize(ds([[4.0, 4.0]] * 5))))
+        build_affinity_model(distance_matrix(normalize(ds([[4.0, 4.0]] * 5))))
 
 
 def test_affinity_decreases_with_distance():
     norm = normalize(random_dataset(31))
     dm = distance_matrix(norm)
-    a = affinity_matrix(dm)
+    dist = dense_distances(norm.values)
+    a = dense_affinities(dist, dm.dispersion)
     iu = np.triu_indices_from(a, k=1)
-    order = np.argsort(dm.values[iu])
+    order = np.argsort(dist[iu])
     assert (np.diff(a[iu][order]) <= 1e-15).all()
+    assert np.array_equal(build_affinity_model(dm).histogram, affinity_histogram(a))
+
+
+@pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
+def test_streamed_model_matches_dense_reference(n):
+    """Several blocks and a partial last one: same histogram, same dispersion."""
+    rng = np.random.default_rng(n)
+    for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
+        dist = dense_distances(z)
+        dm = distance_matrix(nd(z))
+        assert np.array_equal(streamed_upper(z), dist[np.triu_indices(n, 1)])
+        assert dm.dispersion == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
+        model = build_affinity_model(dm, bins=10)
+        expect = affinity_histogram(dense_affinities(dist, dm.dispersion), 10)
+        assert np.array_equal(model.histogram, expect)
+
+
+def test_affinity_model_memory_stays_far_below_one_dense_matrix():
+    """Acceptance criterion 7's set (n=5,000, d=2): under 10% of one n x n float64."""
+    dataset = generate_synthetic(
+        SyntheticSpec(
+            cluster_count=15,
+            points_per_cluster=(334,) * 5 + (333,) * 10,
+            dimension=2,
+            center_separation=12.0,
+            seed=4,
+        )
+    )
+    norm = normalize(dataset)
+    tracemalloc.start()
+    try:
+        build_affinity_model(distance_matrix(norm))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = 0.1 * dataset.n_points**2 * 8
+    assert peak < budget, f"peak {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +249,24 @@ def test_value_at_085_buckets_into_ninth_bin():
 
 
 def test_histogram_matches_brute_force_bucketing():
-    a = affinity_matrix(distance_matrix(normalize(random_dataset(41, max_n=4))))
+    norm = normalize(random_dataset(41, max_n=4))
+    dm = distance_matrix(norm)
+    a = dense_affinities(dense_distances(norm.values), dm.dispersion)
     bins = 10
     expect = [0] * bins
     for v in a.ravel():
         b = min(bins, max(1, math.ceil(v * bins)))
         expect[b - 1] += 1
     assert affinity_histogram(a, bins).tolist() == expect
+    assert build_affinity_model(dm, bins).histogram.tolist() == expect
 
 
 def test_histogram_counts_sum_to_n_squared():
-    a = affinity_matrix(distance_matrix(normalize(random_dataset(43, max_n=30))))
-    n = a.shape[0]
+    norm = normalize(random_dataset(43, max_n=30))
+    dm = distance_matrix(norm)
+    n = norm.n_points
     for bins in (2, 7, 10, 30):
-        assert affinity_histogram(a, bins).sum() == n * n
+        assert build_affinity_model(dm, bins).histogram.sum() == n * n
 
 
 def test_histogram_rejects_single_bin():
@@ -230,9 +314,10 @@ def test_all_negative_jumps_still_pick_a_bin():
 
 
 def test_model_composition_is_consistent():
-    model = build_affinity_model(distance_matrix(normalize(random_dataset(61))), bins=10)
+    norm = normalize(random_dataset(61))
+    model = build_affinity_model(distance_matrix(norm), bins=10)
     assert model.bins == 10
-    assert model.histogram.sum() == model.values.size
+    assert model.histogram.sum() == norm.n_points**2
     assert model.threshold == (model.threshold_bin - 0.5) / model.bins
     assert 1 <= model.threshold_bin <= 9
 
@@ -266,9 +351,14 @@ def test_power_of_two_column_scaling_is_exactly_invisible(seed, factor):
     n1, n2 = normalize(base), normalize(scaled)
     assert np.array_equal(n2.column_means, n1.column_means * factor)
     assert np.array_equal(n2.column_stds, n1.column_stds * factor)
-    m1 = build_affinity_model(distance_matrix(n1))
-    m2 = build_affinity_model(distance_matrix(n2))
-    assert np.array_equal(m1.values, m2.values)
+    assert np.array_equal(n1.values, n2.values)
+    d1, d2 = distance_matrix(n1), distance_matrix(n2)
+    assert d1.dispersion == d2.dispersion
+    assert np.array_equal(
+        dense_affinities(dense_distances(n1.values), d1.dispersion),
+        dense_affinities(dense_distances(n2.values), d2.dispersion),
+    )
+    m1, m2 = build_affinity_model(d1), build_affinity_model(d2)
     assert np.array_equal(m1.histogram, m2.histogram)
     assert m1.threshold == m2.threshold
 
@@ -313,9 +403,10 @@ def test_affinity_model_invariants_hold_on_random_data(seed):
     dm = distance_matrix(norm)
     n = norm.values.shape[0]
     model = build_affinity_model(dm, bins=10)
-    a = model.values
+    a = dense_affinities(dense_distances(norm.values), dm.dispersion)
     assert ((a > 0) & (a <= 1)).all()
     assert np.array_equal(np.diag(a), np.ones(n))
     assert np.array_equal(a, a.T)
+    assert np.array_equal(model.histogram, affinity_histogram(a, 10))
     assert model.histogram.sum() == n * n
     assert 0.0 < model.threshold < 1.0
