@@ -69,14 +69,17 @@ def _add_ingest_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--has-header", action="store_true", help="skip the first data row")
 
 
-def _add_output_args(sub: argparse.ArgumentParser, default_format: str = "json") -> None:
+def _add_output_args(
+    sub: argparse.ArgumentParser, default_format: str = "json", timings: bool = False
+) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default=default_format)
     sub.add_argument("--output", "-o", default=None, help="output file; default stdout")
-    sub.add_argument(
-        "--timings",
-        action="store_true",
-        help="embed per-stage timings in the report (breaks byte-identical reruns)",
-    )
+    if timings:
+        sub.add_argument(
+            "--timings",
+            action="store_true",
+            help="embed per-stage timings in the report (breaks byte-identical reruns)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster = subs.add_parser("cluster", help="cluster one dataset and dump the run result")
     _add_ingest_args(p_cluster)
     p_cluster.add_argument("--bins", type=_bin_count, default=10, help="affinity histogram bins")
-    _add_output_args(p_cluster)
+    _add_output_args(p_cluster, timings=True)
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_eval = subs.add_parser("evaluate", help="cluster and score against ground-truth labels")
@@ -121,22 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--manifest", required=True, help="INI corpus manifest")
     p_bench.add_argument("--bins", type=_bin_count, default=10)
     p_bench.add_argument("--outlier-policy", choices=OUTLIER_POLICIES, default="singletons")
-    _add_output_args(p_bench)
+    _add_output_args(p_bench, timings=True)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
-
-def _round6(x) -> float:
-    return round(float(x), 6)
-
+# serialization
 
 def _fmt(x) -> str:
     if x is None:
         return "na"
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.6f}"
@@ -155,22 +154,24 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _round6(obj)
+        return round(float(obj), 6)
     return obj
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
+def _emit(args, payload: dict, notes: dict, header: list[str], rows) -> None:
+    """Write one report: the payload as JSON, or as CSV the notes as
+    `# key=value` lines, then the header, then one line per row."""
+    if args.format == "json":
+        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    else:
+        lines = [f"# {key}={_fmt(val)}" for key, val in notes.items()]
+        lines.append(",".join(header))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _emit(payload: dict, rows_csv: str, args) -> None:
-    if args.format == "json":
-        _write_text(json.dumps(_jsonable(payload), indent=2) + "\n", args.output)
-    else:
-        _write_text(rows_csv, args.output)
+        Path(args.output).write_text(text, encoding="utf-8")
 
 
 def _report_timings(result: RunResult) -> None:
@@ -186,45 +187,25 @@ def _run_payload(result: RunResult, include_timings: bool) -> dict:
         "d": result.n_features,
         "bins": result.bins,
         "degenerate": result.degenerate,
-        "threshold": _round6(result.threshold) if result.threshold is not None else None,
+        "threshold": result.threshold,
         "threshold_bin": result.threshold_bin,
         "initial_cluster_count": result.initial_count,
         "outlier_count": result.outlier_count,
-        "outliers": [int(i) + 1 for i in result.outlier_points],
+        "outliers": result.outlier_points + 1,
         "k_estimate": result.k_estimate,
         "merges_attempted": result.merge_count,
         "accepted": result.accepted,
-        "cost_before": _round6(result.cost_before) if result.cost_before is not None else None,
-        "cost_after": _round6(result.cost_after) if result.cost_after is not None else None,
+        "cost_before": result.cost_before,
+        "cost_after": result.cost_after,
         "final_cluster_count": (
             result.reported_count if result.reported_count is not None else "na"
         ),
-        "cluster_sizes": [int(s) for s in result.cluster_sizes],
-        "assignment": [int(a) for a in result.assignment],
+        "cluster_sizes": result.cluster_sizes,
+        "assignment": result.assignment,
     }
     if include_timings:
-        payload["timings_ms"] = {k: _round6(v) for k, v in result.timings_ms.items()}
+        payload["timings_ms"] = result.timings_ms
     return payload
-
-
-def _scalar_comments(payload: dict, skip=("assignment", "cluster_sizes", "outliers")) -> list[str]:
-    lines = []
-    for key, val in payload.items():
-        if key in skip or isinstance(val, (dict, list)):
-            continue
-        lines.append(f"# {key}={_fmt(val)}")
-    return lines
-
-
-def _run_csv(result: RunResult, include_timings: bool) -> str:
-    payload = _run_payload(result, include_timings=False)
-    lines = _scalar_comments(payload)
-    if include_timings:
-        for stage, ms in result.timings_ms.items():
-            lines.append(f"# timing_{stage}_ms={_fmt(ms)}")
-    lines.append("point,cluster")
-    lines.extend(f"{i + 1},{int(c)}" for i, c in enumerate(result.assignment))
-    return "\n".join(lines) + "\n"
 
 
 def _eval_payload(report: EvalReport, table) -> dict:
@@ -232,9 +213,9 @@ def _eval_payload(report: EvalReport, table) -> dict:
         "pair_counts": {
             "tp": table.tp, "fp": table.fp, "fn": table.fn, "tn": table.tn,
         },
-        "ari": _round6(report.ari),
-        "jaccard": _round6(report.jaccard),
-        "f1": _round6(report.f1),
+        "ari": report.ari,
+        "jaccard": report.jaccard,
+        "f1": report.f1,
         "predicted_k": report.predicted_k if report.predicted_k is not None else "na",
         "truth_k": report.truth_k,
         "exact_match": report.exact_match,
@@ -253,26 +234,35 @@ def _load_input(args) -> Dataset:
     )
 
 
-def cmd_cluster(args) -> int:
-    dataset = _load_input(args)
+def _run_and_emit(args, dataset: Dataset, report) -> int:
+    """Run the pipeline on one dataset and emit `report(args, dataset, result)`.
+
+    report returns _emit's payload, notes, header and rows. Degenerate data
+    is still reported, then exits 3.
+    """
     result = run_pipeline(dataset, bins=args.bins)
     _report_timings(result)
-    payload = {"command": "cluster", **_run_payload(result, args.timings)}
-    _emit(payload, _run_csv(result, args.timings), args)
+    _emit(args, *report(args, dataset, result))
     if result.degenerate:
         print(f"degenerate data: {result.name} has no clusterable structure", file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    dataset = _load_input(args)
-    if dataset.labels is None:
-        raise IngestError(
-            f"{dataset.name}: evaluation needs ground-truth labels; pass --label-col"
-        )
-    result = run_pipeline(dataset, bins=args.bins)
-    _report_timings(result)
+def _cluster_report(args, dataset: Dataset, result: RunResult):
+    run = _run_payload(result, args.timings)
+    notes = {key: val for key, val in run.items() if not isinstance(val, (dict, np.ndarray))}
+    if args.timings:
+        notes.update((f"timing_{stage}_ms", ms) for stage, ms in result.timings_ms.items())
+    rows = enumerate(result.assignment, start=1)
+    return {"command": "cluster", **run}, notes, ["point", "cluster"], rows
+
+
+def cmd_cluster(args) -> int:
+    return _run_and_emit(args, _load_input(args), _cluster_report)
+
+
+def _evaluate_report(args, dataset: Dataset, result: RunResult):
     report = evaluate_clustering(
         result.assignment,
         dataset.labels,
@@ -288,27 +278,28 @@ def cmd_evaluate(args) -> int:
         "n": result.n_points,
         "bins": result.bins,
         "outlier_policy": args.outlier_policy,
-        "threshold": _round6(result.threshold) if result.threshold is not None else None,
+        "threshold": result.threshold,
         "final_cluster_count": (
             result.reported_count if result.reported_count is not None else "na"
         ),
         **_eval_payload(report, table),
     }
-    header = "dataset,n,outlier_policy,predicted_k,truth_k,exact_match,ari,jaccard,f1,tp,fp,fn,tn"
-    row = ",".join(
-        _fmt(v)
-        for v in (
-            result.name, result.n_points, args.outlier_policy,
-            payload["predicted_k"], report.truth_k, report.exact_match,
-            report.ari, report.jaccard, report.f1,
-            table.tp, table.fp, table.fn, table.tn,
+    columns = [
+        "dataset", "n", "outlier_policy", "predicted_k", "truth_k", "exact_match",
+        "ari", "jaccard", "f1",
+    ]
+    counts = payload["pair_counts"]
+    row = [payload[key] for key in columns] + list(counts.values())
+    return payload, {}, columns + list(counts), [row]
+
+
+def cmd_evaluate(args) -> int:
+    dataset = _load_input(args)
+    if dataset.labels is None:
+        raise IngestError(
+            f"{dataset.name}: evaluation needs ground-truth labels; pass --label-col"
         )
-    )
-    _emit(payload, header + "\n" + row + "\n", args)
-    if result.degenerate:
-        print(f"degenerate data: {result.name} has no clusterable structure", file=sys.stderr)
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    return _run_and_emit(args, dataset, _evaluate_report)
 
 
 def cmd_histogram(args) -> int:
@@ -321,25 +312,20 @@ def cmd_histogram(args) -> int:
         "dataset": dataset.name,
         "n": dataset.n_points,
         "bins": model.bins,
-        "counts": [int(c) for c in model.histogram],
-        "edges": [[_round6(lo), _round6(hi)] for lo, hi in edges],
+        "counts": model.histogram,
+        "edges": edges,
         "threshold_bin": model.threshold_bin,
-        "threshold": _round6(model.threshold),
+        "threshold": model.threshold,
     }
-    lines = [
-        f"# schema_version={SCHEMA_VERSION}",
-        f"# dataset={dataset.name}",
-        f"# n={dataset.n_points}",
-        f"# bins={model.bins}",
-        f"# threshold_bin={model.threshold_bin}",
-        f"# threshold={_fmt(model.threshold)}",
-        "bin,lower,upper,count",
+    notes = {
+        key: payload[key]
+        for key in ("schema_version", "dataset", "n", "bins", "threshold_bin", "threshold")
+    }
+    rows = [
+        (i, lo, hi, count)
+        for i, ((lo, hi), count) in enumerate(zip(edges, model.histogram), start=1)
     ]
-    lines.extend(
-        f"{i + 1},{_fmt(lo)},{_fmt(hi)},{int(c)}"
-        for i, ((lo, hi), c) in enumerate(zip(edges, model.histogram))
-    )
-    _emit(payload, "\n".join(lines) + "\n", args)
+    _emit(args, payload, notes, ["bin", "lower", "upper", "count"], rows)
     return EXIT_OK
 
 
@@ -378,36 +364,27 @@ def cmd_sweep_bins(args) -> int:
             {
                 "bins": bins,
                 "evaluated": len(datasets),
-                "corpus_accuracy": _round6(100.0 * matches / len(datasets)),
+                "corpus_accuracy": 100.0 * matches / len(datasets),
             }
         )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep-bins",
-        "manifest": str(args.manifest),
+        "manifest": args.manifest,
         "bin_range": [low, high],
         "skipped": manifest.skipped,
         "rows": rows,
         "accuracy_by_bins": accuracy_rows,
     }
-    acc = {r["bins"]: r["corpus_accuracy"] for r in accuracy_rows}
-    lines = [
-        f"# schema_version={SCHEMA_VERSION}",
-        f"# bin_range={low}:{high}",
-        f"# skipped={';'.join(manifest.skipped)}",
-        "bins,dataset,predicted_k,truth_k,exact_match,corpus_accuracy",
-    ]
-    lines.extend(
-        ",".join(
-            _fmt(v)
-            for v in (
-                r["bins"], r["dataset"], r["predicted_k"], r["truth_k"],
-                r["exact_match"], acc[r["bins"]],
-            )
-        )
-        for r in rows
-    )
-    _emit(payload, "\n".join(lines) + "\n", args)
+    notes = {
+        "schema_version": SCHEMA_VERSION,
+        "bin_range": f"{low}:{high}",
+        "skipped": ";".join(manifest.skipped),
+    }
+    accuracy = {r["bins"]: r["corpus_accuracy"] for r in accuracy_rows}
+    header = [*rows[0], "corpus_accuracy"]
+    csv_rows = [[*r.values(), accuracy[r["bins"]]] for r in rows]
+    _emit(args, payload, notes, header, csv_rows)
     return EXIT_OK
 
 
@@ -463,44 +440,40 @@ def cmd_bench(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",
-        "manifest": str(args.manifest),
+        "manifest": args.manifest,
         "bins": args.bins,
         "outlier_policy": args.outlier_policy,
         "datasets": dataset_reports,
         "skipped": manifest.skipped,
         "evaluated": len(eval_reports),
         "matched": sum(1 for r in eval_reports if r.exact_match),
-        "corpus_accuracy": _round6(accuracy),
+        "corpus_accuracy": accuracy,
     }
-    lines = [
-        f"# schema_version={SCHEMA_VERSION}",
-        f"# manifest={args.manifest}",
-        f"# bins={args.bins}",
-        f"# outlier_policy={args.outlier_policy}",
-        f"# corpus_accuracy={_fmt(accuracy)}",
-        f"# skipped={';'.join(manifest.skipped)}",
-        "dataset,status,n,threshold,initial_clusters,outliers,k_estimate,accepted,"
-        "final_k,truth_k,exact_match,ari,jaccard,f1",
+    notes = {
+        "schema_version": SCHEMA_VERSION,
+        "manifest": args.manifest,
+        "bins": args.bins,
+        "outlier_policy": args.outlier_policy,
+        "corpus_accuracy": accuracy,
+        "skipped": ";".join(manifest.skipped),
+    }
+    run_columns = [
+        "n", "threshold", "initial_cluster_count", "outlier_count", "k_estimate",
+        "accepted", "final_cluster_count",
     ]
+    eval_columns = ["truth_k", "exact_match", "ari", "jaccard", "f1"]
+    header = [
+        "dataset", "status", "n", "threshold", "initial_clusters", "outliers", "k_estimate",
+        "accepted", "final_k", *eval_columns,
+    ]
+    rows = []
     for row in dataset_reports:
-        if row["status"] != "ok":
-            lines.append(",".join([row["name"], row["status"]] + [""] * 12))
-            continue
-        run = row["run"]
-        ev = row["evaluation"]
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row["name"], row["status"], run["n"], run["threshold"],
-                    run["initial_cluster_count"], run["outlier_count"],
-                    run["k_estimate"], run["accepted"], run["final_cluster_count"],
-                    ev["truth_k"], ev["exact_match"],
-                    ev.get("ari", ""), ev.get("jaccard", ""), ev.get("f1", ""),
-                )
-            )
-        )
-    _emit(payload, "\n".join(lines) + "\n", args)
+        cells = [row["name"], row["status"]]
+        if row["status"] == "ok":
+            cells += [row["run"][key] for key in run_columns]
+            cells += [row["evaluation"].get(key, "") for key in eval_columns]
+        rows.append(cells + [""] * (len(header) - len(cells)))
+    _emit(args, payload, notes, header, rows)
     elapsed = time.perf_counter() - started
     print(f"bench: {len(eval_reports)} datasets in {elapsed:.2f} s", file=sys.stderr)
     return EXIT_OK

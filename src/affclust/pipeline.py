@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .detect import extract_outliers, find_clusters
-from .merge import estimate_cluster_count, merge_clusters, report_cluster_count
+from .merge import MergePlan, estimate_cluster_count, merge_clusters, report_cluster_count
 from .preprocess import build_affinity_model, distance_matrix, normalize
 
 SCHEMA_VERSION = 1
@@ -54,8 +54,9 @@ def run_pipeline(dataset: Dataset, bins: int = 10) -> RunResult:
     """Cluster one dataset with no tuning beyond the histogram bin count.
 
     Degenerate inputs do not raise here: identical points come back as a
-    single all-points cluster and an all-singleton detection comes back with
-    zero clusters, both flagged degenerate so callers can set exit status.
+    single all-points cluster with no threshold, and an all-singleton
+    detection comes back with zero clusters and no merge costs, both flagged
+    degenerate so callers can set exit status.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -66,93 +67,47 @@ def run_pipeline(dataset: Dataset, bins: int = 10) -> RunResult:
     dist = distance_matrix(norm)
     timings["distances"] = time.perf_counter() - t0
 
-    n = dataset.n_points
-    if dist.dispersion <= 0.0:
-        clustering = find_clusters(norm, dist, None)
-        return RunResult(
-            name=dataset.name,
-            n_points=n,
-            n_features=dataset.n_features,
-            bins=bins,
-            degenerate=True,
-            threshold=None,
-            threshold_bin=None,
-            initial_count=1,
-            outlier_points=np.empty(0, dtype=np.int64),
-            k_estimate=1,
-            merge_count=0,
-            accepted=True,
-            cost_before=0.0,
-            cost_after=0.0,
-            final_count=1,
-            reported_count=1,
-            assignment=clustering.assignment,
-            cluster_sizes=clustering.sizes,
-            timings_ms=_to_ms(timings),
-        )
-
-    t0 = time.perf_counter()
-    model = build_affinity_model(dist, bins=bins)
-    timings["affinity"] = time.perf_counter() - t0
+    # Zero dispersion means every point coincides: there is no affinity model,
+    # and detection returns one all-points cluster whose merge is trivial.
+    model = None
+    if dist.dispersion > 0.0:
+        t0 = time.perf_counter()
+        model = build_affinity_model(dist, bins=bins)
+        timings["affinity"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     detected = find_clusters(norm, dist, model)
     cleaned = extract_outliers(detected)
     timings["detect"] = time.perf_counter() - t0
 
-    if cleaned.cluster_count == 0:
-        # every detected cluster was a singleton: nothing but outliers
-        return RunResult(
-            name=dataset.name,
-            n_points=n,
-            n_features=dataset.n_features,
-            bins=bins,
-            degenerate=True,
-            threshold=model.threshold,
-            threshold_bin=model.threshold_bin,
-            initial_count=0,
-            outlier_points=cleaned.outliers,
-            k_estimate=0,
-            merge_count=0,
-            accepted=True,
-            cost_before=None,
-            cost_after=None,
-            final_count=0,
-            reported_count=0,
-            assignment=cleaned.assignment,
-            cluster_sizes=cleaned.sizes,
-            timings_ms=_to_ms(timings),
-        )
+    merged = cleaned.cluster_count > 0  # zero when every detected cluster was a singleton
+    if merged:
+        t0 = time.perf_counter()
+        sizes_desc = np.sort(cleaned.sizes)[::-1]
+        k_estimate = estimate_cluster_count(sizes_desc)
+        plan = merge_clusters(norm, cleaned, k_estimate)
+        timings["merge"] = time.perf_counter() - t0
+    else:
+        plan = MergePlan(initial_count=0, estimated_count=0, final_assignment=cleaned.assignment)
 
-    t0 = time.perf_counter()
-    sizes_desc = np.sort(cleaned.sizes)[::-1]
-    k_estimate = estimate_cluster_count(sizes_desc)
-    plan = merge_clusters(norm, cleaned, k_estimate)
-    timings["merge"] = time.perf_counter() - t0
-
-    final_sizes = np.bincount(plan.final_assignment, minlength=plan.final_count + 1)[1:]
     return RunResult(
         name=dataset.name,
-        n_points=n,
+        n_points=dataset.n_points,
         n_features=dataset.n_features,
         bins=bins,
-        degenerate=False,
-        threshold=model.threshold,
-        threshold_bin=model.threshold_bin,
+        degenerate=model is None or not merged,
+        threshold=None if model is None else model.threshold,
+        threshold_bin=None if model is None else model.threshold_bin,
         initial_count=plan.initial_count,
         outlier_points=cleaned.outliers,
         k_estimate=plan.estimated_count,
         merge_count=len(plan.merge_steps),
         accepted=plan.accepted,
-        cost_before=plan.cost_before,
-        cost_after=plan.cost_after,
+        cost_before=plan.cost_before if merged else None,
+        cost_after=plan.cost_after if merged else None,
         final_count=plan.final_count,
-        reported_count=report_cluster_count(plan, n),
+        reported_count=report_cluster_count(plan, dataset.n_points),
         assignment=plan.final_assignment,
-        cluster_sizes=final_sizes,
-        timings_ms=_to_ms(timings),
+        cluster_sizes=np.bincount(plan.final_assignment, minlength=plan.final_count + 1)[1:],
+        timings_ms={stage: seconds * 1000.0 for stage, seconds in timings.items()},
     )
-
-
-def _to_ms(timings: dict[str, float]) -> dict[str, float]:
-    return {stage: seconds * 1000.0 for stage, seconds in timings.items()}

@@ -106,12 +106,33 @@ def test_cluster_csv_lists_every_point(files):
 
 
 def test_timings_are_embedded_only_on_request(files):
+    stages = ["normalize", "distances", "affinity", "detect", "merge"]
     plain = json.loads(run_cli("cluster", "-i", files.points).stdout)
     timed = json.loads(run_cli("cluster", "-i", files.points, "--timings").stdout)
     assert "timings_ms" not in plain
-    assert set(timed["timings_ms"]) == {
-        "normalize", "distances", "affinity", "detect", "merge",
-    }
+    assert list(timed["timings_ms"]) == stages
+    # CSV: one timing note per stage, after the report's notes and before the rows
+    csv = run_cli("cluster", "-i", files.points, "--timings", "--format", "csv").stdout
+    lines = csv.splitlines()
+    keys = [ln.partition("=")[0] for ln in lines[: lines.index("point,cluster")]]
+    assert keys[keys.index("# final_cluster_count") + 1 :] == [
+        f"# timing_{stage}_ms" for stage in stages
+    ]
+    bench = json.loads(run_cli("bench", "--manifest", files.bench_manifest, "--timings").stdout)
+    ok = [row for row in bench["datasets"] if row["status"] == "ok"]
+    assert ok and all(list(row["run"]["timings_ms"]) == stages for row in ok)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "histogram", "sweep-bins"])
+def test_timings_is_rejected_where_it_has_no_effect(files, command):
+    source = (
+        ["--manifest", files.manifest]
+        if command == "sweep-bins"
+        else ["-i", files.labeled, "--label-col", "3"]
+    )
+    proc = run_cli(command, *source, "--timings")
+    assert proc.returncode == 2
+    assert "--timings" in proc.stderr
 
 
 def test_identical_points_exit_degenerate_but_still_report(tmp_path):
