@@ -304,28 +304,38 @@ def cmd_evaluate(args) -> int:
 
 def cmd_histogram(args) -> int:
     dataset = _load_input(args)
-    model = build_affinity_model(distance_matrix(normalize(dataset)), bins=args.bins)
-    edges = [(i / model.bins, (i + 1) / model.bins) for i in range(model.bins)]
+    distances = distance_matrix(normalize(dataset))
+    # Identical points have no affinity histogram: report null counts and
+    # threshold, then exit 3.
+    degenerate = distances.dispersion <= 0.0
+    counts = threshold_bin = threshold = None
+    if not degenerate:
+        model = build_affinity_model(distances, bins=args.bins)
+        counts, threshold_bin, threshold = model.histogram, model.threshold_bin, model.threshold
+    edges = [(i / args.bins, (i + 1) / args.bins) for i in range(args.bins)]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "histogram",
         "dataset": dataset.name,
         "n": dataset.n_points,
-        "bins": model.bins,
-        "counts": model.histogram,
+        "bins": args.bins,
+        "counts": counts,
         "edges": edges,
-        "threshold_bin": model.threshold_bin,
-        "threshold": model.threshold,
+        "threshold_bin": threshold_bin,
+        "threshold": threshold,
     }
     notes = {
         key: payload[key]
         for key in ("schema_version", "dataset", "n", "bins", "threshold_bin", "threshold")
     }
     rows = [
-        (i, lo, hi, count)
-        for i, ((lo, hi), count) in enumerate(zip(edges, model.histogram), start=1)
+        (i, lo, hi, None if counts is None else counts[i - 1])
+        for i, (lo, hi) in enumerate(edges, start=1)
     ]
     _emit(args, payload, notes, ["bin", "lower", "upper", "count"], rows)
+    if degenerate:
+        print(f"degenerate data: {dataset.name}: all points are identical", file=sys.stderr)
+        return EXIT_DEGENERATE
     return EXIT_OK
 
 
@@ -339,9 +349,19 @@ def _load_corpus(path: str) -> CorpusManifest:
 def cmd_sweep_bins(args) -> int:
     manifest = _load_corpus(args.manifest)
     low, high = args.bin_range
-    datasets = [(e, e.load()) for e in manifest.available]
+    datasets = []
+    skipped = []
+    for entry in manifest.entries:
+        if not entry.available:
+            skipped.append(entry.name)
+            continue
+        try:
+            datasets.append((entry, entry.load()))
+        except IngestError as exc:
+            print(f"skipped: {exc}", file=sys.stderr)
+            skipped.append(entry.name)
     if not datasets:
-        raise IngestError(f"manifest {args.manifest}: no dataset files found on disk")
+        raise IngestError(f"manifest {args.manifest}: no dataset could be loaded")
     rows = []
     accuracy_rows = []
     for bins in range(low, high + 1):
@@ -372,14 +392,14 @@ def cmd_sweep_bins(args) -> int:
         "command": "sweep-bins",
         "manifest": args.manifest,
         "bin_range": [low, high],
-        "skipped": manifest.skipped,
+        "skipped": skipped,
         "rows": rows,
         "accuracy_by_bins": accuracy_rows,
     }
     notes = {
         "schema_version": SCHEMA_VERSION,
         "bin_range": f"{low}:{high}",
-        "skipped": ";".join(manifest.skipped),
+        "skipped": ";".join(skipped),
     }
     accuracy = {r["bins"]: r["corpus_accuracy"] for r in accuracy_rows}
     header = [*rows[0], "corpus_accuracy"]

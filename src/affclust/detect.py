@@ -11,11 +11,13 @@ outliers.
 
 The sweep is evaluated in windows that double while they hold no hit and
 shrink after one, so finding the next hit costs about the distance to it
-rather than the length of the remaining data. Each point's squared distance
-to its own centroid is cached and refreshed only for the clusters whose
-centroid moved. Neither changes a decision: a squared distance is always the
-row-wise einsum of z - c, whose value for a row does not depend on which
-other rows share the call, and the affinity is always exp(gap2 / -2sigma).
+rather than the length of the remaining data. A window is one comparison
+of squared distances against a per-point bar: an assigned point's cached
+distance to its own centroid, refreshed only for clusters whose centroid
+moved, or an unassigned point's affinity bar g*, found once per run.
+Neither changes a decision: a squared distance is always the row-wise einsum
+of z - c, whose value for a row does not depend on which other rows share
+the call, and gap2 < g* holds exactly when exp(gap2 / -2sigma) > threshold.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ class ClusterState:
     inverse. Cluster ids start at 1; row 0 of the centroid table is a
     sentinel so assignment values can index it directly.
 
-    own2[i] caches the squared distance from assigned point i to its own
-    centroid. add_point and remove_point leave it alone; the scan calls
-    refresh_own2 for every cluster whose centroid it moved.
+    bar[i] is the squared distance to the open cluster's centroid below
+    which point i joins or shifts to it: the affinity bar while i is
+    unassigned, 0.0 if it opened the open cluster, else its squared distance
+    to its own centroid. add_point and remove_point leave it alone; the scan
+    sets it and calls refresh_bar for every centroid it moved.
     """
 
     def __init__(self, points: np.ndarray):
@@ -69,7 +73,7 @@ class ClusterState:
         self.assignment = np.zeros(n, dtype=np.int64)
         self.centroids = np.zeros((n + 1, d))
         self.sizes = np.zeros(n + 1, dtype=np.int64)
-        self.own2 = np.zeros(n)
+        self.bar = np.zeros(n)
         self.opened = 0
 
     def open_cluster(self, i: int) -> int:
@@ -99,10 +103,10 @@ class ClusterState:
         self.assignment[j] = 0
         return k
 
-    def refresh_own2(self, k: int) -> None:
+    def refresh_bar(self, k: int) -> None:
         rows = np.flatnonzero(self.assignment == k)
         diff = self.points[rows] - self.centroids[k]
-        self.own2[rows] = np.einsum("ij,ij->i", diff, diff)
+        self.bar[rows] = np.einsum("ij,ij->i", diff, diff)
 
     def finalize(self) -> Clustering:
         """Drop clusters emptied by shifting and compact ids to 1..p."""
@@ -116,56 +120,75 @@ class ClusterState:
         )
 
 
-def _absorb_pass(state: ClusterState, k: int, two_sigma: float, threshold: float) -> None:
+def _affinity_bar(two_sigma: float, threshold: float) -> float:
+    """The smallest gap2 >= 0 for which exp(gap2 / -two_sigma) > threshold fails.
+
+    It is evaluated on an array, as in the scan. The test holds at 0 (the
+    threshold is below 1), fails at inf and turns false once as gap2 grows,
+    so bisecting over the int64 bit patterns of the non-negative floats,
+    which order as the floats do, takes at most 64 steps. For every finite
+    gap2 >= 0, gap2 < bar is then the test itself.
+    """
+    probe = np.zeros(1)
+    bits = probe.view(np.int64)
+    passes, fails = 0, int(np.array(np.inf).view(np.int64))
+    while fails - passes > 1:
+        bits[0] = (passes + fails) // 2
+        if np.exp(probe / (-two_sigma))[0] > threshold:
+            passes = int(bits[0])
+        else:
+            fails = int(bits[0])
+    bits[0] = fails
+    return float(probe[0])
+
+
+def _absorb_pass(state: ClusterState, k: int) -> None:
     """One full sweep on behalf of freshly opened cluster k.
 
     Semantically a plain j = 1..n loop. Between two modifications nothing
     changes, so positions are tested in vectorized windows: a window with no
     hit is skipped and the next one is twice as wide, a hit is applied and
-    the scan resumes right after it with a narrower window. The shift test
-    compares against the cached own2 instead of gathering every owner's
-    centroid. Rows owned by k are masked out of it: their distance to their
-    own centroid is gap2 itself and the test is a strict <, so they can
-    never pass, and their cache entries may go stale until the sweep ends.
-    A shift moves the donor's centroid, so the donor's rows are refreshed at
-    once; k's rows are refreshed when the sweep ends.
+    the scan resumes right after it with a narrower window. Each window is
+    one comparison, gap2 < bar. The point that opened k has bar 0.0: its
+    own distance is gap2 itself, so the strict shift test could not pass.
+    Points that join k fall behind the scan and keep stale bars until the
+    sweep ends and refreshes k's; a shift refreshes the donor's at once.
     """
     z = state.points
     n = z.shape[0]
     assignment = state.assignment
-    own2 = state.own2
+    bar = state.bar
     j = 0
     width = _FIRST_WINDOW
     while j < n:
         stop = min(j + width, n)
         diff = z[j:stop] - state.centroids[k]
-        gap2 = np.einsum("ij,ij->i", diff, diff)
-        owners = assignment[j:stop]
-        unassigned = owners == 0
-        hits = unassigned & (np.exp(gap2 / (-two_sigma)) > threshold)
-        hits |= ~unassigned & (owners != k) & (gap2 < own2[j:stop])
-        pos = int(np.argmax(hits))
+        hits = np.einsum("ij,ij->i", diff, diff) < bar[j:stop]
+        pos = hits.argmax()
         if not hits[pos]:
             j = stop
             width *= 2
             continue
-        jj = j + pos
+        jj = j + int(pos)
         donor = int(assignment[jj])
         if donor != 0:
             state.remove_point(jj)
-            state.refresh_own2(donor)
+            state.refresh_bar(donor)
         state.add_point(k, jj)
         j = jj + 1
         width = max(_FIRST_WINDOW, width // 2)
-    state.refresh_own2(k)
+    state.refresh_bar(k)
 
 
 def _sweep(z: np.ndarray, two_sigma: float, threshold: float) -> ClusterState:
     """Open a cluster at every point still unassigned, in order, and sweep."""
     state = ClusterState(z)
+    state.bar.fill(_affinity_bar(two_sigma, threshold))
     for i in range(z.shape[0]):
         if state.assignment[i] == 0:
-            _absorb_pass(state, state.open_cluster(i), two_sigma, threshold)
+            k = state.open_cluster(i)
+            state.bar[i] = 0.0
+            _absorb_pass(state, k)
     return state
 
 

@@ -251,6 +251,34 @@ def test_sweep_bins_defaults_to_csv(files):
     assert "bins,dataset,predicted_k,truth_k,exact_match,corpus_accuracy" in proc.stdout
 
 
+def test_sweep_bins_skips_an_unreadable_entry_and_scores_the_rest(files, tmp_path):
+    bad = tmp_path / "short.csv"
+    bad.write_text("1,2,3\n4,5\n6,7,8\n")
+    manifest = tmp_path / "mixed.ini"
+    manifest.write_text(
+        f"[blobs]\npath = {files.labeled}\ntruth_k = 3\nlabel_col = 3\n\n"
+        f"[short]\npath = {bad}\ntruth_k = 2\n\n"
+        f"[ghost]\npath = ghost.csv\ntruth_k = 4\n"
+    )
+    proc = run_cli("sweep-bins", "--manifest", str(manifest), "--bin-range", "2:3", "--format", "json")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["skipped"] == ["short", "ghost"]
+    assert {r["dataset"] for r in payload["rows"]} == {"blobs"}
+    assert [r["evaluated"] for r in payload["accuracy_by_bins"]] == [1, 1]
+    assert "short: row 2" in proc.stderr
+
+
+def test_sweep_bins_fails_when_no_entry_loads(tmp_path):
+    bad = tmp_path / "short.csv"
+    bad.write_text("1,2,3\n4,5\n")
+    manifest = tmp_path / "bad.ini"
+    manifest.write_text(f"[short]\npath = {bad}\ntruth_k = 2\n")
+    proc = run_cli("sweep-bins", "--manifest", str(manifest), "--bin-range", "2:3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
 def test_bad_bin_range_is_rejected(files):
     proc = run_cli("sweep-bins", "--manifest", files.manifest, "--bin-range", "9:2")
     assert proc.returncode == 2

@@ -10,6 +10,7 @@ from affclust.detect import (
     _FIRST_WINDOW,
     Clustering,
     ClusterState,
+    _affinity_bar,
     _sweep,
     extract_outliers,
     find_clusters,
@@ -155,7 +156,96 @@ def test_own_distance_cache_is_fresh_after_full_scan():
     state = _sweep(norm.values, 2.0 * dm.dispersion, model.threshold)
     assert (state.assignment > 0).all()
     diff = norm.values - state.centroids[state.assignment]
-    assert np.array_equal(state.own2, np.einsum("ij,ij->i", diff, diff))
+    assert np.array_equal(state.bar, np.einsum("ij,ij->i", diff, diff))
+
+
+# ---------------------------------------------------------------------------
+# the affinity bar
+
+def affinity_test(gaps, two_sigma, threshold, length):
+    """The scan's affinity test, applied to consecutive slices of `length` gaps."""
+    return np.concatenate([
+        np.exp(gaps[i : i + length] / (-two_sigma)) > threshold
+        for i in range(0, gaps.size, length)
+    ])
+
+
+def bar_neighbours(bar, reach):
+    """The non-negative floats within `reach` bit patterns of bar, in order."""
+    centre = int(np.array(bar).view(np.int64))
+    top = int(np.array(np.inf).view(np.int64))
+    return np.arange(max(0, centre - reach), min(top, centre + reach) + 1).view(np.float64)
+
+
+@st.composite
+def thresholds(draw):
+    """A threshold the histogram can pick: the midpoint of bin k of bins."""
+    bins = draw(st.integers(2, 1000))
+    k = draw(st.integers(1, bins))
+    return (k - 0.5) / bins
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1e-3, 1e3), thresholds(), st.integers(0, 2**32 - 1))
+def test_affinity_bar_is_the_affinity_test(two_sigma, threshold, seed):
+    """gap2 < bar equals the exp test on every slice length the scan's
+    windows and numpy's vector loops can produce, around the bar and away
+    from it."""
+    bar = _affinity_bar(two_sigma, threshold)
+    near = bar_neighbours(bar, 1 << 16)
+    for length in (31, 33, 1 << 17):
+        assert np.array_equal(affinity_test(near, two_sigma, threshold, length), near < bar)
+    rng = np.random.default_rng(seed)
+    gaps = np.concatenate([
+        bar_neighbours(bar, 256),
+        rng.uniform(0.0, 4.0 * bar, 2048),
+        bar * rng.exponential(size=2048),
+        [0.0, 5e-324, 1e300],
+    ])
+    for length in (1, 31, 33, 1 << 17):
+        assert np.array_equal(affinity_test(gaps, two_sigma, threshold, length), gaps < bar)
+
+
+@pytest.mark.parametrize("threshold", [0.5 / 2, 0.5 / 1000, 999.5 / 1000, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("two_sigma", [1e-3, 1.0, 2.0 * np.sqrt(2.0), 1e3])
+def test_affinity_bar_at_the_threshold_extremes(two_sigma, threshold):
+    """Threshold bin 1 of 2 and of 1,000 bins, the top bin of 1,000, and
+    the largest threshold below 1, where only exp(...) == 1.0 passes."""
+    bar = _affinity_bar(two_sigma, threshold)
+    assert 0.0 < bar < np.inf
+    gaps = bar_neighbours(bar, 1 << 12)
+    for length in (1, 33):
+        assert np.array_equal(affinity_test(gaps, two_sigma, threshold, length), gaps < bar)
+
+
+def test_scan_matches_naive_reference_at_threshold_bin_one():
+    # Copies of the unit simplex's corners, jittered: most affinities fall
+    # in bin 2 and a few in bin 1, so the threshold is bin 1's midpoint.
+    pts = np.repeat(np.eye(4), 3, axis=0) + np.random.default_rng(1).normal(scale=0.1, size=(12, 4))
+    norm = NormalizedData(pts, np.zeros(4), np.ones(4))
+    dm = distance_matrix(norm)
+    model = build_affinity_model(dm)
+    assert model.threshold_bin == 1
+    got = find_clusters(norm, dm, model)
+    expect = naive_find_clusters(norm.values, dm.dispersion, model.threshold)
+    assert got.assignment.tolist() == expect
+
+
+def test_scan_never_moves_a_point_within_the_open_cluster(monkeypatch):
+    """Every shift takes its point from another cluster. The point that
+    opened the cluster has bar 0.0, so even at distance 0 from the centroid
+    it is not taken out and put back."""
+    from_open = []
+    remove = ClusterState.remove_point
+
+    def recording_remove(self, j):
+        from_open.append(int(self.assignment[j]) == self.opened)
+        return remove(self, j)
+
+    monkeypatch.setattr(ClusterState, "remove_point", recording_remove)
+    for seed in range(30):
+        find_clusters(*prepared(interesting_points(seed)))
+    assert from_open and not any(from_open)
 
 
 def test_two_far_duplicate_pairs_form_two_clusters():

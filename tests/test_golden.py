@@ -5,7 +5,8 @@ policies) in JSON and CSV for the five bundled synthetic sets and one
 generated set of 1,050 points, large enough that the affinity model streams
 several distance blocks; `bench` and `sweep-bins` over the bundled synthetic
 corpus; and `cluster` on two degenerate inputs, identical points and a set
-where every point is an outlier, which exit 3 but still report. Any change
+where every point is an outlier, and `histogram` on the identical points,
+which exit 3 but still report. Any change
 to the reports shows up here; a deliberate one is made by rewriting the
 files with `write_goldens()` from the repository root and recording why in
 CHANGES.md:
@@ -58,6 +59,7 @@ REPORTS = (
     ]
     + [("synthetic_corpus", command, fmt) for command in ["bench", "sweep-bins"] for fmt in FORMATS]
     + [(case, "cluster", fmt) for case in DEGENERATE for fmt in FORMATS]
+    + [("identical", "histogram", fmt) for fmt in FORMATS]
 )
 
 
