@@ -208,8 +208,17 @@ def _run_payload(result: RunResult, include_timings: bool) -> dict:
     return payload
 
 
-def _eval_payload(report: EvalReport, table) -> dict:
-    return {
+def _score(result: RunResult, labels, truth_k: int | None, outlier_policy: str):
+    """Score a run against ground-truth labels: the EvalReport and its payload."""
+    report = evaluate_clustering(
+        result.assignment,
+        labels,
+        reported_count=result.reported_count,
+        truth_k=truth_k,
+        outlier_policy=outlier_policy,
+    )
+    table = pair_counts(result.assignment, labels, outlier_policy)
+    return report, {
         "pair_counts": {
             "tp": table.tp, "fp": table.fp, "fn": table.fn, "tn": table.tn,
         },
@@ -263,14 +272,7 @@ def cmd_cluster(args) -> int:
 
 
 def _evaluate_report(args, dataset: Dataset, result: RunResult):
-    report = evaluate_clustering(
-        result.assignment,
-        dataset.labels,
-        reported_count=result.reported_count,
-        truth_k=args.truth_k,
-        outlier_policy=args.outlier_policy,
-    )
-    table = pair_counts(result.assignment, dataset.labels, args.outlier_policy)
+    _, scores = _score(result, dataset.labels, args.truth_k, args.outlier_policy)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "evaluate",
@@ -282,7 +284,7 @@ def _evaluate_report(args, dataset: Dataset, result: RunResult):
         "final_cluster_count": (
             result.reported_count if result.reported_count is not None else "na"
         ),
-        **_eval_payload(report, table),
+        **scores,
     }
     columns = [
         "dataset", "n", "outlier_policy", "predicted_k", "truth_k", "exact_match",
@@ -304,13 +306,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_histogram(args) -> int:
     dataset = _load_input(args)
-    distances = distance_matrix(normalize(dataset))
+    normalized = normalize(dataset)
+    dispersion = distance_matrix(normalized)
     # Identical points have no affinity histogram: report null counts and
     # threshold, then exit 3.
-    degenerate = distances.dispersion <= 0.0
+    degenerate = dispersion <= 0.0
     counts = threshold_bin = threshold = None
     if not degenerate:
-        model = build_affinity_model(distances, bins=args.bins)
+        model = build_affinity_model(normalized, dispersion, bins=args.bins)
         counts, threshold_bin, threshold = model.histogram, model.threshold_bin, model.threshold
     edges = [(i / args.bins, (i + 1) / args.bins) for i in range(args.bins)]
     payload = {
@@ -430,15 +433,9 @@ def cmd_bench(args) -> int:
             "run": _run_payload(result, args.timings),
         }
         if dataset.labels is not None:
-            report = evaluate_clustering(
-                result.assignment,
-                dataset.labels,
-                reported_count=result.reported_count,
-                truth_k=entry.truth_k,
-                outlier_policy=args.outlier_policy,
+            report, row["evaluation"] = _score(
+                result, dataset.labels, entry.truth_k, args.outlier_policy
             )
-            table = pair_counts(result.assignment, dataset.labels, args.outlier_policy)
-            row["evaluation"] = _eval_payload(report, table)
         else:
             report = EvalReport(
                 ari=float("nan"), jaccard=float("nan"), f1=float("nan"),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import AffinityModel, DistanceMatrix, NormalizedData
+from .preprocess import AffinityModel, NormalizedData
 
 # Width of the first window a sweep tests, and the narrowest it shrinks to.
 _FIRST_WINDOW = 32
@@ -37,19 +37,29 @@ class Clustering:
     """A hard assignment of points to clusters.
 
     assignment holds 1-based cluster ids, with 0 marking unassigned or
-    outlier points. sizes[k-1] and centroids[k-1] describe cluster k.
+    outlier points. sizes[k-1] is the size of cluster k.
     outliers lists the (0-based) point indices removed as singletons; it is
     empty until extract_outliers has run.
     """
 
     assignment: np.ndarray
     sizes: np.ndarray
-    centroids: np.ndarray
     outliers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def cluster_count(self) -> int:
         return self.sizes.size
+
+
+def relabel(assignment: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Renumber the ids in keep to 1..p, in keep's order; every other id becomes 0.
+
+    Returns a fresh array.
+    """
+    top = max(int(assignment.max(initial=0)), int(np.max(keep, initial=0)))
+    remap = np.zeros(top + 1, dtype=np.int64)
+    remap[keep] = np.arange(1, len(keep) + 1)
+    return remap[assignment]
 
 
 class ClusterState:
@@ -111,13 +121,7 @@ class ClusterState:
     def finalize(self) -> Clustering:
         """Drop clusters emptied by shifting and compact ids to 1..p."""
         keep = np.flatnonzero(self.sizes[1 : self.opened + 1] > 0) + 1
-        remap = np.zeros(self.opened + 1, dtype=np.int64)
-        remap[keep] = np.arange(1, keep.size + 1)
-        return Clustering(
-            assignment=remap[self.assignment],
-            sizes=self.sizes[keep].copy(),
-            centroids=self.centroids[keep].copy(),
-        )
+        return Clustering(assignment=relabel(self.assignment, keep), sizes=self.sizes[keep])
 
 
 def _affinity_bar(two_sigma: float, threshold: float) -> float:
@@ -192,31 +196,25 @@ def _sweep(z: np.ndarray, two_sigma: float, threshold: float) -> ClusterState:
     return state
 
 
-def find_clusters(
-    normalized: NormalizedData,
-    distances: DistanceMatrix,
-    affinity: AffinityModel | None,
-) -> Clustering:
+def find_clusters(normalized: NormalizedData, model: AffinityModel | None) -> Clustering:
     """Run the full detection scan and return the compacted clustering.
 
-    With zero distance dispersion every point coincides, so the result
-    degenerates to a single cluster and the affinity model may be None.
-    The scan itself is strictly single-threaded and deterministic.
+    A model of None means every point coincides (normalize maps them all to
+    zero), so the result degenerates to a single cluster. The scan itself is
+    strictly single-threaded and deterministic.
     """
     z = normalized.values
     n = z.shape[0]
     if n < 2:
         raise ValueError("clustering needs at least 2 points")
-    if distances.dispersion <= 0.0:
+    if model is None:
+        if z.any():
+            raise ValueError("affinity model is required unless every point is identical")
         return Clustering(
-            assignment=np.ones(n, dtype=np.int64),
-            sizes=np.array([n], dtype=np.int64),
-            centroids=z.mean(axis=0, keepdims=True),
+            assignment=np.ones(n, dtype=np.int64), sizes=np.array([n], dtype=np.int64)
         )
-    if affinity is None:
-        raise ValueError("affinity model is required unless the data is degenerate")
 
-    return _sweep(z, 2.0 * distances.dispersion, affinity.threshold).finalize()
+    return _sweep(z, 2.0 * model.dispersion, model.threshold).finalize()
 
 
 def extract_outliers(clustering: Clustering) -> Clustering:
@@ -227,20 +225,8 @@ def extract_outliers(clustering: Clustering) -> Clustering:
     flagged; callers treat that as degenerate.
     """
     sizes = clustering.sizes
-    singles = np.flatnonzero(sizes == 1) + 1
-    if singles.size == 0:
-        return Clustering(
-            assignment=clustering.assignment.copy(),
-            sizes=sizes.copy(),
-            centroids=clustering.centroids.copy(),
-        )
     keep = np.flatnonzero(sizes > 1) + 1
-    remap = np.zeros(sizes.size + 1, dtype=np.int64)
-    remap[keep] = np.arange(1, keep.size + 1)
-    outliers = np.flatnonzero(np.isin(clustering.assignment, singles))
-    return Clustering(
-        assignment=remap[clustering.assignment],
-        sizes=sizes[keep - 1].copy(),
-        centroids=clustering.centroids[keep - 1].copy(),
-        outliers=outliers,
-    )
+    assignment = relabel(clustering.assignment, keep)
+    # the points relabel zeroed that were not already unassigned
+    outliers = np.flatnonzero((assignment == 0) & (clustering.assignment != 0))
+    return Clustering(assignment=assignment, sizes=sizes[keep - 1], outliers=outliers)

@@ -64,19 +64,10 @@ def _isolate_zeros(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _canonical(v: np.ndarray) -> np.ndarray:
-    """Relabel blocks by first appearance; equal arrays iff equal partitions."""
-    seen: dict[int, int] = {}
-    out = np.empty(v.size, dtype=np.int64)
-    for i, x in enumerate(v.tolist()):
-        out[i] = seen.setdefault(x, len(seen))
-    return out
-
-
 def _contingency(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pi = np.unique(p, return_inverse=True)[1]
     ti = np.unique(t, return_inverse=True)[1]
-    n_t = int(ti.max()) + 1
+    n_t = int(ti.max(initial=-1)) + 1  # no points (all excluded): an empty table
     cells = np.bincount(pi * n_t + ti)
     return cells, np.bincount(pi), np.bincount(ti)
 
@@ -100,27 +91,24 @@ def pair_counts(predicted, truth, outlier_policy: str = "singletons") -> PairCou
     return PairCountTable(tp=tp, fp=fp, fn=fn, tn=total - tp - fp - fn)
 
 
-def adjusted_rand_index(predicted, truth, outlier_policy: str = "singletons") -> float:
-    """Chance-corrected pair agreement from the full contingency table.
+def adjusted_rand_index(table: PairCountTable) -> float:
+    """Chance-corrected pair agreement, read off the pair-count table.
 
-    The degenerate case (expected index equals maximum index, e.g. both
-    partitions a single block) resolves to 1 for identical partitions and
-    0 otherwise. Sums are exact integers until the final division.
+    The denominator is sum_rows * (total - sum_cols) + sum_cols * (total -
+    sum_rows), which is zero only when both partitions are all singletons,
+    both are one block, or there are fewer than two points: the partitions
+    are identical and score 1. Sums are exact integers until the final
+    division.
     """
-    p, t = _prepare(predicted, truth, outlier_policy)
-    n = p.size
-    if n < 2:
-        return 1.0
-    cells, rows, cols = _contingency(p, t)
-    index = _pairs(cells)
-    sum_rows = _pairs(rows)
-    sum_cols = _pairs(cols)
-    total = n * (n - 1) // 2
+    index = table.tp
+    sum_rows = table.tp + table.fp  # pairs co-clustered in predicted
+    sum_cols = table.tp + table.fn  # pairs co-clustered in truth
+    total = table.total
     # ARI = (index - E) / (M - E), scaled by 2 * total to stay integral
     numer = 2 * total * index - 2 * sum_rows * sum_cols
     denom = total * (sum_rows + sum_cols) - 2 * sum_rows * sum_cols
     if denom == 0:
-        return 1.0 if np.array_equal(_canonical(p), _canonical(t)) else 0.0
+        return 1.0
     return numer / denom
 
 
@@ -167,7 +155,7 @@ def evaluate_clustering(
         truth_k = int(np.unique(t[t != 0]).size)
     table = pair_counts(predicted, truth, outlier_policy)
     return EvalReport(
-        ari=adjusted_rand_index(predicted, truth, outlier_policy),
+        ari=adjusted_rand_index(table),
         jaccard=jaccard_index(table),
         f1=pairwise_f1(table),
         predicted_k=reported_count,

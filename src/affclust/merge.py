@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .detect import Clustering
+from .detect import Clustering, relabel
 from .errors import DegenerateDataError
 from .preprocess import NormalizedData
 
@@ -54,19 +54,6 @@ def _group_stats(values: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray
     np.add.at(centroids, assignment[assignment > 0] - 1, values[assignment > 0])
     centroids /= sizes[:, None]
     return centroids, sizes
-
-
-def within_cluster_ss(values: np.ndarray, assignment: np.ndarray) -> float:
-    """Plain sum of squared distances to exact cluster centroids.
-
-    Diagnostic companion to normalized_within_cost; zero when every point
-    is its own cluster.
-    """
-    assignment = np.asarray(assignment, dtype=np.int64)
-    centroids, _ = _group_stats(values, assignment)
-    mask = assignment > 0
-    diff = values[mask] - centroids[assignment[mask] - 1]
-    return float((diff * diff).sum())
 
 
 def normalized_within_cost(values: np.ndarray, assignment: np.ndarray) -> float:
@@ -141,20 +128,7 @@ def merge_clusters(
 
     base = clustering.assignment.astype(np.int64, copy=True)
     cost_before = normalized_within_cost(values, base)
-    if k_target == p:
-        return MergePlan(
-            initial_count=p,
-            estimated_count=k_target,
-            merge_steps=[],
-            cost_before=cost_before,
-            cost_after=cost_before,
-            accepted=True,
-            final_assignment=base,
-        )
-
-    centroids, sizes = _group_stats(values, base)
-    cent = centroids.copy()
-    sz = sizes.astype(np.int64, copy=True)
+    cent, sz = _group_stats(values, base)
     active = np.ones(p, dtype=bool)
     dist = cdist(cent, cent)
     np.fill_diagonal(dist, np.inf)
@@ -177,10 +151,7 @@ def merge_clusters(
         dist[alive, a] = row
         dist[a, a] = np.inf
 
-    survivors = np.flatnonzero(active) + 1
-    remap = np.zeros(p + 1, dtype=np.int64)
-    remap[survivors] = np.arange(1, survivors.size + 1)
-    merged = remap[work]
+    merged = relabel(work, np.flatnonzero(active) + 1)
     cost_after = normalized_within_cost(values, merged)
     accepted = cost_after <= cost_before
     return MergePlan(

@@ -64,19 +64,19 @@ def run_pipeline(dataset: Dataset, bins: int = 10) -> RunResult:
     timings["normalize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dist = distance_matrix(norm)
+    dispersion = distance_matrix(norm)
     timings["distances"] = time.perf_counter() - t0
 
     # Zero dispersion means every point coincides: there is no affinity model,
     # and detection returns one all-points cluster whose merge is trivial.
     model = None
-    if dist.dispersion > 0.0:
+    if dispersion > 0.0:
         t0 = time.perf_counter()
-        model = build_affinity_model(dist, bins=bins)
+        model = build_affinity_model(norm, dispersion, bins=bins)
         timings["affinity"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    detected = find_clusters(norm, dist, model)
+    detected = find_clusters(norm, model)
     cleaned = extract_outliers(detected)
     timings["detect"] = time.perf_counter() - t0
 

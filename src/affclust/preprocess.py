@@ -45,23 +45,11 @@ class NormalizedData:
 
 
 @dataclass
-class DistanceMatrix:
-    """The population spread of all pairwise Euclidean distances.
-
-    The distances themselves are not stored; points keeps what they are
-    taken between, so the affinity pass can stream them again.
-    """
-
-    points: np.ndarray  # (n, d) normalized points
-    dispersion: float   # population standard deviation over all n*n entries
-
-
-@dataclass
 class AffinityModel:
     """The Gaussian affinity histogram and the threshold derived from it."""
 
+    dispersion: float      # population standard deviation of all n*n distances
     histogram: np.ndarray  # (bins,) counts over equal-width affinity bins
-    bins: int
     threshold: float       # midpoint of the bin below the steepest positive jump
     threshold_bin: int     # 1-based index k of that bin
 
@@ -108,8 +96,9 @@ def _distance_blocks(z: np.ndarray) -> Iterator[np.ndarray]:
         yield cdist(z[i0:i1], z[i0:])[upper]
 
 
-def distance_matrix(normalized: NormalizedData) -> DistanceMatrix:
-    """Population standard deviation of all n*n pairwise distances.
+def distance_matrix(normalized: NormalizedData) -> float:
+    """Return the dispersion: the population standard deviation of all n*n
+    pairwise distances.
 
     The spread is taken over the whole matrix, zero diagonal included; it
     doubles as the affinity bandwidth. Blocks of the upper triangle are
@@ -132,7 +121,7 @@ def distance_matrix(normalized: NormalizedData) -> DistanceMatrix:
         mean += delta * (b_count / total)
         m2 += b_m2 + delta * delta * (count * b_count / total)
         count = total
-    return DistanceMatrix(points=z, dispersion=math.sqrt(m2 / count))
+    return math.sqrt(m2 / count)
 
 
 def affinity_histogram(affinity: np.ndarray, bins: int = 10) -> np.ndarray:
@@ -162,7 +151,9 @@ def select_threshold(histogram: np.ndarray) -> tuple[float, int]:
     return (k - 0.5) / h.size, k
 
 
-def build_affinity_model(distances: DistanceMatrix, bins: int = 10) -> AffinityModel:
+def build_affinity_model(
+    normalized: NormalizedData, dispersion: float, bins: int = 10
+) -> AffinityModel:
     """Histogram the affinities exp(-d^2 / (2 * dispersion)) and pick the threshold.
 
     The dispersion enters linearly, not squared: the bandwidth is the square
@@ -170,13 +161,13 @@ def build_affinity_model(distances: DistanceMatrix, bins: int = 10) -> AffinityM
     for both tight and diffuse data. Each upper-triangle block is binned and
     counted twice; the n self-affinities of exactly 1 go to the top bin.
     """
-    if distances.dispersion <= 0.0:
+    if dispersion <= 0.0:
         raise DegenerateDataError(
             "zero distance dispersion: all points are identical; "
             "the only valid clustering is a single cluster holding every point"
         )
-    z = distances.points
-    scale = -2.0 * distances.dispersion
+    z = normalized.values
+    scale = -2.0 * dispersion
     histogram = affinity_histogram(np.ones(z.shape[0]), bins)
     for block in _distance_blocks(z):
         np.multiply(block, block, out=block)
@@ -185,8 +176,8 @@ def build_affinity_model(distances: DistanceMatrix, bins: int = 10) -> AffinityM
         histogram += 2 * affinity_histogram(block, bins)
     threshold, threshold_bin = select_threshold(histogram)
     return AffinityModel(
+        dispersion=dispersion,
         histogram=histogram,
-        bins=bins,
         threshold=threshold,
         threshold_bin=threshold_bin,
     )

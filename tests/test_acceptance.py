@@ -76,8 +76,8 @@ def corpus_entry(name):
 def test_criterion_1_threshold_on_d8c8N():
     entry = corpus_entry("d8c8N")
     started = time.perf_counter()
-    dataset = entry.load()
-    model = build_affinity_model(distance_matrix(normalize(dataset)), bins=10)
+    norm = normalize(entry.load())
+    model = build_affinity_model(norm, distance_matrix(norm), bins=10)
     assert time.perf_counter() - started < 5.0
     assert abs(model.threshold - 0.85) < 1e-12
 
@@ -165,7 +165,7 @@ def test_criterion_4_quality_reproduction():
         if dataset.labels is None:
             continue
         result = run_pipeline(dataset)
-        ari = adjusted_rand_index(result.assignment, dataset.labels)
+        ari = adjusted_rand_index(pair_counts(result.assignment, dataset.labels))
         if exact:
             assert abs(ari - 1.0) <= 1e-6, name
         else:
@@ -289,7 +289,7 @@ def test_criterion_6c_pair_indices_match_enumeration():
         table = pair_counts(pred, truth)
         assert (table.tp, table.fp, table.fn, table.tn) == (tp, fp, fn, tn)
 
-        assert abs(adjusted_rand_index(pred, truth) - ari_from_pairs(tp, fp, fn, tn)) <= 1e-12
+        assert abs(adjusted_rand_index(table) - ari_from_pairs(tp, fp, fn, tn)) <= 1e-12
         jacc = 1.0 if tp + fp + fn == 0 else tp / (tp + fp + fn)
         assert abs(jaccard_index(table) - jacc) <= 1e-12
         if fp == 0 and fn == 0:
@@ -341,23 +341,24 @@ def test_criterion_6e_preprocess_invariants_on_random_data():
             assert np.abs(norm.values[:, live].mean(axis=0)).max() < 1e-9
         assert not norm.values[:, ~live].any()
 
-        dist = distance_matrix(norm)
+        dispersion = distance_matrix(norm)
         dense = cdist(norm.values, norm.values)
         assert dense.min() >= 0.0
         assert np.abs(np.diagonal(dense)).max() == 0.0
         assert np.abs(dense - dense.T).max() <= 1e-9
-        assert dist.dispersion > 0.0
-        assert abs(dist.dispersion - dense.std()) <= 1e-12 * dense.std()
+        assert dispersion > 0.0
+        assert abs(dispersion - dense.std()) <= 1e-12 * dense.std()
 
-        model = build_affinity_model(dist, bins=10)
-        affinity = np.exp(dense * dense / (-2.0 * dist.dispersion))
+        model = build_affinity_model(norm, dispersion, bins=10)
+        affinity = np.exp(dense * dense / (-2.0 * dispersion))
         assert affinity.min() > 0.0
         assert affinity.max() <= 1.0
         assert (np.diagonal(affinity) == 1.0).all()
         assert np.array_equal(model.histogram, affinity_histogram(affinity, 10))
         assert model.histogram.sum() == n * n
-        assert 1 <= model.threshold_bin <= model.bins - 1
-        assert abs(model.threshold - (model.threshold_bin - 0.5) / model.bins) < 1e-15
+        assert model.histogram.size == 10
+        assert 1 <= model.threshold_bin <= 9
+        assert abs(model.threshold - (model.threshold_bin - 0.5) / 10) < 1e-15
         assert 0.0 < model.threshold < 1.0
 
 

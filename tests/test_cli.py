@@ -5,6 +5,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
@@ -157,6 +158,34 @@ def test_missing_input_exits_with_input_error(tmp_path):
 # ---------------------------------------------------------------------------
 # evaluate
 
+def test_exclude_policy_scores_a_run_where_every_point_is_an_outlier(tmp_path):
+    """Excluding every point leaves no pair to count: evaluate still reports
+    and exits 3, and bench scores the dataset with the empty table's rules."""
+    points = np.random.default_rng(0).standard_normal((50, 2000))
+    labels = np.repeat([1, 2], 25)
+    save_dataset(Dataset(points=points, labels=labels, name="noise"), tmp_path / "noise.csv")
+    manifest = tmp_path / "noise.ini"
+    manifest.write_text("[noise]\npath = noise.csv\ntruth_k = 2\nlabel_col = 2001\n")
+
+    proc = run_cli(
+        "evaluate", "-i", str(tmp_path / "noise.csv"), "--label-col", "2001",
+        "--outlier-policy", "exclude",
+    )
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["pair_counts"] == {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    assert (payload["ari"], payload["jaccard"], payload["f1"]) == (1.0, 1.0, 1.0)
+    assert payload["exact_match"] is False
+
+    proc = run_cli("bench", "--manifest", str(manifest), "--outlier-policy", "exclude")
+    assert proc.returncode == 0
+    (row,) = json.loads(proc.stdout)["datasets"]
+    assert row["status"] == "ok"
+    assert row["run"]["outlier_count"] == 50
+    assert row["evaluation"]["pair_counts"] == {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    assert row["evaluation"]["exact_match"] is False
+
+
 def test_evaluate_requires_labels(files):
     proc = run_cli("evaluate", "-i", files.points)
     assert proc.returncode == 2
@@ -212,7 +241,8 @@ def test_histogram_counts_sum_to_n_squared(files):
     payload = json.loads(proc.stdout)
     assert payload["bins"] == 12
     assert sum(payload["counts"]) == payload["n"] ** 2
-    model = build_affinity_model(distance_matrix(normalize(files.dataset)), bins=12)
+    norm = normalize(files.dataset)
+    model = build_affinity_model(norm, distance_matrix(norm), bins=12)
     assert payload["counts"] == [int(c) for c in model.histogram]
     assert payload["threshold"] == round(model.threshold, 6)
     assert payload["threshold_bin"] == model.threshold_bin

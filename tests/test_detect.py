@@ -14,6 +14,7 @@ from affclust.detect import (
     _sweep,
     extract_outliers,
     find_clusters,
+    relabel,
 )
 from affclust.preprocess import (
     NormalizedData,
@@ -25,9 +26,15 @@ from affclust.preprocess import (
 
 def prepared(points):
     norm = normalize(Dataset(points=np.asarray(points, dtype=np.float64), name="t"))
-    dm = distance_matrix(norm)
-    model = build_affinity_model(dm) if dm.dispersion > 0 else None
-    return norm, dm, model
+    dispersion = distance_matrix(norm)
+    model = build_affinity_model(norm, dispersion) if dispersion > 0 else None
+    return norm, model
+
+
+def swept(points):
+    """The normalized points and the scan's working state after the sweep."""
+    norm, model = prepared(points)
+    return norm, _sweep(norm.values, 2.0 * model.dispersion, model.threshold)
 
 
 def gap2(z, j, c):
@@ -107,9 +114,9 @@ def interesting_points(seed):
 @pytest.mark.parametrize("seed", range(30))
 def test_scan_matches_naive_reference(seed):
     pts = interesting_points(seed)
-    norm, dm, model = prepared(pts)
-    got = find_clusters(norm, dm, model)
-    expect = naive_find_clusters(norm.values, dm.dispersion, model.threshold)
+    norm, model = prepared(pts)
+    got = find_clusters(norm, model)
+    expect = naive_find_clusters(norm.values, model.dispersion, model.threshold)
     assert got.assignment.tolist() == expect
 
 
@@ -138,11 +145,11 @@ def grid_points(draw):
 @given(grid_points())
 def test_windowed_scan_matches_naive_reference_on_grids(pts):
     norm = NormalizedData(pts, np.zeros(pts.shape[1]), np.ones(pts.shape[1]))
-    dm = distance_matrix(norm)
-    assume(dm.dispersion > 0)
-    model = build_affinity_model(dm)
-    got = find_clusters(norm, dm, model)
-    expect = naive_find_clusters(norm.values, dm.dispersion, model.threshold)
+    dispersion = distance_matrix(norm)
+    assume(dispersion > 0)
+    model = build_affinity_model(norm, dispersion)
+    got = find_clusters(norm, model)
+    expect = naive_find_clusters(norm.values, model.dispersion, model.threshold)
     assert got.assignment.tolist() == expect
 
 
@@ -152,8 +159,7 @@ def test_own_distance_cache_is_fresh_after_full_scan():
         center_separation=6.0, noise_fraction=0.1, noise_margin=0.75,
         center_scheme="axes", seed=3,
     )
-    norm, dm, model = prepared(generate_synthetic(spec).points)
-    state = _sweep(norm.values, 2.0 * dm.dispersion, model.threshold)
+    norm, state = swept(generate_synthetic(spec).points)
     assert (state.assignment > 0).all()
     diff = norm.values - state.centroids[state.assignment]
     assert np.array_equal(state.bar, np.einsum("ij,ij->i", diff, diff))
@@ -223,11 +229,10 @@ def test_scan_matches_naive_reference_at_threshold_bin_one():
     # in bin 2 and a few in bin 1, so the threshold is bin 1's midpoint.
     pts = np.repeat(np.eye(4), 3, axis=0) + np.random.default_rng(1).normal(scale=0.1, size=(12, 4))
     norm = NormalizedData(pts, np.zeros(4), np.ones(4))
-    dm = distance_matrix(norm)
-    model = build_affinity_model(dm)
+    model = build_affinity_model(norm, distance_matrix(norm))
     assert model.threshold_bin == 1
-    got = find_clusters(norm, dm, model)
-    expect = naive_find_clusters(norm.values, dm.dispersion, model.threshold)
+    got = find_clusters(norm, model)
+    expect = naive_find_clusters(norm.values, model.dispersion, model.threshold)
     assert got.assignment.tolist() == expect
 
 
@@ -249,8 +254,7 @@ def test_scan_never_moves_a_point_within_the_open_cluster(monkeypatch):
 
 
 def test_two_far_duplicate_pairs_form_two_clusters():
-    norm, dm, model = prepared([[0, 0], [0, 0], [100, 100], [100, 100]])
-    out = extract_outliers(find_clusters(norm, dm, model))
+    out = extract_outliers(find_clusters(*prepared([[0, 0], [0, 0], [100, 100], [100, 100]])))
     assert out.cluster_count == 2
     assert out.sizes.tolist() == [2, 2]
     assert out.outliers.size == 0
@@ -260,8 +264,7 @@ def test_three_blobs_and_two_isolated_points():
     rng = np.random.default_rng(2)
     centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     pts = np.vstack([c + rng.normal(size=(30, 2)) for c in centers] + [[[40.0, 40.0], [-40.0, -40.0]]])
-    norm, dm, model = prepared(pts)
-    out = extract_outliers(find_clusters(norm, dm, model))
+    out = extract_outliers(find_clusters(*prepared(pts)))
     assert out.cluster_count == 3
     assert sorted(out.sizes.tolist()) == [30, 30, 30]
     assert out.outliers.tolist() == [90, 91]
@@ -272,7 +275,9 @@ def test_scan_is_deterministic():
     a = find_clusters(*prepared(pts))
     b = find_clusters(*prepared(pts))
     assert np.array_equal(a.assignment, b.assignment)
-    assert np.array_equal(a.centroids, b.centroids)
+    (_, sa), (_, sb) = swept(pts), swept(pts)
+    assert np.array_equal(sa.assignment, sb.assignment)
+    assert np.array_equal(sa.centroids, sb.centroids)
 
 
 def test_no_point_left_unassigned_and_ids_contiguous():
@@ -287,36 +292,36 @@ def test_no_point_left_unassigned_and_ids_contiguous():
 
 
 def test_final_centroids_equal_batch_means():
-    out = find_clusters(*prepared(interesting_points(21)))
-    norm, _, _ = prepared(interesting_points(21))
-    for k in range(1, out.cluster_count + 1):
-        members = norm.values[out.assignment == k]
-        assert np.abs(out.centroids[k - 1] - members.mean(axis=0)).max() < 1e-9
+    norm, state = swept(interesting_points(21))
+    live = np.flatnonzero(state.sizes > 0)
+    assert live.size == state.finalize().cluster_count
+    for k in live:
+        members = norm.values[state.assignment == k]
+        assert np.abs(state.centroids[k] - members.mean(axis=0)).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
 # degenerate paths
 
 def test_identical_points_collapse_to_one_cluster():
-    norm, dm, _ = prepared([[3.0, 3.0]] * 6)
-    out = find_clusters(norm, dm, None)
+    norm, model = prepared([[3.0, 3.0]] * 6)
+    assert model is None
+    out = find_clusters(norm, None)
     assert out.cluster_count == 1
     assert out.sizes.tolist() == [6]
     assert (out.assignment == 1).all()
 
 
 def test_missing_affinity_model_is_rejected_for_real_data():
-    norm, dm, _ = prepared([[0.0, 0.0], [5.0, 5.0]])
+    norm, _ = prepared([[0.0, 0.0], [5.0, 5.0]])
     with pytest.raises(ValueError):
-        find_clusters(norm, dm, None)
+        find_clusters(norm, None)
 
 
 def test_single_point_is_rejected():
-    from affclust.preprocess import NormalizedData, DistanceMatrix
-
     norm = NormalizedData(np.zeros((1, 2)), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        find_clusters(norm, DistanceMatrix(np.zeros((1, 1)), 1.0), None)
+        find_clusters(norm, None)
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +409,30 @@ def test_removing_last_member_deletes_the_cluster():
 
 
 # ---------------------------------------------------------------------------
+# id compaction
+
+def test_relabel_matches_dict_renumbering():
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        top = int(rng.integers(1, 12))
+        assignment = rng.integers(0, top + 1, size=int(rng.integers(0, 40)))
+        keep = rng.permutation(np.arange(1, top + 1))[: int(rng.integers(0, top + 1))]
+        if rng.random() < 0.5:
+            keep = np.sort(keep)
+        new_id = {int(old): new for new, old in enumerate(keep, start=1)}
+        got = relabel(assignment, keep)
+        assert got.tolist() == [new_id.get(int(a), 0) for a in assignment]
+        assert not np.shares_memory(got, assignment)
+
+
+# ---------------------------------------------------------------------------
 # outlier extraction
 
 def synthetic_clustering(assignment):
     assignment = np.asarray(assignment, dtype=np.int64)
     p = assignment.max()
     sizes = np.bincount(assignment, minlength=p + 1)[1:]
-    return Clustering(
-        assignment=assignment,
-        sizes=sizes,
-        centroids=np.zeros((p, 2)),
-    )
+    return Clustering(assignment=assignment, sizes=sizes)
 
 
 def test_singletons_become_outliers_and_ids_compact():
@@ -432,6 +450,15 @@ def test_no_singletons_is_a_clean_copy():
     assert out.outliers.size == 0
     out.assignment[0] = 99  # mutating the copy must not touch the source
     assert base.assignment[0] == 1
+
+
+def test_points_already_unassigned_are_not_outliers_again():
+    out = extract_outliers(synthetic_clustering([1, 1, 2, 3, 3]))
+    assert out.outliers.tolist() == [2]
+    again = extract_outliers(out)
+    assert np.array_equal(again.assignment, out.assignment)
+    assert again.sizes.tolist() == [2, 2]
+    assert again.outliers.size == 0
 
 
 def test_all_singletons_leave_zero_clusters():

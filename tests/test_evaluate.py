@@ -136,13 +136,13 @@ def test_identical_partitions_score_one_everywhere():
     pred = [2, 2, 7, 7, 7, 1]
     truth = [5, 5, 1, 1, 1, 9]
     t = pair_counts(pred, truth)
-    assert adjusted_rand_index(pred, truth) == 1.0
+    assert adjusted_rand_index(t) == 1.0
     assert jaccard_index(t) == 1.0
     assert pairwise_f1(t) == 1.0
 
 
 def test_single_block_prediction_scores_zero_ari():
-    assert adjusted_rand_index([1, 1, 1, 1], [1, 1, 2, 2]) == 0.0
+    assert adjusted_rand_index(pair_counts([1, 1, 1, 1], [1, 1, 2, 2])) == 0.0
 
 
 def test_hand_enumerated_jaccard_and_f1():
@@ -155,7 +155,7 @@ def test_both_all_singletons_is_perfect_agreement():
     t = pair_counts([1, 2, 3], [4, 5, 6])
     assert jaccard_index(t) == 1.0
     assert pairwise_f1(t) == 1.0
-    assert adjusted_rand_index([1, 2, 3], [4, 5, 6]) == 1.0
+    assert adjusted_rand_index(pair_counts([1, 2, 3], [4, 5, 6])) == 1.0
 
 
 def test_singletons_versus_one_block_is_total_disagreement():
@@ -164,7 +164,7 @@ def test_singletons_versus_one_block_is_total_disagreement():
     t = pair_counts(pred, truth)
     assert jaccard_index(t) == 0.0
     assert pairwise_f1(t) == 0.0
-    assert adjusted_rand_index(pred, truth) == 0.0
+    assert adjusted_rand_index(t) == 0.0
 
 
 def test_indices_match_pair_enumeration_on_random_partitions():
@@ -175,7 +175,7 @@ def test_indices_match_pair_enumeration_on_random_partitions():
         t = pair_counts(pred, truth)
         expect = table_oracle(pred, truth)
         assert (t.tp, t.fp, t.fn, t.tn) == (expect.tp, expect.fp, expect.fn, expect.tn)
-        assert abs(adjusted_rand_index(pred, truth) - ari_oracle(pred, truth)) < 1e-12
+        assert abs(adjusted_rand_index(t) - ari_oracle(pred, truth)) < 1e-12
         assert abs(jaccard_index(t) - jaccard_index(expect)) < 1e-12
         assert abs(pairwise_f1(t) - pairwise_f1(expect)) < 1e-12
 
@@ -190,8 +190,8 @@ def test_indices_ignore_label_names(raw, seed):
     truth = rng.integers(1, 4, size=len(raw))
     relabel = {v: 100 - v for v in set(raw)}
     pred2 = [relabel[v] for v in raw]
-    assert adjusted_rand_index(raw, truth) == pytest.approx(
-        adjusted_rand_index(pred2, truth), abs=1e-12
+    assert adjusted_rand_index(pair_counts(raw, truth)) == pytest.approx(
+        adjusted_rand_index(pair_counts(pred2, truth)), abs=1e-12
     )
     t1, t2 = pair_counts(raw, truth), pair_counts(pred2, truth)
     assert (t1.tp, t1.fp, t1.fn, t1.tn) == (t2.tp, t2.fp, t2.fn, t2.tn)
@@ -203,16 +203,16 @@ def test_ari_and_jaccard_are_symmetric(seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 4, size=10)
     b = rng.integers(0, 4, size=10)
-    assert adjusted_rand_index(a, b) == pytest.approx(adjusted_rand_index(b, a), abs=1e-12)
     ta, tb = pair_counts(a, b), pair_counts(b, a)
+    assert adjusted_rand_index(ta) == pytest.approx(adjusted_rand_index(tb), abs=1e-12)
     assert jaccard_index(ta) == pytest.approx(jaccard_index(tb), abs=1e-12)
     assert pairwise_f1(ta) == pytest.approx(pairwise_f1(tb), abs=1e-12)
 
 
 def test_two_point_degenerate_vectors():
-    assert adjusted_rand_index([1, 1], [1, 1]) == 1.0
-    assert adjusted_rand_index([1, 1], [1, 2]) == 0.0
-    assert adjusted_rand_index([1, 2], [1, 2]) == 1.0
+    assert adjusted_rand_index(pair_counts([1, 1], [1, 1])) == 1.0
+    assert adjusted_rand_index(pair_counts([1, 1], [1, 2])) == 0.0
+    assert adjusted_rand_index(pair_counts([1, 2], [1, 2])) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +234,17 @@ def test_truth_k_defaults_to_distinct_nonzero_labels():
     )
     assert report.truth_k == 2
     assert report.exact_match
+
+
+def test_exclude_policy_with_every_point_an_outlier_leaves_an_empty_table():
+    table = pair_counts([0, 0, 0, 0], [1, 1, 2, 2], "exclude")
+    assert (table.tp, table.fp, table.fn, table.tn) == (0, 0, 0, 0)
+    report = evaluate_clustering(
+        [0, 0, 0, 0], [1, 1, 2, 2], reported_count=0, outlier_policy="exclude"
+    )
+    assert (report.ari, report.jaccard, report.f1) == (1.0, 1.0, 1.0)
+    assert report.truth_k == 2
+    assert not report.exact_match
 
 
 def test_na_report_never_matches():

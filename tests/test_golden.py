@@ -5,8 +5,9 @@ policies) in JSON and CSV for the five bundled synthetic sets and one
 generated set of 1,050 points, large enough that the affinity model streams
 several distance blocks; `bench` and `sweep-bins` over the bundled synthetic
 corpus; and `cluster` on two degenerate inputs, identical points and a set
-where every point is an outlier, and `histogram` on the identical points,
-which exit 3 but still report. Any change
+where every point is an outlier, `histogram` on the identical points and
+`evaluate` (both outlier policies) on the all-outlier set, which exit 3 but
+still report. Any change
 to the reports shows up here; a deliberate one is made by rewriting the
 files with `write_goldens()` from the repository root and recording why in
 CHANGES.md:
@@ -60,10 +61,15 @@ REPORTS = (
     + [("synthetic_corpus", command, fmt) for command in ["bench", "sweep-bins"] for fmt in FORMATS]
     + [(case, "cluster", fmt) for case in DEGENERATE for fmt in FORMATS]
     + [("identical", "histogram", fmt) for fmt in FORMATS]
+    + [
+        ("all-outliers", f"evaluate-{p}", fmt)
+        for p in OUTLIER_POLICIES
+        for fmt in FORMATS
+    ]
 )
 
 
-def _input(case: str, workdir: Path) -> list[str]:
+def _input(case: str, command: str, workdir: Path) -> list[str]:
     """The input arguments for a case, writing generated inputs into workdir."""
     if case == "synthetic_corpus":
         return ["--manifest", MANIFEST]
@@ -73,10 +79,15 @@ def _input(case: str, workdir: Path) -> list[str]:
         return ["-i", str(path)]
     if case == "all-outliers":
         # 50 standard-normal points in 2,000 dimensions: every point is an outlier.
+        # evaluate reads two truth classes of 25 from an extra last column.
         path = workdir / f"{case}.csv"
         points = np.random.default_rng(0).standard_normal((50, 2000))
-        save_dataset(Dataset(points=points, name=case), path)
-        return ["-i", str(path)]
+        if command == "cluster":
+            save_dataset(Dataset(points=points, name=case), path)
+            return ["-i", str(path)]
+        labels = np.repeat([1, 2], 25)
+        save_dataset(Dataset(points=points, labels=labels, name=case), path)
+        return ["-i", str(path), "--label-col", "2001"]
     if case == "blobs15-d2":
         path = workdir / f"{case}.csv"
         save_dataset(generate_synthetic(BLOBS15), path)
@@ -87,7 +98,8 @@ def _input(case: str, workdir: Path) -> list[str]:
 def render(case: str, command: str, fmt: str, workdir: Path) -> tuple[int, bytes]:
     """Exit code and report bytes of one command; run from the repository root."""
     out = workdir / f"{case}.{command}.{fmt}"
-    argv = COMMAND_ARGS[command] + _input(case, workdir) + ["--format", fmt, "-o", str(out)]
+    argv = COMMAND_ARGS[command] + _input(case, command, workdir)
+    argv += ["--format", fmt, "-o", str(out)]
     return main(argv), out.read_bytes()
 
 

@@ -13,7 +13,6 @@ from affclust.merge import (
     merge_clusters,
     normalized_within_cost,
     report_cluster_count,
-    within_cluster_ss,
 )
 from affclust.preprocess import NormalizedData
 
@@ -23,12 +22,11 @@ def nd(rows):
     return NormalizedData(values=z, column_means=z.mean(0), column_stds=z.std(0))
 
 
-def clustering_from(assignment, values):
+def clustering_from(assignment):
     assignment = np.asarray(assignment, dtype=np.int64)
     p = assignment.max()
     sizes = np.bincount(assignment, minlength=p + 1)[1:]
-    cents = np.vstack([values[assignment == k].mean(axis=0) for k in range(1, p + 1)])
-    return Clustering(assignment=assignment, sizes=sizes, centroids=cents)
+    return Clustering(assignment=assignment, sizes=sizes)
 
 
 def estimate_oracle(sizes):
@@ -96,13 +94,11 @@ def test_estimate_is_scale_invariant(raw, factor):
 def test_two_point_cluster_costs():
     z = nd([[0.0, 0.0], [2.0, 0.0]])
     assignment = [1, 1]
-    assert within_cluster_ss(z.values, assignment) == pytest.approx(2.0)
     assert normalized_within_cost(z.values, assignment) == pytest.approx(1.0)
 
 
 def test_singleton_clusters_cost_nothing():
     z = nd([[1.0], [5.0], [9.0]])
-    assert within_cluster_ss(z.values, [1, 2, 3]) == 0.0
     assert normalized_within_cost(z.values, [1, 2, 3]) == 0.0
 
 
@@ -120,7 +116,6 @@ def test_costs_match_explicit_loops():
         dev = ((members - centroid) ** 2).sum()
         ssw += dev
         w += dev / len(members)
-    assert within_cluster_ss(values, assignment) == pytest.approx(ssw, abs=1e-12)
     assert normalized_within_cost(values, assignment) == pytest.approx(w, abs=1e-12)
     assert w <= ssw
 
@@ -147,7 +142,7 @@ def test_cost_rejects_gapped_ids():
 
 def test_identity_merge_keeps_everything():
     z = nd([[0.0], [0.1], [5.0], [5.1]])
-    clustering = clustering_from([1, 1, 2, 2], z.values)
+    clustering = clustering_from([1, 1, 2, 2])
     plan = merge_clusters(z, clustering, 2)
     assert plan.merge_steps == []
     assert plan.accepted
@@ -159,7 +154,7 @@ def test_identity_merge_keeps_everything():
 def test_closest_pair_merges_first():
     # 1-d clusters at 0, 1, 10, 20: the 0/1 pair is closest
     z = nd([[0.0], [1.0], [10.0], [20.0]])
-    clustering = clustering_from([1, 2, 3, 4], z.values)
+    clustering = clustering_from([1, 2, 3, 4])
     plan = merge_clusters(z, clustering, 3)
     assert plan.merge_steps == [(1, 2)]
 
@@ -168,7 +163,7 @@ def test_greedy_sequence_matches_recomputed_distances():
     rng = np.random.default_rng(37)
     values = rng.uniform(-10, 10, size=(18, 2))
     assignment = np.repeat(np.arange(1, 7), 3)
-    clustering = clustering_from(assignment, values)
+    clustering = clustering_from(assignment)
     plan = merge_clusters(nd(values), clustering, 2)
     assert len(plan.merge_steps) == 4
 
@@ -196,7 +191,7 @@ def test_distance_ties_break_lexicographically():
     for corner in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
         pts.extend([corner, corner])
     z = nd(pts)
-    clustering = clustering_from([1, 1, 2, 2, 3, 3, 4, 4], z.values)
+    clustering = clustering_from([1, 1, 2, 2, 3, 3, 4, 4])
     plan = merge_clusters(z, clustering, 2)
     assert plan.merge_steps[0] == (1, 2)
     assert plan.merge_steps[1] == (3, 4)
@@ -209,7 +204,7 @@ def test_fragment_reabsorption_is_accepted():
     values = np.vstack([blob, far])
     # split the first blob artificially in two: merging it back lowers cost
     assignment = np.array([1] * 20 + [2] * 20 + [3] * 40)
-    plan = merge_clusters(nd(values), clustering_from(assignment, values), 2)
+    plan = merge_clusters(nd(values), clustering_from(assignment), 2)
     assert plan.merge_steps == [(1, 2)]
     assert plan.accepted
     assert plan.cost_after <= plan.cost_before
@@ -224,7 +219,7 @@ def test_gluing_real_clusters_is_discarded():
         rng.normal(size=(30, 2)) - 30.0,
     ])
     assignment = np.repeat([1, 2, 3], 30)
-    clustering = clustering_from(assignment, values)
+    clustering = clustering_from(assignment)
     plan = merge_clusters(nd(values), clustering, 1)
     assert not plan.accepted
     assert plan.final_count == 3
@@ -235,7 +230,7 @@ def test_cost_after_matches_independent_recomputation():
     rng = np.random.default_rng(47)
     values = rng.uniform(-5, 5, size=(24, 3))
     assignment = np.repeat(np.arange(1, 9), 3)
-    plan = merge_clusters(nd(values), clustering_from(assignment, values), 4)
+    plan = merge_clusters(nd(values), clustering_from(assignment), 4)
     if plan.accepted:
         final = plan.final_assignment
     else:
@@ -255,7 +250,7 @@ def test_cost_after_matches_independent_recomputation():
 def test_outliers_stay_out_of_the_merge():
     values = np.array([[0.0], [0.2], [5.0], [5.2], [99.0]])
     assignment = np.array([1, 1, 2, 2, 0])
-    plan = merge_clusters(nd(values), clustering_from(assignment, values), 1)
+    plan = merge_clusters(nd(values), clustering_from(assignment), 1)
     assert plan.merge_steps == [(1, 2)]
     assert plan.final_assignment[4] == 0
 
@@ -264,14 +259,14 @@ def test_merged_assignment_ids_are_contiguous():
     rng = np.random.default_rng(53)
     values = rng.normal(size=(20, 2)) * 20
     assignment = np.repeat(np.arange(1, 6), 4)
-    plan = merge_clusters(nd(values), clustering_from(assignment, values), 2)
+    plan = merge_clusters(nd(values), clustering_from(assignment), 2)
     ids = np.unique(plan.final_assignment)
     assert ids.tolist() == list(range(1, plan.final_count + 1))
 
 
 def test_target_outside_range_is_rejected():
     z = nd([[0.0], [1.0], [10.0], [11.0]])
-    clustering = clustering_from([1, 1, 2, 2], z.values)
+    clustering = clustering_from([1, 1, 2, 2])
     with pytest.raises(ValueError):
         merge_clusters(z, clustering, 3)
     with pytest.raises(ValueError):
@@ -283,7 +278,6 @@ def test_empty_clustering_cannot_merge():
     empty = Clustering(
         assignment=np.zeros(2, dtype=np.int64),
         sizes=np.empty(0, dtype=np.int64),
-        centroids=np.empty((0, 1)),
     )
     with pytest.raises(DegenerateDataError):
         merge_clusters(z, empty, 1)

@@ -19,7 +19,6 @@ from affclust.errors import DegenerateDataError
 from affclust.pipeline import run_pipeline
 from affclust.preprocess import (
     NormalizedData,
-    DistanceMatrix,
     _distance_blocks,
     affinity_histogram,
     build_affinity_model,
@@ -56,6 +55,11 @@ def dense_affinities(dist, sigma):
     a = dist * dist
     a /= -2.0 * sigma
     return np.exp(a)
+
+
+def model_of(norm, bins=10):
+    """The affinity model over the dispersion production computes for norm."""
+    return build_affinity_model(norm, distance_matrix(norm), bins)
 
 
 def streamed_upper(z):
@@ -109,15 +113,15 @@ def test_normalized_columns_recompute_to_zero_mean_unit_spread():
 # distance dispersion
 
 def test_three_four_five_triangle_distance():
-    out = distance_matrix(nd([[0.0, 0.0], [3.0, 4.0]]))
-    assert streamed_upper(out.points).tolist() == pytest.approx([5.0], abs=1e-12)
-    assert out.dispersion == pytest.approx(2.5, abs=1e-12)  # std of [0, 5, 5, 0]
+    norm = nd([[0.0, 0.0], [3.0, 4.0]])
+    assert streamed_upper(norm.values).tolist() == pytest.approx([5.0], abs=1e-12)
+    assert distance_matrix(norm) == pytest.approx(2.5, abs=1e-12)  # std of [0, 5, 5, 0]
 
 
 def test_distance_matrix_matches_double_loop_oracle():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(5, 2))
-    got = streamed_upper(distance_matrix(nd(z)).points)
+    got = streamed_upper(nd(z).values)
     expect = [math.sqrt(((z[i] - z[j]) ** 2).sum()) for i in range(5) for j in range(i + 1, 5)]
     assert np.abs(got - expect).max() < 1e-12
 
@@ -138,7 +142,7 @@ def test_dispersion_is_population_std_over_all_entries():
     flat = [dist[i, j] for i in range(7) for j in range(7)]
     mean = sum(flat) / len(flat)
     var = sum((v - mean) ** 2 for v in flat) / len(flat)
-    assert distance_matrix(nd(z)).dispersion == pytest.approx(math.sqrt(var), abs=1e-12)
+    assert distance_matrix(nd(z)) == pytest.approx(math.sqrt(var), abs=1e-12)
 
 
 def test_distance_matrix_rejects_single_point():
@@ -151,7 +155,7 @@ def test_distance_matrix_rejects_single_point():
 
 def test_zero_distance_gives_unit_affinity():
     # the far pair's affinity is exp(-50), bin 1; the two self-affinities are exactly 1
-    model = build_affinity_model(distance_matrix(nd([[0.0], [50.0]])), bins=10)
+    model = model_of(nd([[0.0], [50.0]]), bins=10)
     assert model.histogram.tolist() == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
 
 
@@ -159,8 +163,7 @@ def test_distance_squared_twice_dispersion_maps_to_e_inverse():
     sigma = 0.37
     d = math.sqrt(2.0 * sigma)
     bins = 10_000
-    dm = DistanceMatrix(points=np.array([[0.0], [d]]), dispersion=sigma)
-    model = build_affinity_model(dm, bins=bins)
+    model = build_affinity_model(nd([[0.0], [d]]), sigma, bins=bins)
     expect = np.zeros(bins, dtype=np.int64)
     expect[math.ceil(math.exp(-1.0) * bins) - 1] = 2  # 0.36788 lands in bin 3679
     expect[-1] = 2
@@ -169,32 +172,34 @@ def test_distance_squared_twice_dispersion_maps_to_e_inverse():
 
 def test_affinity_matches_scalar_recomputation():
     norm = normalize(random_dataset(23))
-    dm = distance_matrix(norm)
+    dispersion = distance_matrix(norm)
     dist = dense_distances(norm.values)
     n = norm.values.shape[0]
     bins = 10
     expect = [0] * bins
     for i in range(n):
         for j in range(n):
-            v = math.exp(-dist[i, j] ** 2 / (2.0 * dm.dispersion))
+            v = math.exp(-dist[i, j] ** 2 / (2.0 * dispersion))
             expect[min(bins, max(1, math.ceil(v * bins))) - 1] += 1
-    assert build_affinity_model(dm, bins).histogram.tolist() == expect
+    assert build_affinity_model(norm, dispersion, bins).histogram.tolist() == expect
 
 
 def test_identical_points_are_rejected_as_degenerate():
     with pytest.raises(DegenerateDataError):
-        build_affinity_model(distance_matrix(normalize(ds([[4.0, 4.0]] * 5))))
+        model_of(normalize(ds([[4.0, 4.0]] * 5)))
 
 
 def test_affinity_decreases_with_distance():
     norm = normalize(random_dataset(31))
-    dm = distance_matrix(norm)
+    dispersion = distance_matrix(norm)
     dist = dense_distances(norm.values)
-    a = dense_affinities(dist, dm.dispersion)
+    a = dense_affinities(dist, dispersion)
     iu = np.triu_indices_from(a, k=1)
     order = np.argsort(dist[iu])
     assert (np.diff(a[iu][order]) <= 1e-15).all()
-    assert np.array_equal(build_affinity_model(dm).histogram, affinity_histogram(a))
+    assert np.array_equal(
+        build_affinity_model(norm, dispersion).histogram, affinity_histogram(a)
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
@@ -203,11 +208,11 @@ def test_streamed_model_matches_dense_reference(n):
     rng = np.random.default_rng(n)
     for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
         dist = dense_distances(z)
-        dm = distance_matrix(nd(z))
+        dispersion = distance_matrix(nd(z))
         assert np.array_equal(streamed_upper(z), dist[np.triu_indices(n, 1)])
-        assert dm.dispersion == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
-        model = build_affinity_model(dm, bins=10)
-        expect = affinity_histogram(dense_affinities(dist, dm.dispersion), 10)
+        assert dispersion == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
+        model = build_affinity_model(nd(z), dispersion, bins=10)
+        expect = affinity_histogram(dense_affinities(dist, dispersion), 10)
         assert np.array_equal(model.histogram, expect)
 
 
@@ -225,7 +230,7 @@ def test_affinity_model_memory_stays_far_below_one_dense_matrix():
     norm = normalize(dataset)
     tracemalloc.start()
     try:
-        build_affinity_model(distance_matrix(norm))
+        model_of(norm)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,23 +255,23 @@ def test_value_at_085_buckets_into_ninth_bin():
 
 def test_histogram_matches_brute_force_bucketing():
     norm = normalize(random_dataset(41, max_n=4))
-    dm = distance_matrix(norm)
-    a = dense_affinities(dense_distances(norm.values), dm.dispersion)
+    dispersion = distance_matrix(norm)
+    a = dense_affinities(dense_distances(norm.values), dispersion)
     bins = 10
     expect = [0] * bins
     for v in a.ravel():
         b = min(bins, max(1, math.ceil(v * bins)))
         expect[b - 1] += 1
     assert affinity_histogram(a, bins).tolist() == expect
-    assert build_affinity_model(dm, bins).histogram.tolist() == expect
+    assert build_affinity_model(norm, dispersion, bins).histogram.tolist() == expect
 
 
 def test_histogram_counts_sum_to_n_squared():
     norm = normalize(random_dataset(43, max_n=30))
-    dm = distance_matrix(norm)
+    dispersion = distance_matrix(norm)
     n = norm.n_points
     for bins in (2, 7, 10, 30):
-        assert build_affinity_model(dm, bins).histogram.sum() == n * n
+        assert build_affinity_model(norm, dispersion, bins).histogram.sum() == n * n
 
 
 def test_histogram_rejects_single_bin():
@@ -297,7 +302,7 @@ def test_threshold_matches_independent_difference_scan():
         rng.normal(loc=(0, 0), scale=1.0, size=(20, 2)),
         rng.normal(loc=(10, 10), scale=1.0, size=(20, 2)),
     ])
-    model = build_affinity_model(distance_matrix(normalize(ds(pts))), bins=10)
+    model = model_of(normalize(ds(pts)), bins=10)
     best_k, best_jump = None, None
     for i in range(1, 10):
         jump = int(model.histogram[i]) - int(model.histogram[i - 1])
@@ -315,10 +320,11 @@ def test_all_negative_jumps_still_pick_a_bin():
 
 def test_model_composition_is_consistent():
     norm = normalize(random_dataset(61))
-    model = build_affinity_model(distance_matrix(norm), bins=10)
-    assert model.bins == 10
+    model = model_of(norm, bins=10)
+    assert model.dispersion == distance_matrix(norm)
+    assert model.histogram.size == 10
     assert model.histogram.sum() == norm.n_points**2
-    assert model.threshold == (model.threshold_bin - 0.5) / model.bins
+    assert model.threshold == (model.threshold_bin - 0.5) / model.histogram.size
     assert 1 <= model.threshold_bin <= 9
 
 
@@ -352,13 +358,13 @@ def test_power_of_two_column_scaling_is_exactly_invisible(seed, factor):
     assert np.array_equal(n2.column_means, n1.column_means * factor)
     assert np.array_equal(n2.column_stds, n1.column_stds * factor)
     assert np.array_equal(n1.values, n2.values)
-    d1, d2 = distance_matrix(n1), distance_matrix(n2)
-    assert d1.dispersion == d2.dispersion
+    s1, s2 = distance_matrix(n1), distance_matrix(n2)
+    assert s1 == s2
     assert np.array_equal(
-        dense_affinities(dense_distances(n1.values), d1.dispersion),
-        dense_affinities(dense_distances(n2.values), d2.dispersion),
+        dense_affinities(dense_distances(n1.values), s1),
+        dense_affinities(dense_distances(n2.values), s2),
     )
-    m1, m2 = build_affinity_model(d1), build_affinity_model(d2)
+    m1, m2 = build_affinity_model(n1, s1), build_affinity_model(n2, s2)
     assert np.array_equal(m1.histogram, m2.histogram)
     assert m1.threshold == m2.threshold
 
@@ -390,8 +396,8 @@ def test_row_permutation_cannot_move_the_threshold(seed):
     rng = np.random.default_rng(seed + 1)
     perm = rng.permutation(base.n_points)
     shuffled = Dataset(points=base.points[perm], name=base.name)
-    m1 = build_affinity_model(distance_matrix(normalize(base)))
-    m2 = build_affinity_model(distance_matrix(normalize(shuffled)))
+    m1 = model_of(normalize(base))
+    m2 = model_of(normalize(shuffled))
     assert np.array_equal(m1.histogram, m2.histogram)
     assert m1.threshold == m2.threshold
 
@@ -400,10 +406,10 @@ def test_row_permutation_cannot_move_the_threshold(seed):
 @given(st.integers(0, 10_000))
 def test_affinity_model_invariants_hold_on_random_data(seed):
     norm = normalize(random_dataset(seed))
-    dm = distance_matrix(norm)
+    dispersion = distance_matrix(norm)
     n = norm.values.shape[0]
-    model = build_affinity_model(dm, bins=10)
-    a = dense_affinities(dense_distances(norm.values), dm.dispersion)
+    model = build_affinity_model(norm, dispersion, bins=10)
+    a = dense_affinities(dense_distances(norm.values), dispersion)
     assert ((a > 0) & (a <= 1)).all()
     assert np.array_equal(np.diag(a), np.ones(n))
     assert np.array_equal(a, a.T)
