@@ -95,20 +95,26 @@ class ClusterState:
         return k
 
     def add_point(self, k: int, j: int) -> None:
-        s = self.sizes[k]
-        self.centroids[k] = (s * self.centroids[k] + self.points[j]) / (s + 1)
+        s = int(self.sizes[k])
+        c = self.centroids[k]  # the docstring's update in place: same steps, same rounding
+        c *= s
+        c += self.points[j]
+        c /= s + 1
         self.sizes[k] = s + 1
         self.assignment[j] = k
 
     def remove_point(self, j: int) -> int:
         k = int(self.assignment[j])
-        s = self.sizes[k]
+        s = int(self.sizes[k])
         if s <= 1:
             # last member leaves: the cluster ceases to exist
             self.centroids[k] = 0.0
             self.sizes[k] = 0
         else:
-            self.centroids[k] = (s * self.centroids[k] - self.points[j]) / (s - 1)
+            c = self.centroids[k]
+            c *= s
+            c -= self.points[j]
+            c /= s - 1
             self.sizes[k] = s - 1
         self.assignment[j] = 0
         return k

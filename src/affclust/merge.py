@@ -64,7 +64,13 @@ def normalized_within_cost(values: np.ndarray, assignment: np.ndarray) -> float:
     between undoing oversplits and gluing true clusters together.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
-    centroids, sizes = _group_stats(values, assignment)
+    return _within_cost(values, assignment, *_group_stats(values, assignment))
+
+
+def _within_cost(
+    values: np.ndarray, assignment: np.ndarray, centroids: np.ndarray, sizes: np.ndarray
+) -> float:
+    """normalized_within_cost for an int64 assignment, given its exact group stats."""
     mask = assignment > 0
     ids = assignment[mask] - 1
     diff = values[mask] - centroids[ids]
@@ -127,8 +133,8 @@ def merge_clusters(
         raise ValueError(f"merge target {k_target} outside valid range 1..{p}")
 
     base = clustering.assignment.astype(np.int64, copy=True)
-    cost_before = normalized_within_cost(values, base)
     cent, sz = _group_stats(values, base)
+    cost_before = _within_cost(values, base, cent, sz)  # before the loop moves cent and sz
     active = np.ones(p, dtype=bool)
     dist = cdist(cent, cent)
     np.fill_diagonal(dist, np.inf)

@@ -7,16 +7,27 @@ this module is tunable except the bin count.
 
 No n x n matrix is materialised. The distances are streamed twice over the
 upper triangle in row blocks of about _BLOCK_ENTRIES entries: the first pass
-combines the blocks' moments into the dispersion, the second recomputes each
-block and bins its affinities. Every distance is computed on its own, so a
-block holds the same bits as the dense matrix would, and the histogram is the
-dense one's; only the summation order of the dispersion differs.
+gives each block's moments, the second recomputes each block and bins its
+affinities. Every distance is computed on its own, so a block holds the same
+bits as the dense matrix would, and the histogram is the dense one's; only
+the summation order of the dispersion differs.
+
+Both passes spread their blocks over up to one thread per available core
+(scipy's cdist and numpy's ufuncs release the GIL); worker t takes blocks t,
+t+W, t+2W, ... and stores each result at the block's index. The dispersion
+folds the block moments in block order and the histogram is a sum of integer
+counts, so neither depends on the number of workers. The calling thread
+allocates every block-sized buffer and each worker reuses its own: arrays
+allocated inside a worker would stay in that thread's malloc arena after it
+exits.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +37,10 @@ from .data import Dataset
 from .errors import DegenerateDataError
 
 # Distance entries computed per block (2 MB of float64), or one row of n
-# entries when n exceeds it. A few block-sized temporaries (the triangle
-# mask, the masked copy, the binning indices) live at once.
+# entries when n exceeds it. The row partition fixes the dispersion's bits.
+# Each worker owns one buffer of rows x n entries, which holds a block's
+# distances, then its affinities, then its bin indices; no other block-sized
+# array is allocated.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -82,18 +95,71 @@ def normalize(dataset: Dataset) -> NormalizedData:
     )
 
 
-def _distance_blocks(z: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the strict upper triangle of the distance matrix, row block by row block.
+def _available_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Each block is a fresh 1-D array that the caller may overwrite: the
-    entries right of the diagonal in rows i0..i1-1, in row-major order.
+
+def _upper_block(z: np.ndarray, i0: int, i1: int, buf: np.ndarray) -> np.ndarray:
+    """Pack the strict upper triangle of rows i0..i1-1 of the distance matrix into buf.
+
+    cdist writes the (i1 - i0) x (n - i0) rectangle right of column i0 into
+    buf; each row's entries right of the diagonal are then moved left, in
+    row order, into one row-major run. A row's destination never passes its
+    source, so the moves need no second buffer. Returns the packed view.
+    """
+    m = z.shape[0] - i0
+    rect = buf[: (i1 - i0) * m].reshape(i1 - i0, m)
+    cdist(z[i0:i1], z[i0:], out=rect)
+    flat = memoryview(buf)  # a memmove per row, cheaper than numpy slicing
+    dst, src = 0, 1
+    for length in range(m - 1, m - 1 - min(i1 - i0, m - 1), -1):
+        flat[dst : dst + length] = flat[src : src + length]
+        dst += length
+        src += m + 1
+    return buf[:dst]
+
+
+def _map_blocks(z: np.ndarray, work: Callable[[np.ndarray], object]) -> list:
+    """Return work(block) for every upper-triangle row block, in block order.
+
+    The blocks are rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n).
+    They run on W = min(cores, ceil(pairs / _BLOCK_ENTRIES)) workers, inline
+    when W is 1. Each worker packs its blocks into its own buffer, allocated
+    here; work may overwrite the block.
     """
     n = z.shape[0]
     rows = max(1, _BLOCK_ENTRIES // n)
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n)
-        upper = np.arange(i1 - i0)[:, None] < np.arange(n - i0)
-        yield cdist(z[i0:i1], z[i0:])[upper]
+    starts = range(0, n - 1, rows)
+    workers = max(1, min(_available_cores(), -(-(n * (n - 1) // 2) // _BLOCK_ENTRIES)))
+    # One allocation for all of them: freed at the top of the heap, it stays
+    # under glibc's trim threshold (twice the largest freed mmap chunk), so a
+    # later call reuses the pages instead of faulting them in again.
+    buffers = np.empty((workers, min(rows, n) * n))
+    results: list = [None] * len(starts)
+
+    def run(t: int) -> None:
+        for b in range(t, len(starts), workers):
+            i0 = starts[b]
+            results[b] = work(_upper_block(z, i0, min(i0 + rows, n), buffers[t]))
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(run, t) for t in range(workers)]:
+                future.result()
+    return results
+
+
+def _block_moments(block: np.ndarray) -> tuple[float, float, float]:
+    """Count, mean and squared-deviation sum of a block's distances, each counted twice."""
+    b_mean = float(block.mean())
+    block -= b_mean
+    return 2.0 * block.size, b_mean, 2.0 * float(np.square(block, out=block).sum())
 
 
 def distance_matrix(normalized: NormalizedData) -> float:
@@ -101,21 +167,18 @@ def distance_matrix(normalized: NormalizedData) -> float:
     pairwise distances.
 
     The spread is taken over the whole matrix, zero diagonal included; it
-    doubles as the affinity bandwidth. Blocks of the upper triangle are
-    folded in, in a fixed order, with the pairwise (Chan-Golub-LeVeque)
-    update of count, mean and sum of squared deviations; each off-diagonal
-    distance counts twice, and the n diagonal zeros seed the running moments.
+    doubles as the affinity bandwidth. The moments of the upper-triangle
+    blocks are folded in block order, whatever the worker count, with the
+    pairwise (Chan-Golub-LeVeque) update of count, mean and sum of squared
+    deviations; each off-diagonal distance counts twice, and the n diagonal
+    zeros seed the running moments.
     """
     z = normalized.values
     n = z.shape[0]
     if n < 2:
         raise ValueError("distance matrix needs at least 2 points")
     count, mean, m2 = float(n), 0.0, 0.0
-    for block in _distance_blocks(z):
-        b_count = 2.0 * block.size
-        b_mean = float(block.mean())
-        block -= b_mean
-        b_m2 = 2.0 * float(np.square(block, out=block).sum())
+    for b_count, b_mean, b_m2 in _map_blocks(z, _block_moments):
         total = count + b_count
         delta = b_mean - mean
         mean += delta * (b_count / total)
@@ -166,14 +229,24 @@ def build_affinity_model(
             "zero distance dispersion: all points are identical; "
             "the only valid clustering is a single cluster holding every point"
         )
-    z = normalized.values
     scale = -2.0 * dispersion
-    histogram = affinity_histogram(np.ones(z.shape[0]), bins)
-    for block in _distance_blocks(z):
+
+    def bin_block(block: np.ndarray) -> np.ndarray:
+        # affinity_histogram's steps, in place: v -> clip(ceil(v * bins), 1, bins)
         np.multiply(block, block, out=block)
         np.divide(block, scale, out=block)
         np.exp(block, out=block)
-        histogram += 2 * affinity_histogram(block, bins)
+        np.multiply(block, float(bins), out=block)
+        np.ceil(block, out=block)
+        np.clip(block, 1.0, float(bins), out=block)
+        # numpy casts a 1-D array onto itself element by element, with no copy
+        idx = block.view(np.int64)
+        np.copyto(idx, block, casting="unsafe")
+        return np.bincount(idx, minlength=bins + 1)[1:]
+
+    histogram = affinity_histogram(np.ones(normalized.values.shape[0]), bins)
+    for counts in _map_blocks(normalized.values, bin_block):
+        histogram += 2 * counts
     threshold, threshold_bin = select_threshold(histogram)
     return AffinityModel(
         dispersion=dispersion,

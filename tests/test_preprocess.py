@@ -1,11 +1,14 @@
 """Preprocess stage: z-scores, distance dispersion, affinity histogram, threshold.
 
-Production streams the distances in blocks and never holds an n x n matrix;
-the dense matrices these tests compare against are built here, by
-`dense_distances` and `dense_affinities`.
+Production streams the distances in blocks, spread over worker threads, and
+never holds an n x n matrix; the dense matrices these tests compare against
+are built here, by `dense_distances` and `dense_affinities`, and so is the
+serial one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
+`serial_histogram`) whose bits the threaded passes must reproduce.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,9 +20,10 @@ from scipy.spatial.distance import cdist
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic
 from affclust.errors import DegenerateDataError
 from affclust.pipeline import run_pipeline
+from affclust import preprocess
 from affclust.preprocess import (
     NormalizedData,
-    _distance_blocks,
+    _map_blocks,
     affinity_histogram,
     build_affinity_model,
     distance_matrix,
@@ -64,7 +68,71 @@ def model_of(norm, bins=10):
 
 def streamed_upper(z):
     """Every distance the block stream yields, concatenated in stream order."""
-    return np.concatenate(list(_distance_blocks(z)))
+    return np.concatenate(_map_blocks(z, np.copy))
+
+
+def serial_blocks(z):
+    """Reference: the upper triangle in production's row blocks, masked out of
+    one fresh cdist rectangle per block, one block at a time."""
+    n = z.shape[0]
+    rows = max(1, preprocess._BLOCK_ENTRIES // n)
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n)
+        upper = np.arange(i1 - i0)[:, None] < np.arange(n - i0)
+        yield cdist(z[i0:i1], z[i0:])[upper]
+
+
+def serial_dispersion(n, blocks):
+    """Reference: the serial stream's blocks folded in order with the Chan update."""
+    count, mean, m2 = float(n), 0.0, 0.0
+    for block in map(np.copy, blocks):
+        b_count = 2.0 * block.size
+        b_mean = float(block.mean())
+        block -= b_mean
+        b_m2 = 2.0 * float(np.square(block, out=block).sum())
+        total = count + b_count
+        delta = b_mean - mean
+        mean += delta * (b_count / total)
+        m2 += b_m2 + delta * delta * (count * b_count / total)
+        count = total
+    return math.sqrt(m2 / count)
+
+
+def serial_histogram(n, blocks, dispersion, bins):
+    """Reference: the serial stream's affinities binned block by block."""
+    histogram = affinity_histogram(np.ones(n), bins)
+    for block in map(np.copy, blocks):
+        np.multiply(block, block, out=block)
+        np.divide(block, -2.0 * dispersion, out=block)
+        np.exp(block, out=block)
+        histogram += 2 * affinity_histogram(block, bins)
+    return histogram
+
+
+def five_thousand_points():
+    """Acceptance criterion 7's set: 15 blobs, n=5,000, d=2, normalized."""
+    return normalize(
+        generate_synthetic(
+            SyntheticSpec(
+                cluster_count=15,
+                points_per_cluster=(334,) * 5 + (333,) * 10,
+                dimension=2,
+                center_separation=12.0,
+                seed=4,
+            )
+        )
+    )
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees, on every thread, while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +284,55 @@ def test_streamed_model_matches_dense_reference(n):
         assert np.array_equal(model.histogram, expect)
 
 
+@pytest.mark.parametrize("block_entries", [preprocess._BLOCK_ENTRIES, 1 << 12])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
+def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cores, block_entries):
+    """Any worker count gives the serial stream's blocks, dispersion bits and histograms.
+
+    At the real block size only n=1100 has more than one worker's worth of
+    pairs; 4,096-entry blocks give every n > 90 three workers and a partial
+    last block. Three workers outnumber this machine's cores when it has two,
+    and a short switch interval interleaves them often: a lost or misplaced
+    block result would break the comparison.
+    """
+    monkeypatch.setattr(preprocess, "_available_cores", lambda: cores)
+    monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for z in (rng.normal(size=(n, 3)), np.eye(n)):
+            got, expect = _map_blocks(z, np.copy), list(serial_blocks(z))
+            assert len(got) == len(expect)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+            dispersion = distance_matrix(nd(z))
+            assert dispersion.hex() == serial_dispersion(n, expect).hex()
+            for bins in (2, 10, 30):
+                model = build_affinity_model(nd(z), dispersion, bins)
+                expect_hist = serial_histogram(n, expect, dispersion, bins)
+                assert np.array_equal(model.histogram, expect_hist)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_affinity_model_memory_stays_far_below_one_dense_matrix():
     """Acceptance criterion 7's set (n=5,000, d=2): under 10% of one n x n float64."""
-    dataset = generate_synthetic(
-        SyntheticSpec(
-            cluster_count=15,
-            points_per_cluster=(334,) * 5 + (333,) * 10,
-            dimension=2,
-            center_separation=12.0,
-            seed=4,
-        )
-    )
-    norm = normalize(dataset)
-    tracemalloc.start()
-    try:
-        model_of(norm)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    budget = 0.1 * dataset.n_points**2 * 8
+    norm = five_thousand_points()
+    peak = traced_peak(lambda: model_of(norm))
+    budget = 0.1 * norm.n_points**2 * 8
     assert peak < budget, f"peak {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
+
+
+def test_workers_allocate_no_block_sized_array(monkeypatch):
+    """With W workers both passes peak below W + 1/2 blocks: the W buffers the
+    caller hands out, plus less than half a block of everything else."""
+    workers = 2
+    monkeypatch.setattr(preprocess, "_available_cores", lambda: workers)
+    norm = five_thousand_points()
+    peak = traced_peak(lambda: model_of(norm))
+    budget = (workers + 0.5) * preprocess._BLOCK_ENTRIES * 8
+    assert peak < budget, f"peak {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
