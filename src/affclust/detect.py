@@ -18,6 +18,15 @@ moved, or an unassigned point's affinity bar g*, found once per run.
 Neither changes a decision: a squared distance is always the row-wise einsum
 of z - c, whose value for a row does not depend on which other rows share
 the call, and gap2 < g* holds exactly when exp(gap2 / -2sigma) > threshold.
+
+Most noise points open a cluster whose pass cannot move anything, and such a
+pass is skipped. Every bar is current when a pass starts, and the centroid of
+a cluster holding only point i is z_i exactly, so if no point j has gap2_j
+below bar[j] there, the first window hit never comes and the pass changes
+nothing. That is certain once a lower bound on i's squared distance to its
+nearest neighbour is at least max(bar); the affinity model's nearest2 gives
+one, up to rounding (see _skip_floor). Point i's own bar is 0.0, so the
+cluster stays a singleton for good and is peeled off as an outlier.
 """
 
 from __future__ import annotations
@@ -75,6 +84,9 @@ class ClusterState:
     unassigned, 0.0 if it opened the open cluster, else its squared distance
     to its own centroid. add_point and remove_point leave it alone; the scan
     sets it and calls refresh_bar for every centroid it moved.
+
+    members[k] lists cluster k's points in no particular order, so a refresh
+    touches only the cluster's rows.
     """
 
     def __init__(self, points: np.ndarray):
@@ -83,6 +95,7 @@ class ClusterState:
         self.assignment = np.zeros(n, dtype=np.int64)
         self.centroids = np.zeros((n + 1, d))
         self.sizes = np.zeros(n + 1, dtype=np.int64)
+        self.members: list[list[int]] = [[]]
         self.bar = np.zeros(n)
         self.opened = 0
 
@@ -92,6 +105,7 @@ class ClusterState:
         self.assignment[i] = k
         self.sizes[k] = 1
         self.centroids[k] = self.points[i]
+        self.members.append([i])
         return k
 
     def add_point(self, k: int, j: int) -> None:
@@ -102,6 +116,7 @@ class ClusterState:
         c /= s + 1
         self.sizes[k] = s + 1
         self.assignment[j] = k
+        self.members[k].append(j)
 
     def remove_point(self, j: int) -> int:
         k = int(self.assignment[j])
@@ -117,10 +132,12 @@ class ClusterState:
             c /= s - 1
             self.sizes[k] = s - 1
         self.assignment[j] = 0
+        self.members[k].remove(j)
         return k
 
     def refresh_bar(self, k: int) -> None:
-        rows = np.flatnonzero(self.assignment == k)
+        # a row's einsum does not depend on the other rows: any order gives the same bits
+        rows = np.array(self.members[k], dtype=np.intp)
         diff = self.points[rows] - self.centroids[k]
         self.bar[rows] = np.einsum("ij,ij->i", diff, diff)
 
@@ -190,15 +207,46 @@ def _absorb_pass(state: ClusterState, k: int) -> None:
     state.refresh_bar(k)
 
 
-def _sweep(z: np.ndarray, two_sigma: float, threshold: float) -> ClusterState:
-    """Open a cluster at every point still unassigned, in order, and sweep."""
+def _skip_floor(nearest2: np.ndarray, d: int) -> np.ndarray:
+    """A lower bound on every gap2 a pass opened at point i can compute, per i.
+
+    The pass compares gap2_j, the einsum of the d differences z_j - z_i,
+    each rounded once, with bar[j]; cdist squares and sums the same
+    differences. Let S be the exact sum of their squares. Any order of
+    summing d non-negative products, fused or not, lands within a relative
+    gamma_d = d u / (1 - d u) of S (u = 2^-53), give or take d 2^-1075
+    where products underflow. So gap2_j >= S (1 - gamma_d) - d 2^-1075.
+    cdist rounds the square root of its sum once, and squaring the least
+    distance rounds once more, so nearest2[i] <= (S (1 + gamma_d) +
+    d 2^-1075) (1 + u)^3 + 2^-1075. Eliminating S, for any d below 10^13,
+
+        gap2_j >= nearest2[i] (1 - (2.02 d + 3) u) - (2 d + 1) 2^-1075.
+
+    The floor takes the relative slack (4 d + 8) u, which also covers the
+    two roundings of the product and difference below, and the absolute
+    slack (d + 1) 2^-1073. That is 2.9e-14 relative at d = 64, far below
+    the gaps between a noise point and its neighbours.
+    """
+    return nearest2 * (1.0 - (4 * d + 8) * 2.0**-53) - (d + 1) * 2.0**-1073
+
+
+def _sweep(z: np.ndarray, model: AffinityModel) -> ClusterState:
+    """Open a cluster at every point still unassigned, in order, and sweep.
+
+    A pass is skipped when point i's floor is at least every bar: no point
+    can join or shift to the singleton, so the pass would change nothing
+    (the module docstring has the argument, _skip_floor the rounding). The
+    cluster is still opened, so the counts of opened clusters are the same.
+    """
     state = ClusterState(z)
-    state.bar.fill(_affinity_bar(two_sigma, threshold))
+    state.bar.fill(_affinity_bar(2.0 * model.dispersion, model.threshold))
+    floor = _skip_floor(model.nearest2, z.shape[1])
     for i in range(z.shape[0]):
         if state.assignment[i] == 0:
             k = state.open_cluster(i)
             state.bar[i] = 0.0
-            _absorb_pass(state, k)
+            if floor[i] < state.bar.max():
+                _absorb_pass(state, k)
     return state
 
 
@@ -220,7 +268,7 @@ def find_clusters(normalized: NormalizedData, model: AffinityModel | None) -> Cl
             assignment=np.ones(n, dtype=np.int64), sizes=np.array([n], dtype=np.int64)
         )
 
-    return _sweep(z, 2.0 * model.dispersion, model.threshold).finalize()
+    return _sweep(z, model).finalize()
 
 
 def extract_outliers(clustering: Clustering) -> Clustering:

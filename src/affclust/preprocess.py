@@ -10,16 +10,18 @@ upper triangle in row blocks of about _BLOCK_ENTRIES entries: the first pass
 gives each block's moments, the second recomputes each block and bins its
 affinities. Every distance is computed on its own, so a block holds the same
 bits as the dense matrix would, and the histogram is the dense one's; only
-the summation order of the dispersion differs.
+the summation order of the dispersion differs. The second pass also takes
+each point's distance to its nearest other point, as the minimum of its
+block rows and columns, which detection uses to skip provably idle sweeps.
 
 Both passes spread their blocks over up to one thread per available core
 (scipy's cdist and numpy's ufuncs release the GIL); worker t takes blocks t,
 t+W, t+2W, ... and stores each result at the block's index. The dispersion
-folds the block moments in block order and the histogram is a sum of integer
-counts, so neither depends on the number of workers. The calling thread
-allocates every block-sized buffer and each worker reuses its own: arrays
-allocated inside a worker would stay in that thread's malloc arena after it
-exits.
+folds the block moments in block order, the histogram is a sum of integer
+counts and the nearest distances are minima, so none of them depends on the
+number of workers. The calling thread allocates every block-sized buffer
+and each worker reuses its own: arrays allocated inside a worker would stay
+in that thread's malloc arena after it exits.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class AffinityModel:
     histogram: np.ndarray  # (bins,) counts over equal-width affinity bins
     threshold: float       # midpoint of the bin below the steepest positive jump
     threshold_bin: int     # 1-based index k of that bin
+    nearest2: np.ndarray   # (n,) squared distance from each point to its nearest other point
 
 
 def normalize(dataset: Dataset) -> NormalizedData:
@@ -103,17 +106,41 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _upper_block(z: np.ndarray, i0: int, i1: int, buf: np.ndarray) -> np.ndarray:
+def _fold_nearest(rect: np.ndarray, i0: int, fold: np.ndarray) -> None:
+    """Lower fold[0, i] to point i's distances in a block's rectangle.
+
+    Entry (a, b) is the distance between points i0 + a and i0 + b. Below the
+    diagonal it repeats a pair that is also above it, which a minimum does
+    not mind, so only the diagonal (each point to itself) is set to inf.
+    Column minima then cover each column's point, row minima each row's
+    point. fold[1] holds the column minima, so no block-sized array is
+    allocated even when a block is one row.
+    """
+    r, m = rect.shape
+    near, col = fold[0, i0:], fold[1, :m]
+    np.fill_diagonal(rect, np.inf)
+    np.min(rect, axis=0, out=col)
+    np.minimum(near, col, out=near)
+    rows = near[:r]
+    np.minimum(rows, rect.min(axis=1), out=rows)
+
+
+def _upper_block(
+    z: np.ndarray, i0: int, i1: int, buf: np.ndarray, fold: np.ndarray | None = None
+) -> np.ndarray:
     """Pack the strict upper triangle of rows i0..i1-1 of the distance matrix into buf.
 
     cdist writes the (i1 - i0) x (n - i0) rectangle right of column i0 into
     buf; each row's entries right of the diagonal are then moved left, in
     row order, into one row-major run. A row's destination never passes its
-    source, so the moves need no second buffer. Returns the packed view.
+    source, so the moves need no second buffer. Given fold, the rectangle
+    is first folded into it by _fold_nearest. Returns the packed view.
     """
     m = z.shape[0] - i0
     rect = buf[: (i1 - i0) * m].reshape(i1 - i0, m)
     cdist(z[i0:i1], z[i0:], out=rect)
+    if fold is not None:
+        _fold_nearest(rect, i0, fold)
     flat = memoryview(buf)  # a memmove per row, cheaper than numpy slicing
     dst, src = 0, 1
     for length in range(m - 1, m - 1 - min(i1 - i0, m - 1), -1):
@@ -123,13 +150,18 @@ def _upper_block(z: np.ndarray, i0: int, i1: int, buf: np.ndarray) -> np.ndarray
     return buf[:dst]
 
 
-def _map_blocks(z: np.ndarray, work: Callable[[np.ndarray], object]) -> list:
+def _map_blocks(
+    z: np.ndarray, work: Callable[[np.ndarray], object], nearest: np.ndarray | None = None
+) -> list:
     """Return work(block) for every upper-triangle row block, in block order.
 
     The blocks are rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n).
     They run on W = min(cores, ceil(pairs / _BLOCK_ENTRIES)) workers, inline
     when W is 1. Each worker packs its blocks into its own buffer, allocated
-    here; work may overwrite the block.
+    here; work may overwrite the block. Given nearest (n floats), it is set
+    to each point's distance to its nearest other point: every worker folds
+    its blocks into its own n floats (plus n of scratch), and those are
+    min-folded once all blocks are done.
     """
     n = z.shape[0]
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -139,12 +171,14 @@ def _map_blocks(z: np.ndarray, work: Callable[[np.ndarray], object]) -> list:
     # under glibc's trim threshold (twice the largest freed mmap chunk), so a
     # later call reuses the pages instead of faulting them in again.
     buffers = np.empty((workers, min(rows, n) * n))
+    folds = None if nearest is None else np.full((workers, 2, n), np.inf)
     results: list = [None] * len(starts)
 
     def run(t: int) -> None:
+        fold = None if folds is None else folds[t]
         for b in range(t, len(starts), workers):
             i0 = starts[b]
-            results[b] = work(_upper_block(z, i0, min(i0 + rows, n), buffers[t]))
+            results[b] = work(_upper_block(z, i0, min(i0 + rows, n), buffers[t], fold))
 
     if workers == 1:
         run(0)
@@ -152,6 +186,8 @@ def _map_blocks(z: np.ndarray, work: Callable[[np.ndarray], object]) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for future in [pool.submit(run, t) for t in range(workers)]:
                 future.result()
+    if folds is not None:
+        np.min(folds[:, 0], axis=0, out=nearest)
     return results
 
 
@@ -222,7 +258,9 @@ def build_affinity_model(
     The dispersion enters linearly, not squared: the bandwidth is the square
     root of the distance spread, which keeps the exponent dimensionally mild
     for both tight and diffuse data. Each upper-triangle block is binned and
-    counted twice; the n self-affinities of exactly 1 go to the top bin.
+    counted twice; the n self-affinities of exactly 1 go to the top bin. The
+    same stream gives nearest2: the square of each point's smallest cdist
+    distance to another point, the same bits at any worker count.
     """
     if dispersion <= 0.0:
         raise DegenerateDataError(
@@ -244,8 +282,10 @@ def build_affinity_model(
         np.copyto(idx, block, casting="unsafe")
         return np.bincount(idx, minlength=bins + 1)[1:]
 
-    histogram = affinity_histogram(np.ones(normalized.values.shape[0]), bins)
-    for counts in _map_blocks(normalized.values, bin_block):
+    n = normalized.values.shape[0]
+    histogram = affinity_histogram(np.ones(n), bins)
+    nearest = np.empty(n)
+    for counts in _map_blocks(normalized.values, bin_block, nearest):
         histogram += 2 * counts
     threshold, threshold_bin = select_threshold(histogram)
     return AffinityModel(
@@ -253,4 +293,5 @@ def build_affinity_model(
         histogram=histogram,
         threshold=threshold,
         threshold_bin=threshold_bin,
+        nearest2=np.multiply(nearest, nearest, out=nearest),
     )

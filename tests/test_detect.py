@@ -1,5 +1,7 @@
 """Detection scan: sequential absorption, incremental centroids, outliers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,9 @@ from affclust.detect import (
     _FIRST_WINDOW,
     Clustering,
     ClusterState,
+    _absorb_pass,
     _affinity_bar,
+    _skip_floor,
     _sweep,
     extract_outliers,
     find_clusters,
@@ -34,7 +38,43 @@ def prepared(points):
 def swept(points):
     """The normalized points and the scan's working state after the sweep."""
     norm, model = prepared(points)
-    return norm, _sweep(norm.values, 2.0 * model.dispersion, model.threshold)
+    return norm, _sweep(norm.values, model)
+
+
+def snapshot(state):
+    return [a.copy() for a in (state.assignment, state.centroids, state.sizes, state.bar)]
+
+
+def oracle_sweep(z, model):
+    """_sweep with every pass it skips run anyway, asserting the pass changed nothing.
+
+    Returns the final state, which must be production's, and the number of
+    passes production skips.
+    """
+    state = ClusterState(z)
+    state.bar.fill(_affinity_bar(2.0 * model.dispersion, model.threshold))
+    floor = _skip_floor(model.nearest2, z.shape[1])
+    skipped = 0
+    for i in range(z.shape[0]):
+        if state.assignment[i] == 0:
+            k = state.open_cluster(i)
+            state.bar[i] = 0.0
+            skip = floor[i] >= state.bar.max()
+            before = snapshot(state)
+            _absorb_pass(state, k)
+            if skip:
+                skipped += 1
+                after = snapshot(state)
+                assert all(np.array_equal(b, a) for b, a in zip(before, after)), f"pass {k} at {i}"
+    return state, skipped
+
+
+def assert_skip_is_invisible(z, model):
+    """The oracle's state equals production's, bit for bit; returns the skip count."""
+    expect, skipped = oracle_sweep(z, model)
+    got = _sweep(z, model)
+    assert all(np.array_equal(g, e) for g, e in zip(snapshot(got), snapshot(expect)))
+    return skipped
 
 
 def gap2(z, j, c):
@@ -120,6 +160,101 @@ def test_scan_matches_naive_reference(seed):
     assert got.assignment.tolist() == expect
 
 
+def test_skipped_passes_change_nothing_on_the_reference_seeds():
+    """The seeds of test_scan_matches_naive_reference skip passes, so that
+    test checks the scan with the skip on."""
+    skipped = 0
+    for seed in range(30):
+        norm, model = prepared(interesting_points(seed))
+        skipped += assert_skip_is_invisible(norm.values, model)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("dimension", [16, 64])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_skipped_passes_change_nothing_on_small_noisy_sets(seed, dimension):
+    """noisy-64d's shape at 20 points per cluster: its noise points are
+    the singletons the skip is for."""
+    spec = SyntheticSpec(
+        cluster_count=10, points_per_cluster=20, dimension=dimension,
+        center_scheme="axes", center_separation=24.0, noise_fraction=0.10,
+        noise_margin=0.75, seed=seed,
+    )
+    dataset = generate_synthetic(spec)
+    norm, model = prepared(dataset.points)
+    assert assert_skip_is_invisible(norm.values, model) >= 0.9 * (dataset.labels == 0).sum()
+
+
+def ulps(a, b):
+    """How many float64 bit patterns b lies above a (both non-negative)."""
+    return int(np.array(b).view(np.int64)) - int(np.array(a).view(np.int64))
+
+
+def near_tie_models(z, model, target, reach=4):
+    """Copies of model whose affinity bar g* lies within reach ulps of target.
+
+    g* is about 2sigma * -ln(threshold), so the dispersion is set from target
+    and stepped one bit pattern at a time around that value.
+    """
+    two_sigma = target / -np.log(model.threshold)
+    centre = int(np.array(two_sigma).view(np.int64))
+    found = {}
+    for pattern in range(centre - 8 * reach, centre + 8 * reach + 1):
+        two_sigma = float(np.array(pattern).view(np.float64))
+        offset = ulps(target, _affinity_bar(two_sigma, model.threshold))
+        if abs(offset) <= reach:
+            found.setdefault(offset, replace(model, dispersion=two_sigma / 2.0))
+    return found
+
+
+def nd_of(z):
+    """z used as z-scores as it is."""
+    return NormalizedData(z, np.zeros(z.shape[1]), np.ones(z.shape[1]))
+
+
+def near_tie_points(seed, d, below):
+    """Noise point 0, its neighbour 1 and a far blob, in d dimensions.
+
+    The neighbour is drawn until the scan's einsum of their squared distance
+    reads below (or above) nearest2, the square of cdist's distance, so a
+    bar between the two separates what the skip test sees from what the
+    pass would compute.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        p = rng.normal(size=d)
+        q = p + rng.normal(scale=0.1, size=d)
+        far = rng.normal(size=(6, d)) * 0.1 + 10.0
+        z = np.vstack([p, q, far])
+        model = build_affinity_model(nd_of(z), distance_matrix(nd_of(z)))
+        gap = gap2(z, 1, z[0])[0]
+        if (gap < model.nearest2[0]) if below else (gap > model.nearest2[0]):
+            return z, model
+    raise AssertionError("no such neighbour in 1,000 draws")
+
+
+@pytest.mark.parametrize("below", [True, False])
+@pytest.mark.parametrize("d", [3, 64])
+def test_skip_at_near_ties_with_the_bar(d, below):
+    """The bar g* within a few ulps of the noise point's nearest2 and of its
+    skip floor, on either side: the skip is taken only where the pass moves
+    nothing, and the scan still matches the naive reference."""
+    taken = {True: 0, False: 0}
+    for seed in range(4):
+        z, model = near_tie_points(seed, d, below)
+        floor = _skip_floor(model.nearest2, d)[0]
+        for target in (model.nearest2[0], floor):
+            cases = near_tie_models(z, model, target)
+            assert min(cases) < 0 < max(cases)
+            for case in cases.values():
+                assert_skip_is_invisible(z, case)
+                taken[floor >= _affinity_bar(2.0 * case.dispersion, case.threshold)] += 1
+                got = find_clusters(nd_of(z), case)
+                expect = naive_find_clusters(z, case.dispersion, case.threshold)
+                assert got.assignment.tolist() == expect
+    assert taken[True] and taken[False]
+
+
 @st.composite
 def grid_points(draw):
     """Small z-score sets on an integer grid, sized around the window edges.
@@ -151,6 +286,7 @@ def test_windowed_scan_matches_naive_reference_on_grids(pts):
     got = find_clusters(norm, model)
     expect = naive_find_clusters(norm.values, model.dispersion, model.threshold)
     assert got.assignment.tolist() == expect
+    assert_skip_is_invisible(norm.values, model)
 
 
 def test_own_distance_cache_is_fresh_after_full_scan():

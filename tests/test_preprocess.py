@@ -54,6 +54,14 @@ def dense_distances(z):
     return cdist(z, z)
 
 
+def dense_nearest2(z):
+    """Reference: the least off-diagonal entry of each dense row, squared."""
+    dist = dense_distances(z)
+    np.fill_diagonal(dist, np.inf)
+    nearest = dist.min(axis=1)
+    return nearest * nearest
+
+
 def dense_affinities(dist, sigma):
     """Reference: the full affinity matrix, with production's per-entry expression."""
     a = dist * dist
@@ -288,7 +296,8 @@ def test_streamed_model_matches_dense_reference(n):
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
 def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cores, block_entries):
-    """Any worker count gives the serial stream's blocks, dispersion bits and histograms.
+    """Any worker count gives the serial stream's blocks, dispersion bits and
+    histograms, and the dense nearest-neighbour distances.
 
     At the real block size only n=1100 has more than one worker's worth of
     pairs; 4,096-entry blocks give every n > 90 three workers and a partial
@@ -308,12 +317,26 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
             assert all(np.array_equal(g, e) for g, e in zip(got, expect))
             dispersion = distance_matrix(nd(z))
             assert dispersion.hex() == serial_dispersion(n, expect).hex()
+            nearest2 = dense_nearest2(z)
             for bins in (2, 10, 30):
                 model = build_affinity_model(nd(z), dispersion, bins)
                 expect_hist = serial_histogram(n, expect, dispersion, bins)
                 assert np.array_equal(model.histogram, expect_hist)
+                assert np.array_equal(model.nearest2, nearest2)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [3, 40, 513, 1100])
+def test_nearest2_is_the_dense_minimum_squared(n):
+    """Bit for bit, with duplicates (nearest2 0) and one isolated point."""
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(n, 5))
+    z[n // 2] = z[0]
+    z[-1] += 100.0
+    model = build_affinity_model(nd(z), distance_matrix(nd(z)))
+    assert np.array_equal(model.nearest2, dense_nearest2(z))
+    assert model.nearest2[0] == 0.0
 
 
 def test_affinity_model_memory_stays_far_below_one_dense_matrix():
