@@ -307,13 +307,13 @@ def cmd_evaluate(args) -> int:
 def cmd_histogram(args) -> int:
     dataset = _load_input(args)
     normalized = normalize(dataset)
-    dispersion = distance_matrix(normalized)
+    geometry = distance_matrix(normalized)
     # Identical points have no affinity histogram: report null counts and
     # threshold, then exit 3.
-    degenerate = dispersion <= 0.0
+    degenerate = geometry.dispersion <= 0.0
     counts = threshold_bin = threshold = None
     if not degenerate:
-        model = build_affinity_model(normalized, dispersion, bins=args.bins)
+        model = build_affinity_model(normalized, geometry, bins=args.bins)
         counts, threshold_bin, threshold = model.histogram, model.threshold_bin, model.threshold
     edges = [(i / args.bins, (i + 1) / args.bins) for i in range(args.bins)]
     payload = {

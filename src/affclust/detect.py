@@ -211,14 +211,16 @@ def _skip_floor(nearest2: np.ndarray, d: int) -> np.ndarray:
     """A lower bound on every gap2 a pass opened at point i can compute, per i.
 
     The pass compares gap2_j, the einsum of the d differences z_j - z_i,
-    each rounded once, with bar[j]; cdist squares and sums the same
+    each rounded once, with bar[j]; nearest2 comes from preprocess's
+    distance kernel or from cdist, which square and sum the same
     differences. Let S be the exact sum of their squares. Any order of
     summing d non-negative products, fused or not, lands within a relative
     gamma_d = d u / (1 - d u) of S (u = 2^-53), give or take d 2^-1075
     where products underflow. So gap2_j >= S (1 - gamma_d) - d 2^-1075.
-    cdist rounds the square root of its sum once, and squaring the least
-    distance rounds once more, so nearest2[i] <= (S (1 + gamma_d) +
-    d 2^-1075) (1 + u)^3 + 2^-1075. Eliminating S, for any d below 10^13,
+    The kernel and cdist round the square root of their sum once, and
+    squaring the least distance rounds once more, so nearest2[i] <=
+    (S (1 + gamma_d) + d 2^-1075) (1 + u)^3 + 2^-1075. Eliminating S, for
+    any d below 10^13,
 
         gap2_j >= nearest2[i] (1 - (2.02 d + 3) u) - (2 d + 1) 2^-1075.
 

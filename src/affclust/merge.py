@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .detect import Clustering, relabel
 from .errors import DegenerateDataError
-from .preprocess import NormalizedData
+from .preprocess import NormalizedData, pairwise_distances
 
 
 @dataclass
@@ -136,7 +135,7 @@ def merge_clusters(
     cent, sz = _group_stats(values, base)
     cost_before = _within_cost(values, base, cent, sz)  # before the loop moves cent and sz
     active = np.ones(p, dtype=bool)
-    dist = cdist(cent, cent)
+    dist = pairwise_distances(cent, cent)
     np.fill_diagonal(dist, np.inf)
 
     work = base.copy()

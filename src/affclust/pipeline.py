@@ -64,16 +64,17 @@ def run_pipeline(dataset: Dataset, bins: int = 10) -> RunResult:
     timings["normalize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dispersion = distance_matrix(norm)
+    geometry = distance_matrix(norm)
     timings["distances"] = time.perf_counter() - t0
 
     # Zero dispersion means every point coincides: there is no affinity model,
     # and detection returns one all-points cluster whose merge is trivial.
     model = None
-    if dispersion > 0.0:
+    if geometry.dispersion > 0.0:
         t0 = time.perf_counter()
-        model = build_affinity_model(norm, dispersion, bins=bins)
+        model = build_affinity_model(norm, geometry, bins=bins)
         timings["affinity"] = time.perf_counter() - t0
+    del geometry  # its packed distances are not needed once the threshold is known
 
     t0 = time.perf_counter()
     detected = find_clusters(norm, model)

@@ -1,21 +1,38 @@
 """Normalization, pairwise geometry and the histogram-based affinity threshold.
 
 Every quantity downstream of the raw points is derived here: column z-scores,
-the dispersion of all n x n Euclidean distances, the histogram of the
-Gaussian affinities, and the data-driven threshold picked from it. Nothing in
-this module is tunable except the bin count.
+the dispersion of all n x n Euclidean distances, each point's distance to its
+nearest other point, the histogram of the Gaussian affinities, and the
+data-driven threshold picked from it. Nothing in this module is tunable
+except the bin count.
 
-No n x n matrix is materialised. The distances are streamed twice over the
-upper triangle in row blocks of about _BLOCK_ENTRIES entries: the first pass
-gives each block's moments, the second recomputes each block and bins its
-affinities. Every distance is computed on its own, so a block holds the same
-bits as the dense matrix would, and the histogram is the dense one's; only
-the summation order of the dispersion differs. The second pass also takes
-each point's distance to its nearest other point, as the minimum of its
-block rows and columns, which detection uses to skip provably idle sweeps.
+No n x n matrix is materialised. The strict upper triangle is cut into row
+blocks of about _BLOCK_ENTRIES entries; the dispersion folds the blocks'
+moments in block order, and the histogram sums their integer bin counts.
+Every distance is computed on its own, so a block holds the same bits
+whichever way it is computed, and the histogram is the dense one's; only the
+summation order of the dispersion differs from a dense computation. The
+pass that gives the dispersion also takes each point's distance to its
+nearest other point, as the minimum of its block rows and columns, which
+detection uses to skip provably idle sweeps.
 
-Both passes spread their blocks over up to one thread per available core
-(scipy's cdist and numpy's ufuncs release the GIL); worker t takes blocks t,
+Two ways to compute the distances give the same bits:
+
+- Up to _ONE_PASS_PAIRS pairs (n <= 1,448), each distance is computed once,
+  by _kernel, on the calling thread, in row tiles of the triangle. The
+  packed triangle (8 MB at most) is returned in the Geometry, and the
+  affinity pass bins it instead of computing the distances again.
+- Above that, the distances are streamed twice, by scipy's cdist: the first
+  pass gives each block's moments and the nearest distances, the second
+  recomputes each block and bins its affinities. scipy is imported on the
+  first such call, so a small input never loads it.
+
+_kernel does cdist's operations in cdist's order (the squared differences
+summed in coordinate order, then one square root), each correctly rounded,
+so its bits are cdist's under any SIMD dispatch.
+
+The streamed passes spread their blocks over up to one thread per available
+core (cdist and numpy's ufuncs release the GIL); worker t takes blocks t,
 t+W, t+2W, ... and stores each result at the block's index. The dispersion
 folds the block moments in block order, the histogram is a sum of integer
 counts and the nearest distances are minima, so none of them depends on the
@@ -33,17 +50,22 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset
 from .errors import DegenerateDataError
 
-# Distance entries computed per block (2 MB of float64), or one row of n
-# entries when n exceeds it. The row partition fixes the dispersion's bits.
-# Each worker owns one buffer of rows x n entries, which holds a block's
+# Distance entries per block (2 MB of float64), or one row of n entries when
+# n exceeds it. The row partition fixes the dispersion's bits. Each streaming
+# worker owns one buffer of rows x n entries, which holds a block's
 # distances, then its affinities, then its bin indices; no other block-sized
 # array is allocated.
 _BLOCK_ENTRIES = 1 << 18
+# Inputs with at most this many pairs (8 MB of packed float64) compute each
+# distance once, by _kernel, and keep the packed triangle until the
+# threshold is known.
+_ONE_PASS_PAIRS = 1 << 20
+# Entries in each of _kernel's two tile buffers (256 KB of float64).
+_TILE_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -57,6 +79,15 @@ class NormalizedData:
     @property
     def n_points(self) -> int:
         return self.values.shape[0]
+
+
+@dataclass
+class Geometry:
+    """What the pairwise distances give before a bin count is chosen."""
+
+    dispersion: float        # population standard deviation of all n*n distances
+    nearest2: np.ndarray     # (n,) squared distance from each point to its nearest other point
+    packed: np.ndarray | None  # the strict upper triangle, row-major; None above _ONE_PASS_PAIRS
 
 
 @dataclass
@@ -98,6 +129,30 @@ def normalize(dataset: Dataset) -> NormalizedData:
     )
 
 
+def _kernel(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Write the Euclidean distance between a[:, i] and b[:, j] to out[i, j].
+
+    a is (d, r) and b is (d, m), one row per coordinate; tmp is scratch of
+    out's shape. The squared differences are summed in coordinate order and
+    the square root is taken last: cdist's operations in cdist's order. Each
+    is correctly rounded, so out holds cdist's bits under any SIMD dispatch.
+    """
+    np.subtract.outer(a[0], b[0], out=out)
+    np.multiply(out, out, out=out)
+    for k in range(1, a.shape[0]):
+        np.subtract.outer(a[k], b[k], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    np.sqrt(out, out=out)
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (r, m) Euclidean distances between the rows of a (r, d) and b (m, d), by _kernel."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    _kernel(a.T, b.T, out, np.empty_like(out))
+    return out
+
+
 def _available_cores() -> int:
     """Cores this process may run on."""
     try:
@@ -125,29 +180,67 @@ def _fold_nearest(rect: np.ndarray, i0: int, fold: np.ndarray) -> None:
     np.minimum(rows, rect.min(axis=1), out=rows)
 
 
-def _upper_block(
-    z: np.ndarray, i0: int, i1: int, buf: np.ndarray, fold: np.ndarray | None = None
-) -> np.ndarray:
-    """Pack the strict upper triangle of rows i0..i1-1 of the distance matrix into buf.
+def _pack_upper(flat: memoryview, dst: memoryview, r: int, m: int) -> int:
+    """Move the strict upper triangle of the r x m rectangle in flat into dst.
 
-    cdist writes the (i1 - i0) x (n - i0) rectangle right of column i0 into
-    buf; each row's entries right of the diagonal are then moved left, in
-    row order, into one row-major run. A row's destination never passes its
-    source, so the moves need no second buffer. Given fold, the rectangle
-    is first folded into it by _fold_nearest. Returns the packed view.
+    Row a's entries right of the diagonal (a, a) go, in row order, into one
+    row-major run at the start of dst, one memmove per row; dst may be flat
+    itself, since a row's destination never passes its source. Returns the
+    number of entries written.
     """
-    m = z.shape[0] - i0
-    rect = buf[: (i1 - i0) * m].reshape(i1 - i0, m)
-    cdist(z[i0:i1], z[i0:], out=rect)
-    if fold is not None:
-        _fold_nearest(rect, i0, fold)
-    flat = memoryview(buf)  # a memmove per row, cheaper than numpy slicing
-    dst, src = 0, 1
-    for length in range(m - 1, m - 1 - min(i1 - i0, m - 1), -1):
-        flat[dst : dst + length] = flat[src : src + length]
-        dst += length
+    written, src = 0, 1
+    for length in range(m - 1, m - 1 - min(r, m - 1), -1):
+        dst[written : written + length] = flat[src : src + length]
+        written += length
         src += m + 1
-    return buf[:dst]
+    return written
+
+
+def _row_offset(n: int, i: int) -> int:
+    """Where row i starts in the packed strict upper triangle of n points."""
+    return i * (n - 1) - i * (i - 1) // 2
+
+
+def _packed_triangle(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pairwise distance once, by _kernel, packed row-major, and each
+    point's distance to its nearest other point.
+
+    The rows go in tiles of about _TILE_ENTRIES entries: a tile is the
+    rectangle right of its first row's diagonal, so all but its small lower
+    corner is the triangle's. Each tile is folded by _fold_nearest, then
+    packed.
+    """
+    n = z.shape[0]
+    cols = np.ascontiguousarray(z.T)  # (d, n): one contiguous run per coordinate
+    packed = np.empty(n * (n - 1) // 2)
+    fold = np.full((2, n), np.inf)
+    rows = max(1, _TILE_ENTRIES // n)
+    tiles = np.empty((2, min(rows, n) * n))
+    flat, dst = memoryview(tiles[0]), memoryview(packed)
+    for i0 in range(0, n - 1, rows):
+        i1, m = min(i0 + rows, n), n - i0
+        rect = tiles[0, : (i1 - i0) * m].reshape(i1 - i0, m)
+        _kernel(cols[:, i0:i1], cols[:, i0:], rect, tiles[1, : rect.size].reshape(rect.shape))
+        _fold_nearest(rect, i0, fold)
+        _pack_upper(flat, dst[_row_offset(n, i0) :], i1 - i0, m)
+    return packed, fold[0]
+
+
+def _packed_blocks(packed: np.ndarray, n: int, work: Callable[[np.ndarray], object]) -> list:
+    """Return work(block) for every row block of a packed triangle, in block order.
+
+    The blocks are _map_blocks' blocks, with their bits. Each is copied into
+    one scratch buffer before work sees it, so work may overwrite it.
+    """
+    rows = max(1, _BLOCK_ENTRIES // n)
+    scratch = np.empty(min(rows * n, packed.size))
+    results = []
+    for i0 in range(0, n - 1, rows):
+        lo, hi = _row_offset(n, i0), _row_offset(n, min(i0 + rows, n))
+        block = scratch[: hi - lo]
+        np.copyto(block, packed[lo:hi])
+        results.append(work(block))
+    return results
 
 
 def _map_blocks(
@@ -155,14 +248,16 @@ def _map_blocks(
 ) -> list:
     """Return work(block) for every upper-triangle row block, in block order.
 
-    The blocks are rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n).
-    They run on W = min(cores, ceil(pairs / _BLOCK_ENTRIES)) workers, inline
-    when W is 1. Each worker packs its blocks into its own buffer, allocated
-    here; work may overwrite the block. Given nearest (n floats), it is set
-    to each point's distance to its nearest other point: every worker folds
-    its blocks into its own n floats (plus n of scratch), and those are
-    min-folded once all blocks are done.
+    The blocks are rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n),
+    computed by cdist. They run on W = min(cores, ceil(pairs / _BLOCK_ENTRIES))
+    workers, inline when W is 1. Each worker packs its blocks into its own
+    buffer, allocated here; work may overwrite the block. Given nearest (n
+    floats), it is set to each point's distance to its nearest other point:
+    every worker folds its blocks into its own n floats (plus n of scratch),
+    and those are min-folded once all blocks are done.
     """
+    from scipy.spatial.distance import cdist  # here, before any worker starts
+
     n = z.shape[0]
     rows = max(1, _BLOCK_ENTRIES // n)
     starts = range(0, n - 1, rows)
@@ -175,10 +270,15 @@ def _map_blocks(
     results: list = [None] * len(starts)
 
     def run(t: int) -> None:
-        fold = None if folds is None else folds[t]
+        buf, flat = buffers[t], memoryview(buffers[t])  # a memmove per row, cheaper than numpy
         for b in range(t, len(starts), workers):
             i0 = starts[b]
-            results[b] = work(_upper_block(z, i0, min(i0 + rows, n), buffers[t], fold))
+            i1, m = min(i0 + rows, n), n - i0
+            rect = buf[: (i1 - i0) * m].reshape(i1 - i0, m)
+            cdist(z[i0:i1], z[i0:], out=rect)
+            if folds is not None:
+                _fold_nearest(rect, i0, folds[t])
+            results[b] = work(buf[: _pack_upper(flat, flat, i1 - i0, m)])
 
     if workers == 1:
         run(0)
@@ -198,14 +298,16 @@ def _block_moments(block: np.ndarray) -> tuple[float, float, float]:
     return 2.0 * block.size, b_mean, 2.0 * float(np.square(block, out=block).sum())
 
 
-def distance_matrix(normalized: NormalizedData) -> float:
-    """Return the dispersion: the population standard deviation of all n*n
-    pairwise distances.
+def distance_matrix(normalized: NormalizedData) -> Geometry:
+    """Return the dispersion, the nearest distances and, for a small input,
+    the packed distances.
 
-    The spread is taken over the whole matrix, zero diagonal included; it
-    doubles as the affinity bandwidth. The moments of the upper-triangle
-    blocks are folded in block order, whatever the worker count, with the
-    pairwise (Chan-Golub-LeVeque) update of count, mean and sum of squared
+    The dispersion is the population standard deviation of all n*n pairwise
+    distances. The spread is taken over the whole matrix, zero diagonal
+    included; it doubles as the affinity bandwidth. The moments of the
+    upper-triangle blocks are folded in block order, whatever the worker
+    count or the way the distances were computed, with the pairwise
+    (Chan-Golub-LeVeque) update of count, mean and sum of squared
     deviations; each off-diagonal distance counts twice, and the n diagonal
     zeros seed the running moments.
     """
@@ -213,14 +315,24 @@ def distance_matrix(normalized: NormalizedData) -> float:
     n = z.shape[0]
     if n < 2:
         raise ValueError("distance matrix needs at least 2 points")
+    if n * (n - 1) // 2 <= _ONE_PASS_PAIRS:
+        packed, nearest = _packed_triangle(z)
+        moments = _packed_blocks(packed, n, _block_moments)
+    else:
+        packed, nearest = None, np.empty(n)
+        moments = _map_blocks(z, _block_moments, nearest)
     count, mean, m2 = float(n), 0.0, 0.0
-    for b_count, b_mean, b_m2 in _map_blocks(z, _block_moments):
+    for b_count, b_mean, b_m2 in moments:
         total = count + b_count
         delta = b_mean - mean
         mean += delta * (b_count / total)
         m2 += b_m2 + delta * delta * (count * b_count / total)
         count = total
-    return math.sqrt(m2 / count)
+    return Geometry(
+        dispersion=math.sqrt(m2 / count),
+        nearest2=np.multiply(nearest, nearest, out=nearest),
+        packed=packed,
+    )
 
 
 def affinity_histogram(affinity: np.ndarray, bins: int = 10) -> np.ndarray:
@@ -251,7 +363,7 @@ def select_threshold(histogram: np.ndarray) -> tuple[float, int]:
 
 
 def build_affinity_model(
-    normalized: NormalizedData, dispersion: float, bins: int = 10
+    normalized: NormalizedData, geometry: Geometry, bins: int = 10
 ) -> AffinityModel:
     """Histogram the affinities exp(-d^2 / (2 * dispersion)) and pick the threshold.
 
@@ -259,9 +371,13 @@ def build_affinity_model(
     root of the distance spread, which keeps the exponent dimensionally mild
     for both tight and diffuse data. Each upper-triangle block is binned and
     counted twice; the n self-affinities of exactly 1 go to the top bin. The
-    same stream gives nearest2: the square of each point's smallest cdist
-    distance to another point, the same bits at any worker count.
+    blocks come from the geometry's packed triangle when it has one, and
+    are streamed by cdist again otherwise. nearest2 is the geometry's: the
+    square of each point's smallest distance to another point, by _kernel
+    or cdist, the same bits either way and at any worker count. The model
+    does not keep the packed triangle.
     """
+    dispersion = geometry.dispersion
     if dispersion <= 0.0:
         raise DegenerateDataError(
             "zero distance dispersion: all points are identical; "
@@ -282,10 +398,14 @@ def build_affinity_model(
         np.copyto(idx, block, casting="unsafe")
         return np.bincount(idx, minlength=bins + 1)[1:]
 
-    n = normalized.values.shape[0]
+    z = normalized.values
+    n = z.shape[0]
     histogram = affinity_histogram(np.ones(n), bins)
-    nearest = np.empty(n)
-    for counts in _map_blocks(normalized.values, bin_block, nearest):
+    if geometry.packed is None:
+        blocks = _map_blocks(z, bin_block)
+    else:
+        blocks = _packed_blocks(geometry.packed, n, bin_block)
+    for counts in blocks:
         histogram += 2 * counts
     threshold, threshold_bin = select_threshold(histogram)
     return AffinityModel(
@@ -293,5 +413,5 @@ def build_affinity_model(
         histogram=histogram,
         threshold=threshold,
         threshold_bin=threshold_bin,
-        nearest2=np.multiply(nearest, nearest, out=nearest),
+        nearest2=geometry.nearest2,
     )

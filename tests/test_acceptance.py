@@ -341,7 +341,8 @@ def test_criterion_6e_preprocess_invariants_on_random_data():
             assert np.abs(norm.values[:, live].mean(axis=0)).max() < 1e-9
         assert not norm.values[:, ~live].any()
 
-        dispersion = distance_matrix(norm)
+        geometry = distance_matrix(norm)
+        dispersion = geometry.dispersion
         dense = cdist(norm.values, norm.values)
         assert dense.min() >= 0.0
         assert np.abs(np.diagonal(dense)).max() == 0.0
@@ -349,7 +350,7 @@ def test_criterion_6e_preprocess_invariants_on_random_data():
         assert dispersion > 0.0
         assert abs(dispersion - dense.std()) <= 1e-12 * dense.std()
 
-        model = build_affinity_model(norm, dispersion, bins=10)
+        model = build_affinity_model(norm, geometry, bins=10)
         affinity = np.exp(dense * dense / (-2.0 * dispersion))
         assert affinity.min() > 0.0
         assert affinity.max() <= 1.0

@@ -30,8 +30,8 @@ from affclust.preprocess import (
 
 def prepared(points):
     norm = normalize(Dataset(points=np.asarray(points, dtype=np.float64), name="t"))
-    dispersion = distance_matrix(norm)
-    model = build_affinity_model(norm, dispersion) if dispersion > 0 else None
+    geometry = distance_matrix(norm)
+    model = build_affinity_model(norm, geometry) if geometry.dispersion > 0 else None
     return norm, model
 
 
@@ -280,9 +280,9 @@ def grid_points(draw):
 @given(grid_points())
 def test_windowed_scan_matches_naive_reference_on_grids(pts):
     norm = NormalizedData(pts, np.zeros(pts.shape[1]), np.ones(pts.shape[1]))
-    dispersion = distance_matrix(norm)
-    assume(dispersion > 0)
-    model = build_affinity_model(norm, dispersion)
+    geometry = distance_matrix(norm)
+    assume(geometry.dispersion > 0)
+    model = build_affinity_model(norm, geometry)
     got = find_clusters(norm, model)
     expect = naive_find_clusters(norm.values, model.dispersion, model.threshold)
     assert got.assignment.tolist() == expect

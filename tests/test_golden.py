@@ -2,13 +2,15 @@
 
 The goldens cover `cluster`, `histogram` and `evaluate` (both outlier
 policies) in JSON and CSV for the five bundled synthetic sets and one
-generated set of 1,050 points, large enough that the affinity model streams
-several distance blocks; `bench` and `sweep-bins` over the bundled synthetic
-corpus; and `cluster` on two degenerate inputs, identical points and a set
-where every point is an outlier, `histogram` on the identical points and
-`evaluate` (both outlier policies) on the all-outlier set, which exit 3 but
-still report. Any change
-to the reports shows up here; a deliberate one is made by rewriting the
+generated set of 1,050 points, whose triangle spans several distance
+blocks; `bench` and `sweep-bins` over the bundled synthetic corpus; and
+`cluster` on two degenerate inputs, identical points and a set where every
+point is an outlier, `histogram` on the identical points and `evaluate`
+(both outlier policies) on the all-outlier set, which exit 3 but still
+report. Every report is checked twice: with the distances computed once by
+the numpy kernel (every input here is below the one-pass cap), and with
+them streamed twice by cdist (the cap forced to 0). Any change to the
+reports shows up here; a deliberate one is made by rewriting the
 files with `write_goldens()` from the repository root and recording why in
 CHANGES.md:
 
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affclust import preprocess
 from affclust.cli import main
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from affclust.evaluate import OUTLIER_POLICIES
@@ -112,16 +115,23 @@ def write_goldens() -> None:
             (GOLDEN / f"{case}.{command}.{fmt}").write_bytes(report)
 
 
-@pytest.mark.parametrize(
-    ("case", "command", "fmt"),
-    [
-        pytest.param(*r, id=f"{r[0]}-{r[1]}" + ("" if r[2] == "json" else f"-{r[2]}"))
-        for r in REPORTS
-    ],
-)
+REPORT_PARAMS = [
+    pytest.param(*r, id=f"{r[0]}-{r[1]}" + ("" if r[2] == "json" else f"-{r[2]}"))
+    for r in REPORTS
+]
+
+
+@pytest.mark.parametrize(("case", "command", "fmt"), REPORT_PARAMS)
 def test_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     expect = (GOLDEN / f"{case}.{command}.{fmt}").read_bytes()
     code, report = render(case, command, fmt, tmp_path)
     assert code == (3 if case in DEGENERATE else 0)
     assert report == expect
+
+
+@pytest.mark.parametrize(("case", "command", "fmt"), REPORT_PARAMS)
+def test_streamed_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch):
+    """The same bytes when every input takes the streamed cdist path."""
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    test_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch)

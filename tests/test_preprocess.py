@@ -1,15 +1,21 @@
 """Preprocess stage: z-scores, distance dispersion, affinity histogram, threshold.
 
-Production streams the distances in blocks, spread over worker threads, and
-never holds an n x n matrix; the dense matrices these tests compare against
-are built here, by `dense_distances` and `dense_affinities`, and so is the
-serial one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
-`serial_histogram`) whose bits the threaded passes must reproduce.
+Production never holds an n x n matrix. Up to preprocess._ONE_PASS_PAIRS
+pairs it computes each distance once with its own kernel and keeps the
+packed triangle; above that it streams the distances twice in blocks,
+spread over worker threads. `each_path` runs a test body on both paths. The
+dense matrices these tests compare against are built here, by
+`dense_distances` and `dense_affinities`, and so is the serial
+one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
+`serial_histogram`) whose bits both paths must reproduce.
 """
 
+import dataclasses
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +25,8 @@ from scipy.spatial.distance import cdist
 
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic
 from affclust.errors import DegenerateDataError
+from affclust import pipeline, preprocess
 from affclust.pipeline import run_pipeline
-from affclust import preprocess
 from affclust.preprocess import (
     NormalizedData,
     _map_blocks,
@@ -70,13 +76,28 @@ def dense_affinities(dist, sigma):
 
 
 def model_of(norm, bins=10):
-    """The affinity model over the dispersion production computes for norm."""
+    """The affinity model over the geometry production computes for norm."""
     return build_affinity_model(norm, distance_matrix(norm), bins)
+
+
+def each_path(monkeypatch):
+    """Yield once with the distances computed in one pass by the kernel (the
+    default cap), then once with them streamed by cdist (the cap at 0)."""
+    for path, cap in (("one-pass", preprocess._ONE_PASS_PAIRS), ("streamed", 0)):
+        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", cap)
+        yield path
 
 
 def streamed_upper(z):
     """Every distance the block stream yields, concatenated in stream order."""
     return np.concatenate(_map_blocks(z, np.copy))
+
+
+def path_blocks(z, geometry):
+    """The row blocks the geometry's path bins: its packed triangle's, or the stream's."""
+    if geometry.packed is None:
+        return _map_blocks(z, np.copy)
+    return preprocess._packed_blocks(geometry.packed, z.shape[0], np.copy)
 
 
 def serial_blocks(z):
@@ -191,15 +212,17 @@ def test_normalized_columns_recompute_to_zero_mean_unit_spread():
 def test_three_four_five_triangle_distance():
     norm = nd([[0.0, 0.0], [3.0, 4.0]])
     assert streamed_upper(norm.values).tolist() == pytest.approx([5.0], abs=1e-12)
-    assert distance_matrix(norm) == pytest.approx(2.5, abs=1e-12)  # std of [0, 5, 5, 0]
+    geometry = distance_matrix(norm)
+    assert geometry.packed.tolist() == pytest.approx([5.0], abs=1e-12)
+    assert geometry.dispersion == pytest.approx(2.5, abs=1e-12)  # std of [0, 5, 5, 0]
 
 
 def test_distance_matrix_matches_double_loop_oracle():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(5, 2))
-    got = streamed_upper(nd(z).values)
     expect = [math.sqrt(((z[i] - z[j]) ** 2).sum()) for i in range(5) for j in range(i + 1, 5)]
-    assert np.abs(got - expect).max() < 1e-12
+    for got in (streamed_upper(z), distance_matrix(nd(z)).packed):
+        assert np.abs(got - expect).max() < 1e-12
 
 
 def test_distance_diagonal_zero_and_symmetric():
@@ -209,6 +232,7 @@ def test_distance_diagonal_zero_and_symmetric():
     assert np.array_equal(np.diag(dist), np.zeros(9))
     assert np.array_equal(dist, dist.T)
     assert np.array_equal(streamed_upper(z), dist[np.triu_indices(9, 1)])
+    assert np.array_equal(distance_matrix(nd(z)).packed, dist[np.triu_indices(9, 1)])
 
 
 def test_dispersion_is_population_std_over_all_entries():
@@ -218,7 +242,7 @@ def test_dispersion_is_population_std_over_all_entries():
     flat = [dist[i, j] for i in range(7) for j in range(7)]
     mean = sum(flat) / len(flat)
     var = sum((v - mean) ** 2 for v in flat) / len(flat)
-    assert distance_matrix(nd(z)) == pytest.approx(math.sqrt(var), abs=1e-12)
+    assert distance_matrix(nd(z)).dispersion == pytest.approx(math.sqrt(var), abs=1e-12)
 
 
 def test_distance_matrix_rejects_single_point():
@@ -239,7 +263,9 @@ def test_distance_squared_twice_dispersion_maps_to_e_inverse():
     sigma = 0.37
     d = math.sqrt(2.0 * sigma)
     bins = 10_000
-    model = build_affinity_model(nd([[0.0], [d]]), sigma, bins=bins)
+    norm = nd([[0.0], [d]])
+    geometry = dataclasses.replace(distance_matrix(norm), dispersion=sigma)
+    model = build_affinity_model(norm, geometry, bins=bins)
     expect = np.zeros(bins, dtype=np.int64)
     expect[math.ceil(math.exp(-1.0) * bins) - 1] = 2  # 0.36788 lands in bin 3679
     expect[-1] = 2
@@ -248,7 +274,8 @@ def test_distance_squared_twice_dispersion_maps_to_e_inverse():
 
 def test_affinity_matches_scalar_recomputation():
     norm = normalize(random_dataset(23))
-    dispersion = distance_matrix(norm)
+    geometry = distance_matrix(norm)
+    dispersion = geometry.dispersion
     dist = dense_distances(norm.values)
     n = norm.values.shape[0]
     bins = 10
@@ -257,7 +284,7 @@ def test_affinity_matches_scalar_recomputation():
         for j in range(n):
             v = math.exp(-dist[i, j] ** 2 / (2.0 * dispersion))
             expect[min(bins, max(1, math.ceil(v * bins))) - 1] += 1
-    assert build_affinity_model(norm, dispersion, bins).histogram.tolist() == expect
+    assert build_affinity_model(norm, geometry, bins).histogram.tolist() == expect
 
 
 def test_identical_points_are_rejected_as_degenerate():
@@ -267,43 +294,45 @@ def test_identical_points_are_rejected_as_degenerate():
 
 def test_affinity_decreases_with_distance():
     norm = normalize(random_dataset(31))
-    dispersion = distance_matrix(norm)
+    geometry = distance_matrix(norm)
     dist = dense_distances(norm.values)
-    a = dense_affinities(dist, dispersion)
+    a = dense_affinities(dist, geometry.dispersion)
     iu = np.triu_indices_from(a, k=1)
     order = np.argsort(dist[iu])
     assert (np.diff(a[iu][order]) <= 1e-15).all()
-    assert np.array_equal(
-        build_affinity_model(norm, dispersion).histogram, affinity_histogram(a)
-    )
+    assert np.array_equal(build_affinity_model(norm, geometry).histogram, affinity_histogram(a))
 
 
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
-def test_streamed_model_matches_dense_reference(n):
-    """Several blocks and a partial last one: same histogram, same dispersion."""
+def test_streamed_model_matches_dense_reference(monkeypatch, n):
+    """Several blocks and a partial last one, on both paths: same distances,
+    same histogram, same dispersion."""
     rng = np.random.default_rng(n)
-    for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
-        dist = dense_distances(z)
-        dispersion = distance_matrix(nd(z))
-        assert np.array_equal(streamed_upper(z), dist[np.triu_indices(n, 1)])
-        assert dispersion == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
-        model = build_affinity_model(nd(z), dispersion, bins=10)
-        expect = affinity_histogram(dense_affinities(dist, dispersion), 10)
-        assert np.array_equal(model.histogram, expect)
+    for _ in each_path(monkeypatch):
+        for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
+            dist = dense_distances(z)
+            geometry = distance_matrix(nd(z))
+            got = np.concatenate(path_blocks(z, geometry))
+            assert np.array_equal(got, dist[np.triu_indices(n, 1)])
+            assert geometry.dispersion == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
+            model = build_affinity_model(nd(z), geometry, bins=10)
+            expect = affinity_histogram(dense_affinities(dist, geometry.dispersion), 10)
+            assert np.array_equal(model.histogram, expect)
 
 
 @pytest.mark.parametrize("block_entries", [preprocess._BLOCK_ENTRIES, 1 << 12])
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
 def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cores, block_entries):
-    """Any worker count gives the serial stream's blocks, dispersion bits and
-    histograms, and the dense nearest-neighbour distances.
+    """Either path, at any worker count, gives the serial stream's blocks,
+    dispersion bits and histograms, and the dense nearest-neighbour distances.
 
     At the real block size only n=1100 has more than one worker's worth of
     pairs; 4,096-entry blocks give every n > 90 three workers and a partial
     last block. Three workers outnumber this machine's cores when it has two,
     and a short switch interval interleaves them often: a lost or misplaced
-    block result would break the comparison.
+    block result would break the comparison. The one-pass path runs on the
+    calling thread; it must cut its packed triangle into the same blocks.
     """
     monkeypatch.setattr(preprocess, "_available_cores", lambda: cores)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
@@ -311,32 +340,35 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for z in (rng.normal(size=(n, 3)), np.eye(n)):
-            got, expect = _map_blocks(z, np.copy), list(serial_blocks(z))
-            assert len(got) == len(expect)
-            assert all(np.array_equal(g, e) for g, e in zip(got, expect))
-            dispersion = distance_matrix(nd(z))
-            assert dispersion.hex() == serial_dispersion(n, expect).hex()
-            nearest2 = dense_nearest2(z)
-            for bins in (2, 10, 30):
-                model = build_affinity_model(nd(z), dispersion, bins)
-                expect_hist = serial_histogram(n, expect, dispersion, bins)
-                assert np.array_equal(model.histogram, expect_hist)
-                assert np.array_equal(model.nearest2, nearest2)
+        for _ in each_path(monkeypatch):
+            for z in (rng.normal(size=(n, 3)), np.eye(n)):
+                geometry = distance_matrix(nd(z))
+                got, expect = path_blocks(z, geometry), list(serial_blocks(z))
+                assert len(got) == len(expect)
+                assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+                assert geometry.dispersion.hex() == serial_dispersion(n, expect).hex()
+                nearest2 = dense_nearest2(z)
+                assert np.array_equal(geometry.nearest2, nearest2)
+                for bins in (2, 10, 30):
+                    model = build_affinity_model(nd(z), geometry, bins)
+                    expect_hist = serial_histogram(n, expect, geometry.dispersion, bins)
+                    assert np.array_equal(model.histogram, expect_hist)
+                    assert np.array_equal(model.nearest2, nearest2)
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n", [3, 40, 513, 1100])
-def test_nearest2_is_the_dense_minimum_squared(n):
-    """Bit for bit, with duplicates (nearest2 0) and one isolated point."""
+def test_nearest2_is_the_dense_minimum_squared(monkeypatch, n):
+    """Bit for bit on both paths, with duplicates (nearest2 0) and one isolated point."""
     rng = np.random.default_rng(n)
     z = rng.normal(size=(n, 5))
     z[n // 2] = z[0]
     z[-1] += 100.0
-    model = build_affinity_model(nd(z), distance_matrix(nd(z)))
-    assert np.array_equal(model.nearest2, dense_nearest2(z))
-    assert model.nearest2[0] == 0.0
+    for _ in each_path(monkeypatch):
+        model = model_of(nd(z))
+        assert np.array_equal(model.nearest2, dense_nearest2(z))
+        assert model.nearest2[0] == 0.0
 
 
 def test_affinity_model_memory_stays_far_below_one_dense_matrix():
@@ -358,6 +390,52 @@ def test_workers_allocate_no_block_sized_array(monkeypatch):
     assert peak < budget, f"peak {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
 
 
+def cap_points():
+    """The largest input the one-pass path takes: n(n-1)/2 at most the cap."""
+    n = math.isqrt(2 * preprocess._ONE_PASS_PAIRS)
+    while n * (n - 1) // 2 > preprocess._ONE_PASS_PAIRS:
+        n -= 1
+    z = np.random.default_rng(8).normal(size=(n, 2))
+    z[n // 2 :] += 6.0
+    return nd(z)
+
+
+def test_one_pass_memory_is_the_packed_triangle_plus_one_block():
+    """At the cap, distance_matrix plus build_affinity_model peak below the
+    packed triangle, one block of scratch and O(n) more; the model does not
+    keep the triangle."""
+    norm = cap_points()
+    n = norm.n_points
+    assert n * (n - 1) // 2 <= preprocess._ONE_PASS_PAIRS < n * (n + 1) // 2
+    models = []
+    peak = traced_peak(lambda: models.append(model_of(norm)))
+    budget = (n * (n - 1) // 2 + preprocess._BLOCK_ENTRIES + 64 * n) * 8
+    assert peak < budget, f"peak {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
+    for field in dataclasses.fields(models[0]):
+        value = getattr(models[0], field.name)
+        assert np.size(value) <= n, field.name
+
+
+def test_run_result_does_not_keep_the_packed_triangle(monkeypatch):
+    """The triangle is freed once the threshold is known: by the time the
+    run returns, nothing refers to it."""
+    norm = cap_points()
+    geometries = []
+
+    def recorded(normalized):
+        geometry = distance_matrix(normalized)
+        geometries.append(weakref.ref(geometry.packed))
+        return geometry
+
+    monkeypatch.setattr(pipeline, "distance_matrix", recorded)
+    result = run_pipeline(Dataset(points=norm.values, name="cap"))
+    gc.collect()
+    assert geometries[0]() is None
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        assert np.size(value) <= norm.n_points, field.name
+
+
 # ---------------------------------------------------------------------------
 # histogram
 
@@ -375,23 +453,23 @@ def test_value_at_085_buckets_into_ninth_bin():
 
 def test_histogram_matches_brute_force_bucketing():
     norm = normalize(random_dataset(41, max_n=4))
-    dispersion = distance_matrix(norm)
-    a = dense_affinities(dense_distances(norm.values), dispersion)
+    geometry = distance_matrix(norm)
+    a = dense_affinities(dense_distances(norm.values), geometry.dispersion)
     bins = 10
     expect = [0] * bins
     for v in a.ravel():
         b = min(bins, max(1, math.ceil(v * bins)))
         expect[b - 1] += 1
     assert affinity_histogram(a, bins).tolist() == expect
-    assert build_affinity_model(norm, dispersion, bins).histogram.tolist() == expect
+    assert build_affinity_model(norm, geometry, bins).histogram.tolist() == expect
 
 
 def test_histogram_counts_sum_to_n_squared():
     norm = normalize(random_dataset(43, max_n=30))
-    dispersion = distance_matrix(norm)
+    geometry = distance_matrix(norm)
     n = norm.n_points
     for bins in (2, 7, 10, 30):
-        assert build_affinity_model(norm, dispersion, bins).histogram.sum() == n * n
+        assert build_affinity_model(norm, geometry, bins).histogram.sum() == n * n
 
 
 def test_histogram_rejects_single_bin():
@@ -441,7 +519,7 @@ def test_all_negative_jumps_still_pick_a_bin():
 def test_model_composition_is_consistent():
     norm = normalize(random_dataset(61))
     model = model_of(norm, bins=10)
-    assert model.dispersion == distance_matrix(norm)
+    assert model.dispersion == distance_matrix(norm).dispersion
     assert model.histogram.size == 10
     assert model.histogram.sum() == norm.n_points**2
     assert model.threshold == (model.threshold_bin - 0.5) / model.histogram.size
@@ -478,13 +556,13 @@ def test_power_of_two_column_scaling_is_exactly_invisible(seed, factor):
     assert np.array_equal(n2.column_means, n1.column_means * factor)
     assert np.array_equal(n2.column_stds, n1.column_stds * factor)
     assert np.array_equal(n1.values, n2.values)
-    s1, s2 = distance_matrix(n1), distance_matrix(n2)
-    assert s1 == s2
+    g1, g2 = distance_matrix(n1), distance_matrix(n2)
+    assert g1.dispersion == g2.dispersion
     assert np.array_equal(
-        dense_affinities(dense_distances(n1.values), s1),
-        dense_affinities(dense_distances(n2.values), s2),
+        dense_affinities(dense_distances(n1.values), g1.dispersion),
+        dense_affinities(dense_distances(n2.values), g2.dispersion),
     )
-    m1, m2 = build_affinity_model(n1, s1), build_affinity_model(n2, s2)
+    m1, m2 = build_affinity_model(n1, g1), build_affinity_model(n2, g2)
     assert np.array_equal(m1.histogram, m2.histogram)
     assert m1.threshold == m2.threshold
 
@@ -526,10 +604,10 @@ def test_row_permutation_cannot_move_the_threshold(seed):
 @given(st.integers(0, 10_000))
 def test_affinity_model_invariants_hold_on_random_data(seed):
     norm = normalize(random_dataset(seed))
-    dispersion = distance_matrix(norm)
+    geometry = distance_matrix(norm)
     n = norm.values.shape[0]
-    model = build_affinity_model(norm, dispersion, bins=10)
-    a = dense_affinities(dense_distances(norm.values), dispersion)
+    model = build_affinity_model(norm, geometry, bins=10)
+    a = dense_affinities(dense_distances(norm.values), geometry.dispersion)
     assert ((a > 0) & (a <= 1)).all()
     assert np.array_equal(np.diag(a), np.ones(n))
     assert np.array_equal(a, a.T)
