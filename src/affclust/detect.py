@@ -31,11 +31,12 @@ cluster stays a singleton for good and is peeled off as an outlier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import AffinityModel, NormalizedData
+from .preprocess import AffinityModel, NormalizedData, bisect_floats
 
 # Width of the first window a sweep tests, and the narrowest it shrinks to.
 _FIRST_WINDOW = 32
@@ -150,23 +151,13 @@ class ClusterState:
 def _affinity_bar(two_sigma: float, threshold: float) -> float:
     """The smallest gap2 >= 0 for which exp(gap2 / -two_sigma) > threshold fails.
 
-    It is evaluated on an array, as in the scan. The test holds at 0 (the
-    threshold is below 1), fails at inf and turns false once as gap2 grows,
-    so bisecting over the int64 bit patterns of the non-negative floats,
-    which order as the floats do, takes at most 64 steps. For every finite
+    It is evaluated on an array, as in the scan, and found by bisect_floats:
+    the test holds at 0 (the threshold is below 1), fails at inf and, exp
+    taken to be monotone, turns false once as gap2 grows. For every finite
     gap2 >= 0, gap2 < bar is then the test itself.
     """
-    probe = np.zeros(1)
-    bits = probe.view(np.int64)
-    passes, fails = 0, int(np.array(np.inf).view(np.int64))
-    while fails - passes > 1:
-        bits[0] = (passes + fails) // 2
-        if np.exp(probe / (-two_sigma))[0] > threshold:
-            passes = int(bits[0])
-        else:
-            fails = int(bits[0])
-    bits[0] = fails
-    return float(probe[0])
+    guess = np.array([two_sigma * -math.log(threshold)])  # where exp(gap2 / -two_sigma) = threshold
+    return float(bisect_floats(lambda gap2: np.exp(gap2 / (-two_sigma)) <= threshold, guess)[0])
 
 
 def _absorb_pass(state: ClusterState, k: int) -> None:

@@ -10,11 +10,11 @@ No n x n matrix is materialised. The strict upper triangle is cut into row
 blocks of about _BLOCK_ENTRIES entries; the dispersion folds the blocks'
 moments in block order, and the histogram sums their integer bin counts.
 Every distance is computed on its own, so a block holds the same bits
-whichever way it is computed, and the histogram is the dense one's; only the
-summation order of the dispersion differs from a dense computation. The
-pass that gives the dispersion also takes each point's distance to its
-nearest other point, as the minimum of its block rows and columns, which
-detection uses to skip provably idle sweeps.
+whichever way it is computed; only the summation order of the dispersion
+differs from a dense computation. The pass that gives the dispersion also
+takes each point's distance to its nearest other point, as the minimum of
+its block rows and columns, which detection uses to skip provably idle
+sweeps.
 
 Two ways to compute the distances give the same bits:
 
@@ -22,23 +22,31 @@ Two ways to compute the distances give the same bits:
   by _kernel, on the calling thread, in row tiles of the triangle. The
   packed triangle (8 MB at most) is returned in the Geometry, and the
   affinity pass bins it instead of computing the distances again.
-- Above that, the distances are streamed twice, by scipy's cdist: the first
-  pass gives each block's moments and the nearest distances, the second
-  recomputes each block and bins its affinities. scipy is imported on the
-  first such call, so a small input never loads it.
+- Above that, scipy's cdist streams the distances once, for each block's
+  moments and the nearest distances. scipy is imported on the first such
+  call, so a small input never loads it.
 
 _kernel does cdist's operations in cdist's order (the squared differences
 summed in coordinate order, then one square root), each correctly rounded,
 so its bits are cdist's under any SIMD dispatch.
 
-The streamed passes spread their blocks over up to one thread per available
-core (cdist and numpy's ufuncs release the GIL); worker t takes blocks t,
-t+W, t+2W, ... and stores each result at the block's index. The dispersion
-folds the block moments in block order, the histogram is a sum of integer
-counts and the nearest distances are minima, so none of them depends on the
-number of workers. The calling thread allocates every block-sized buffer
-and each worker reuses its own: arrays allocated inside a worker would stay
-in that thread's malloc arena after it exits.
+On the streamed path the histogram comes from a screen (_screened_counts)
+instead of a second cdist pass. A pair's bin is fixed by where its distance
+lies among the bin edges (affinity_edges: for each m, the least distance
+binned at m or below). Matrix products estimate every squared distance of a block, and a pair
+farther from every squared edge than a derived rounding bound is counted
+as it is; a block holding any other pair is computed by cdist and binned
+exactly. Either way each pair lands in the bin its cdist distance gives, so
+the histogram is the dense one's.
+
+Both streamed passes spread their blocks over up to one thread per
+available core (cdist, BLAS and numpy's ufuncs release the GIL); worker t
+takes blocks t, t+W, t+2W, ... The dispersion folds the block moments in
+block order, the nearest distances are minima and the histogram is a sum of
+integer counts, so none of them depends on the number of workers. The
+calling thread allocates every block-sized buffer and each worker reuses
+its own: arrays allocated inside a worker would stay in that thread's
+malloc arena after it exits.
 """
 
 from __future__ import annotations
@@ -66,6 +74,11 @@ _BLOCK_ENTRIES = 1 << 18
 _ONE_PASS_PAIRS = 1 << 20
 # Entries in each of _kernel's two tile buffers (256 KB of float64).
 _TILE_ENTRIES = 1 << 15
+# Multiply-adds in each of the screen's matrix products. OpenBLAS runs a
+# product this small on the thread that calls it (on 2 cores it threads from
+# about twice this), so the screen's workers are the only threads at work. A
+# product it threads can wait a scheduler quantum for its helper thread.
+_PRODUCT_VOLUME = 1 << 18
 
 
 @dataclass
@@ -243,25 +256,43 @@ def _packed_blocks(packed: np.ndarray, n: int, work: Callable[[np.ndarray], obje
     return results
 
 
+def _block_plan(n: int) -> tuple[int, range, int]:
+    """Rows per block, the blocks' first rows, and how many workers share them.
+
+    A block is rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n);
+    W = min(cores, ceil(pairs / _BLOCK_ENTRIES)) workers.
+    """
+    rows = max(1, _BLOCK_ENTRIES // n)
+    workers = max(1, min(_available_cores(), -(-(n * (n - 1) // 2) // _BLOCK_ENTRIES)))
+    return rows, range(0, n - 1, rows), workers
+
+
+def _on_workers(workers: int, run: Callable[[int], None]) -> None:
+    """Call run(t) for t = 0..workers-1, each on its own thread; inline when W is 1."""
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(run, t) for t in range(workers)]:
+                future.result()
+
+
 def _map_blocks(
     z: np.ndarray, work: Callable[[np.ndarray], object], nearest: np.ndarray | None = None
 ) -> list:
     """Return work(block) for every upper-triangle row block, in block order.
 
-    The blocks are rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n),
-    computed by cdist. They run on W = min(cores, ceil(pairs / _BLOCK_ENTRIES))
-    workers, inline when W is 1. Each worker packs its blocks into its own
-    buffer, allocated here; work may overwrite the block. Given nearest (n
-    floats), it is set to each point's distance to its nearest other point:
-    every worker folds its blocks into its own n floats (plus n of scratch),
-    and those are min-folded once all blocks are done.
+    The blocks are _block_plan's, computed by cdist, worker t taking blocks
+    t, t+W, .... Each worker packs its blocks into its own buffer, allocated
+    here; work may overwrite the block. Given nearest (n floats), it is set
+    to each point's distance to its nearest other point: every worker folds
+    its blocks into its own n floats (plus n of scratch), and those are
+    min-folded once all blocks are done.
     """
     from scipy.spatial.distance import cdist  # here, before any worker starts
 
     n = z.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // n)
-    starts = range(0, n - 1, rows)
-    workers = max(1, min(_available_cores(), -(-(n * (n - 1) // 2) // _BLOCK_ENTRIES)))
+    rows, starts, workers = _block_plan(n)
     # One allocation for all of them: freed at the top of the heap, it stays
     # under glibc's trim threshold (twice the largest freed mmap chunk), so a
     # later call reuses the pages instead of faulting them in again.
@@ -280,12 +311,7 @@ def _map_blocks(
                 _fold_nearest(rect, i0, folds[t])
             results[b] = work(buf[: _pack_upper(flat, flat, i1 - i0, m)])
 
-    if workers == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run, t) for t in range(workers)]:
-                future.result()
+    _on_workers(workers, run)
     if folds is not None:
         np.min(folds[:, 0], axis=0, out=nearest)
     return results
@@ -362,6 +388,195 @@ def select_threshold(histogram: np.ndarray) -> tuple[float, int]:
     return (k - 0.5) / h.size, k
 
 
+def bisect_floats(holds: Callable[[np.ndarray], np.ndarray], guess: np.ndarray) -> np.ndarray:
+    """The least float x >= 0 at which each of a set of tests holds.
+
+    holds(probes) judges probes[i] by test i and returns one boolean per
+    test; it may overwrite probes. Every test fails at 0.0, holds at inf and
+    changes once as x grows. The int64 bit patterns of the non-negative
+    floats order as the floats do, so each answer is bisected over them:
+    over the 2^10 patterns either side of guess[i] where the test fails at
+    the lower end of that bracket and holds at the upper, else over all of
+    [0.0, inf]. 11 halvings, or at most 63, find every answer, so a poor
+    guess costs steps, never the answer. The midpoint is
+    lo + (hi - lo) // 2, because lo + hi overflows int64 near inf's pattern.
+    A probe may overflow to inf or meet it, so those warnings are off while
+    the tests run.
+    """
+    top = int(np.array(np.inf).view(np.int64))
+    near = np.clip(np.asarray(guess, dtype=np.float64).view(np.int64), 0, top)
+    lo = np.maximum(near - (1 << 10), 0)
+    hi = np.minimum(near + (1 << 10), top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracketed = holds(hi.view(np.float64).copy()) & ~holds(lo.view(np.float64).copy())
+        lo[~bracketed], hi[~bracketed] = 0, top
+        for _ in range(int((hi - lo).max() - 1).bit_length()):
+            mid = lo + (hi - lo) // 2
+            holding = holds(mid.view(np.float64).copy())
+            hi = np.where(holding, mid, hi)
+            lo = np.where(holding, lo, mid)
+    return hi.view(np.float64)
+
+
+def _affinity_bins(block: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
+    """Bin each distance d in a 1-D block by its affinity, in place.
+
+    The affinity is exp(d * d / (-2 * dispersion)), binned by
+    affinity_histogram's steps, v -> clip(ceil(v * bins), 1, bins); the
+    indices are returned in block's own memory, viewed as int64.
+    """
+    np.multiply(block, block, out=block)
+    np.divide(block, -2.0 * dispersion, out=block)
+    np.exp(block, out=block)
+    np.multiply(block, float(bins), out=block)
+    np.ceil(block, out=block)
+    np.clip(block, 1.0, float(bins), out=block)
+    # numpy casts a 1-D array onto itself element by element, with no copy
+    idx = block.view(np.int64)
+    np.copyto(idx, block, casting="unsafe")
+    return idx
+
+
+def _bin_counts(block: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
+    """How many of a 1-D block's distances fall in each affinity bin; block is overwritten."""
+    return np.bincount(_affinity_bins(block, dispersion, bins), minlength=bins + 1)[1:]
+
+
+def affinity_edges(dispersion: float, bins: int) -> np.ndarray:
+    """The least distance of bin m or below, for m = 1..bins-1, by bisect_floats.
+
+    edges[m - 1] is the least float distance that _affinity_bins, the
+    binning of every pair, puts in bin m or a lower one. Its steps are
+    monotone, given an exp that is (_affinity_bar assumes the same), so a
+    distance's bin is at most m exactly when the distance is at least
+    edges[m - 1], and the edges do not rise with m. Distance 0.0 has bin
+    bins and inf has bin 1, so every edge is positive and at most the
+    largest float.
+    """
+    top = np.arange(1, bins)
+    guess = np.sqrt(2.0 * dispersion * np.log(bins / top))  # where exp(-d^2 / 2 sigma) * bins = m
+    return bisect_floats(lambda d: _affinity_bins(d, dispersion, bins) <= top, guess)
+
+
+def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
+    """The bin counts of the strict upper triangle, each pair counted once.
+
+    With E = edges[m - 1], C_m pairs have a cdist distance D >= E, that is a
+    bin of m or below; bin 1 holds C_1 pairs, bin m C_m - C_(m-1), and the
+    top bin the rest. Each of _block_plan's blocks estimates its squared
+    distances by matrix products and counts C_m on them where that is
+    certain; the blocks are spread over workers as _map_blocks spreads
+    them, and the integer counts do not depend on how.
+
+    Let a and b be two rows of z, S the exact sum of the squares of a - b,
+    M = |a|^2 + |b|^2 exactly, u = 2^-53 and g = gamma_(d+2) =
+    (d + 2) u / (1 - (d + 2) u). cdist rounds each difference and its
+    square once (or fuses the square into the sum) and adds d non-negative
+    terms in some order, so its sum lies within g S + d 2^-1074 of S, the
+    absolute term for squares that underflow. D, the correctly rounded
+    square root of that sum, is then at least E when the sum is at least
+    E^2, and at most P, the float below E, when the sum is at most P^2. So
+
+        D >= E  once  S >= (E^2 + d 2^-1074) / (1 - g),
+        D < E   once  S <= (P^2 - d 2^-1074) / (1 + g).
+
+    The estimate is X = (G + n_a) + n_b: G is (-2 a) . b, and n_a and n_b
+    are |a|^2 and |b|^2, each a sum of d products in any order, fused or
+    not, however BLAS blocks it. Doubling a is exact. Each sum is within
+    gamma_d of its terms' absolute sum (M for G) plus d 2^-1075, and the two
+    rounded additions err by at most 4 u (1 + u) (1 + gamma_d) M. In all
+
+        |X - S| <= 2 g M + d 2^-1073.
+
+    A pair is then counted at or below bin m when X >= hi_m and above it
+    when X < lo_m, with
+
+        hi_m = (E^2 + tiny) (1 + 4 g) + delta,
+        lo_m = (P^2 - tiny) (1 - 4 g) - delta,
+        delta = 4 g Mhat + tiny,  tiny = (d + 4) 2^-1072,
+
+    where Mhat is the block's largest computed row norm plus its largest
+    column norm. 1 + 4 g exceeds 1 / (1 - g), and 1 - 4 g falls below
+    1 / (1 + g), by more than 2.9 g >= 8.7 u; Mhat bounds M up to gamma_d;
+    and tiny is at least twice each absolute term. The spare 2.9 g, half of
+    4 g Mhat and the rest of tiny cover the at most six roundings in
+    evaluating each of hi_m, lo_m and delta. An edge whose square overflows
+    lies beyond every X. A block with a pair in
+    some [lo_m, hi_m) is computed by cdist and binned by _affinity_bins
+    instead. The lower r x r corner of a block's rectangle, its pairs below
+    the diagonal and each point with itself, is set to -inf, below every
+    lo_m.
+
+    X overflows nowhere while every squared norm is below 2^1000; normalize
+    keeps them below d n. Past that every block is binned exactly.
+
+    Each product covers at most _PRODUCT_VOLUME multiply-adds. A worker owns
+    a block buffer and a mask of as many booleans, both allocated here.
+    """
+    from scipy.spatial.distance import cdist  # here, before any worker starts
+
+    n, d = z.shape
+    with np.errstate(over="ignore"):
+        edges = affinity_edges(dispersion, bins)
+        below = np.nextafter(edges, 0.0)
+        norms = np.einsum("ij,ij->i", z, z)
+        g = (d + 2) * 2.0**-53 / (1.0 - (d + 2) * 2.0**-53)  # gamma_(d+2)
+        tiny = (d + 4) * 2.0**-1072
+        hi = (edges * edges + tiny) * (1.0 + 4.0 * g)
+        lo = (below * below - tiny) * (1.0 - 4.0 * g)
+    screen = bool(norms.max() < 2.0**1000)
+    col_max = np.maximum.accumulate(norms[::-1])[::-1]  # largest norm of rows i..n-1
+    rows, starts, workers = _block_plan(n)
+    tile_rows = max(1, min(rows, math.isqrt(_PRODUCT_VOLUME // d)))
+    tile_cols = max(1, _PRODUCT_VOLUME // (tile_rows * d))
+    cols = z.T
+    buffers = np.empty((workers, min(rows, n) * n))
+    masks = np.empty(buffers.shape, dtype=bool)
+    lower = np.tri(min(rows, n), dtype=bool)
+    # per worker: C_1..C_(bins-1) and the pair count of its screened blocks
+    at_least = np.zeros((workers, bins), dtype=np.int64)
+    exact = np.zeros((workers, bins), dtype=np.int64)  # per worker: its exactly binned pairs
+
+    def estimate(rect: np.ndarray, i0: int, i1: int) -> None:
+        """X for rows i0..i1-1 against rows i0..n-1, into rect."""
+        for a0 in range(i0, i1, tile_rows):
+            a1 = min(a0 + tile_rows, i1)
+            a = np.multiply(z[a0:a1], -2.0)
+            for b0 in range(i0, n, tile_cols):
+                b1 = min(b0 + tile_cols, n)
+                np.matmul(a, cols[:, b0:b1], out=rect[a0 - i0 : a1 - i0, b0 - i0 : b1 - i0])
+        rect += norms[i0:i1, None]
+        rect += norms[i0:]
+
+    def run(t: int) -> None:
+        buf, flat = buffers[t], memoryview(buffers[t])
+        for b in range(t, len(starts), workers):
+            i0 = starts[b]
+            i1, m = min(i0 + rows, n), n - i0
+            r = i1 - i0
+            rect = buf[: r * m].reshape(r, m)
+            if screen:
+                estimate(rect, i0, i1)
+                np.copyto(rect[:, :r], -np.inf, where=lower[:r, :r])
+                delta = 4.0 * g * (norms[i0:i1].max() + col_max[i0]) + tiny
+                mask = masks[t, : r * m].reshape(r, m)
+                counts = []
+                for hi_m, lo_m in zip(hi + delta, lo - delta):
+                    above = np.count_nonzero(np.greater_equal(rect, hi_m, out=mask))
+                    if np.count_nonzero(np.greater_equal(rect, lo_m, out=mask)) != above:
+                        break
+                    counts.append(above)
+                else:
+                    at_least[t, :-1] += counts
+                    at_least[t, -1] += r * m - r * (r + 1) // 2
+                    continue
+            cdist(z[i0:i1], z[i0:], out=rect)
+            exact[t] += _bin_counts(buf[: _pack_upper(flat, flat, r, m)], dispersion, bins)
+
+    _on_workers(workers, run)
+    return np.diff(at_least.sum(axis=0), prepend=0) + exact.sum(axis=0)
+
+
 def build_affinity_model(
     normalized: NormalizedData, geometry: Geometry, bins: int = 10
 ) -> AffinityModel:
@@ -369,13 +584,16 @@ def build_affinity_model(
 
     The dispersion enters linearly, not squared: the bandwidth is the square
     root of the distance spread, which keeps the exponent dimensionally mild
-    for both tight and diffuse data. Each upper-triangle block is binned and
-    counted twice; the n self-affinities of exactly 1 go to the top bin. The
-    blocks come from the geometry's packed triangle when it has one, and
-    are streamed by cdist again otherwise. nearest2 is the geometry's: the
-    square of each point's smallest distance to another point, by _kernel
-    or cdist, the same bits either way and at any worker count. The model
-    does not keep the packed triangle.
+    for both tight and diffuse data. Each pair of the upper triangle is
+    counted twice; the n self-affinities of exactly 1 go to the top bin. A
+    geometry with a packed triangle has its blocks binned by
+    _affinity_bins; otherwise the pairs are counted by _screened_counts,
+    which computes no distance by cdist except in a block holding a pair
+    too close to a bin edge for its estimate to be certain, and gives the
+    same counts. nearest2 is the geometry's: the square of each point's
+    smallest distance to another point, by _kernel or cdist, the same bits
+    either way and at any worker count. The model does not keep the packed
+    triangle.
     """
     dispersion = geometry.dispersion
     if dispersion <= 0.0:
@@ -383,30 +601,14 @@ def build_affinity_model(
             "zero distance dispersion: all points are identical; "
             "the only valid clustering is a single cluster holding every point"
         )
-    scale = -2.0 * dispersion
-
-    def bin_block(block: np.ndarray) -> np.ndarray:
-        # affinity_histogram's steps, in place: v -> clip(ceil(v * bins), 1, bins)
-        np.multiply(block, block, out=block)
-        np.divide(block, scale, out=block)
-        np.exp(block, out=block)
-        np.multiply(block, float(bins), out=block)
-        np.ceil(block, out=block)
-        np.clip(block, 1.0, float(bins), out=block)
-        # numpy casts a 1-D array onto itself element by element, with no copy
-        idx = block.view(np.int64)
-        np.copyto(idx, block, casting="unsafe")
-        return np.bincount(idx, minlength=bins + 1)[1:]
-
     z = normalized.values
     n = z.shape[0]
     histogram = affinity_histogram(np.ones(n), bins)
     if geometry.packed is None:
-        blocks = _map_blocks(z, bin_block)
+        histogram += 2 * _screened_counts(z, dispersion, bins)
     else:
-        blocks = _packed_blocks(geometry.packed, n, bin_block)
-    for counts in blocks:
-        histogram += 2 * counts
+        for counts in _packed_blocks(geometry.packed, n, lambda b: _bin_counts(b, dispersion, bins)):
+            histogram += 2 * counts
     threshold, threshold_bin = select_threshold(histogram)
     return AffinityModel(
         dispersion=dispersion,

@@ -312,6 +312,22 @@ def affinity_test(gaps, two_sigma, threshold, length):
     ])
 
 
+def serial_affinity_bar(two_sigma, threshold):
+    """Reference g*: one scalar probe per step, bisected over Python ints
+    across all of [0.0, inf], with no guess."""
+    probe = np.zeros(1)
+    bits = probe.view(np.int64)
+    passes, fails = 0, int(np.array(np.inf).view(np.int64))
+    while fails - passes > 1:
+        bits[0] = (passes + fails) // 2
+        if np.exp(probe / (-two_sigma))[0] > threshold:
+            passes = int(bits[0])
+        else:
+            fails = int(bits[0])
+    bits[0] = fails
+    return float(probe[0])
+
+
 def bar_neighbours(bar, reach):
     """The non-negative floats within `reach` bit patterns of bar, in order."""
     centre = int(np.array(bar).view(np.int64))
@@ -334,6 +350,7 @@ def test_affinity_bar_is_the_affinity_test(two_sigma, threshold, seed):
     windows and numpy's vector loops can produce, around the bar and away
     from it."""
     bar = _affinity_bar(two_sigma, threshold)
+    assert bar == serial_affinity_bar(two_sigma, threshold)
     near = bar_neighbours(bar, 1 << 16)
     for length in (31, 33, 1 << 17):
         assert np.array_equal(affinity_test(near, two_sigma, threshold, length), near < bar)
@@ -354,6 +371,7 @@ def test_affinity_bar_at_the_threshold_extremes(two_sigma, threshold):
     """Threshold bin 1 of 2 and of 1,000 bins, the top bin of 1,000, and
     the largest threshold below 1, where only exp(...) == 1.0 passes."""
     bar = _affinity_bar(two_sigma, threshold)
+    assert bar == serial_affinity_bar(two_sigma, threshold)
     assert 0.0 < bar < np.inf
     gaps = bar_neighbours(bar, 1 << 12)
     for length in (1, 33):

@@ -2,11 +2,12 @@
 
 Production never holds an n x n matrix. Up to preprocess._ONE_PASS_PAIRS
 pairs it computes each distance once with its own kernel and keeps the
-packed triangle; above that it streams the distances twice in blocks,
-spread over worker threads. `each_path` runs a test body on both paths. The
-dense matrices these tests compare against are built here, by
-`dense_distances` and `dense_affinities`, and so is the serial
-one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
+packed triangle; above that it streams the distances once in blocks, spread
+over worker threads, and counts the histogram with a screen of matrix
+products that bins only uncertain blocks exactly. `each_path` runs a test
+body on both paths. The dense matrices these tests compare against are
+built here, by `dense_distances` and `dense_affinities`, and so is the
+serial one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
 `serial_histogram`) whose bits both paths must reproduce.
 """
 
@@ -30,6 +31,7 @@ from affclust.pipeline import run_pipeline
 from affclust.preprocess import (
     NormalizedData,
     _map_blocks,
+    affinity_edges,
     affinity_histogram,
     build_affinity_model,
     distance_matrix,
@@ -434,6 +436,162 @@ def test_run_result_does_not_keep_the_packed_triangle(monkeypatch):
     for field in dataclasses.fields(result):
         value = getattr(result, field.name)
         assert np.size(value) <= norm.n_points, field.name
+
+
+# ---------------------------------------------------------------------------
+# bin edges and the screen
+
+def bits(x):
+    return int(np.array(x).view(np.int64))
+
+
+def float_of(pattern):
+    return float(np.array(pattern).view(np.float64))
+
+
+def production_bins(distances, dispersion, bins, copies):
+    """Each distance's bin by production's binning, computed on `copies`
+    copies of them in one array, as a block holds them; copies x k."""
+    block = np.tile(np.asarray(distances, dtype=np.float64), copies)
+    return preprocess._affinity_bins(block, dispersion, bins).reshape(copies, -1)
+
+
+@pytest.mark.parametrize("dispersion", [1e-3, 0.37, 1.0, 29.0, 1e3])
+@pytest.mark.parametrize("bins", range(2, 31))
+def test_affinity_edges_are_the_least_distances_of_each_bin(bins, dispersion):
+    """bin(E_m) <= m and bin(the float below E_m) > m, alone and inside a
+    long array, so on every lane of numpy's vector loops."""
+    edges = affinity_edges(dispersion, bins)
+    top = np.arange(1, bins)
+    assert edges.shape == (bins - 1,)
+    assert (edges > 0.0).all() and np.isfinite(edges).all()
+    assert (np.diff(edges) <= 0.0).all()
+    for copies in (1, 257):
+        assert (production_bins(edges, dispersion, bins, copies) <= top).all()
+        assert (production_bins(np.nextafter(edges, 0.0), dispersion, bins, copies) > top).all()
+
+
+@pytest.mark.parametrize("bins", [2, 10, 30])
+def test_bisect_floats_answers_do_not_depend_on_the_guess(bins):
+    """Guesses that bracket nothing (0, a subnormal, the largest float, inf,
+    nan, a negative) cost steps and change no edge."""
+    dispersion, top = 0.37, np.arange(1, bins)
+    expect = affinity_edges(dispersion, bins)
+    for bad in (0.0, 5e-324, 1.7e308, np.inf, np.nan, -1.0):
+        got = preprocess.bisect_floats(
+            lambda d: preprocess._affinity_bins(d, dispersion, bins) <= top,
+            np.full(bins - 1, bad),
+        )
+        assert np.array_equal(got, expect)
+
+
+def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12):
+    """The streamed model's histogram of z at this dispersion, and how many
+    blocks the screen left to the exact binning (a spy on _bin_counts, which
+    on the streamed path only those blocks reach)."""
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
+    exact = preprocess._bin_counts
+    fallbacks = []
+
+    def spy(block, dispersion, bins):
+        fallbacks.append(block.size)
+        return exact(block, dispersion, bins)
+
+    monkeypatch.setattr(preprocess, "_bin_counts", spy)
+    geometry = dataclasses.replace(distance_matrix(nd(z)), dispersion=dispersion)
+    histogram = build_affinity_model(nd(z), geometry, bins).histogram
+    return histogram, len(fallbacks)
+
+
+def dense_histogram(z, dispersion, bins):
+    return affinity_histogram(dense_affinities(dense_distances(z), dispersion), bins)
+
+
+def near_edge_dispersions(distance, bins, m, reach=3):
+    """Dispersions at which edge m lies within reach ulps of distance, keyed
+    by the edge's offset from it in ulps.
+
+    A distance reaches bin m once exp(-d^2 / 2 sigma) * bins <= m, so the
+    edge is about sqrt(2 sigma ln(bins / m)); sigma is set from the distance
+    and stepped one bit pattern at a time, each step moving the edge by about
+    half an ulp.
+    """
+    centre = bits(distance * distance / (2.0 * math.log(bins / m)))
+    found = {}
+    for pattern in range(centre - 8 * reach, centre + 8 * reach + 1):
+        dispersion = float_of(pattern)
+        offset = bits(affinity_edges(dispersion, bins)[m - 1]) - bits(distance)
+        if abs(offset) <= reach:
+            found.setdefault(offset, dispersion)
+    assert min(found) < 0 < max(found)
+    return found
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_screen_bins_pairs_within_ulps_of_an_edge_exactly(monkeypatch, d):
+    """A pair whose cdist distance sits a few ulps from edge m, on either side
+    and on it: the screen cannot tell which side, so that block is binned
+    exactly, and the histogram is the dense one's."""
+    rng = np.random.default_rng(d)
+    z = rng.normal(size=(300, d))
+    dist = dense_distances(z)
+    fallbacks = 0
+    for bins, m, (i, j) in ((10, 4, (0, 1)), (10, 9, (5, 200)), (2, 1, (7, 299)), (30, 17, (150, 151))):
+        for dispersion in near_edge_dispersions(dist[i, j], bins, m).values():
+            got, used = screened_histogram(monkeypatch, z, dispersion, bins)
+            assert np.array_equal(got, dense_histogram(z, dispersion, bins))
+            fallbacks += used
+    assert fallbacks > 0
+
+
+def test_screen_bins_a_far_tight_cluster_exactly(monkeypatch):
+    """A tight cluster a thousand units from the origin: |a|^2 is about 10^12
+    times the squared distances within it, so the estimate cancels badly
+    there. The dispersion puts the edges among those distances; the
+    cluster's blocks are binned exactly and the others are screened."""
+    rng = np.random.default_rng(17)
+    cluster = np.array([1e3, -1e3, 5e2]) + 1e-3 * rng.normal(size=(240, 3))
+    z = np.vstack([rng.normal(size=(240, 3)), cluster])
+    inner = dense_distances(cluster)[np.triu_indices(240, 1)]
+    blocks = len(range(0, z.shape[0] - 1, (1 << 12) // z.shape[0]))
+    for bins in (2, 10, 30):
+        dispersion = float(np.median(inner) ** 2 / (2.0 * math.log(2.0)))
+        got, used = screened_histogram(monkeypatch, z, dispersion, bins)
+        assert np.array_equal(got, dense_histogram(z, dispersion, bins))
+        assert 0 < used < blocks
+
+
+def test_screen_bins_two_identical_clusters_exactly(monkeypatch):
+    """The same cluster twice, forty units out: every distance within it
+    occurs four times, and the copies' own pairs are at distance 0. An edge
+    within ulps of one repeated distance puts all four copies of it in doubt
+    at once."""
+    rng = np.random.default_rng(29)
+    cluster = rng.normal(size=(150, 4)) + 40.0
+    z = np.vstack([cluster, cluster, rng.normal(size=(20, 4))])
+    target = dense_distances(cluster)[3, 90]
+    fallbacks = 0
+    for dispersion in near_edge_dispersions(target, 10, 6).values():
+        got, used = screened_histogram(monkeypatch, z, dispersion, 10)
+        assert np.array_equal(got, dense_histogram(z, dispersion, 10))
+        fallbacks += used
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize("k", [-500, 500])
+def test_screen_gives_the_unscaled_histogram_at_extreme_scales(monkeypatch, k):
+    """Scaling z by 2^k and the dispersion by 2^2k leaves every affinity's
+    bits alone. At 2^500 the squared norms pass 2^1000 and every block is
+    binned exactly, with no overflow; at 2^-500 the screen works on squared
+    distances near 2^-1000."""
+    z = np.random.default_rng(3).normal(size=(200, 3))
+    dispersion = distance_matrix(nd(z)).dispersion
+    expect = dense_histogram(z, dispersion, 10)
+    got, used = screened_histogram(monkeypatch, np.ldexp(z, k), math.ldexp(dispersion, 2 * k), 10)
+    assert np.array_equal(got, expect)
+    blocks = len(range(0, 199, (1 << 12) // 200))
+    assert used == (blocks if k > 0 else 0)
 
 
 # ---------------------------------------------------------------------------
