@@ -46,14 +46,14 @@ def _bin_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _bin_count(text: str) -> int:
+def _count(text: str, least: int = 2, what: str = "bin count") -> int:
     try:
-        bins = int(text)
+        count = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad bin count {text!r}") from None
-    if bins < 2:
-        raise argparse.ArgumentTypeError(f"bad bin count {text!r}: need at least 2")
-    return bins
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from None
+    if count < least:
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: need at least {least}")
+    return count
 
 
 def _add_ingest_args(sub: argparse.ArgumentParser) -> None:
@@ -91,16 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = subs.add_parser("cluster", help="cluster one dataset and dump the run result")
     _add_ingest_args(p_cluster)
-    p_cluster.add_argument("--bins", type=_bin_count, default=10, help="affinity histogram bins")
+    p_cluster.add_argument("--bins", type=_count, default=10, help="affinity histogram bins")
     _add_output_args(p_cluster, timings=True)
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_eval = subs.add_parser("evaluate", help="cluster and score against ground-truth labels")
     _add_ingest_args(p_eval)
-    p_eval.add_argument("--bins", type=_bin_count, default=10)
+    p_eval.add_argument("--bins", type=_count, default=10)
     p_eval.add_argument("--outlier-policy", choices=OUTLIER_POLICIES, default="singletons")
     p_eval.add_argument(
-        "--truth-k", type=int, default=None,
+        "--truth-k", type=lambda text: _count(text, 1, "truth k"), default=None,
         help="expected cluster count; default: distinct nonzero labels",
     )
     _add_output_args(p_eval)
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hist = subs.add_parser("histogram", help="emit the affinity histogram and threshold")
     _add_ingest_args(p_hist)
-    p_hist.add_argument("--bins", type=_bin_count, default=10)
+    p_hist.add_argument("--bins", type=_count, default=10)
     _add_output_args(p_hist)
     p_hist.set_defaults(func=cmd_histogram)
 
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = subs.add_parser("bench", help="run a whole corpus manifest and score it")
     p_bench.add_argument("--manifest", required=True, help="INI corpus manifest")
-    p_bench.add_argument("--bins", type=_bin_count, default=10)
+    p_bench.add_argument("--bins", type=_count, default=10)
     p_bench.add_argument("--outlier-policy", choices=OUTLIER_POLICIES, default="singletons")
     _add_output_args(p_bench, timings=True)
     p_bench.set_defaults(func=cmd_bench)

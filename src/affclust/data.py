@@ -98,7 +98,7 @@ def load_dataset(
     name = name or path.stem
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"{name}: cannot read {path}: {exc}") from exc
 
     lines = [
@@ -111,6 +111,8 @@ def load_dataset(
         raise IngestError(f"{name}: no data rows in {path}")
 
     sep = _resolve_delimiter(delimiter)
+    if sep == "":
+        raise IngestError(f"{name}: empty delimiter")
     if delimiter is None:
         sep = _sniff_delimiter(lines[0][1])
 
@@ -157,18 +159,18 @@ def load_dataset(
 
 def _encode_labels(tokens: list[str], name: str) -> np.ndarray:
     try:
-        return np.array([int(t) for t in tokens], dtype=np.int64)
+        values = [int(t) for t in tokens]
     except ValueError:
-        pass
-    # fall back to floats that happen to be integral, e.g. "3.0"
-    try:
-        vals = [float(t) for t in tokens]
-        if all(v.is_integer() for v in vals):
-            return np.array([int(v) for v in vals], dtype=np.int64)
-    except ValueError:
-        pass
-    codes: dict[str, int] = {}
-    return np.array([codes.setdefault(t, len(codes) + 1) for t in tokens], dtype=np.int64)
+        try:  # fall back to floats that happen to be integral, e.g. "3.0"
+            values = [int(v) if v.is_integer() else None for v in map(float, tokens)]
+        except ValueError:
+            values = [None]
+        if None in values:
+            codes: dict[str, int] = {}
+            return np.array([codes.setdefault(t, len(codes) + 1) for t in tokens], dtype=np.int64)
+    if big := [t for t, v in zip(tokens, values) if not -(2**63) <= v < 2**63]:
+        raise IngestError(f"{name}: label {big[0]!r} does not fit a 64-bit integer")
+    return np.array(values, dtype=np.int64)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -233,7 +235,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     parser = configparser.ConfigParser()
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read manifest {path}: {exc}") from exc
     try:
         parser.read_string(text, source=str(path))

@@ -2,41 +2,38 @@
 
 The scan walks points in input order. A point that is still unassigned opens
 a new cluster and immediately sweeps the whole dataset once: unassigned
-points join when their affinity to the (moving) centroid clears the
-threshold, and already-assigned points defect when the new centroid is
-strictly closer than their current one. Decisions at position j always use
-the centroids as they stand when j is reached, so every add or shift changes
-what later points see. Singleton clusters are peeled off afterwards as
-outliers.
+points join when their affinity to the (moving) centroid clears the cutoff,
+and already-assigned points defect when the new centroid is strictly closer
+than their current one. Decisions at position j always use the centroids as
+they stand when j is reached, so every add or shift changes what later
+points see. Singleton clusters are peeled off afterwards as outliers.
 
 The sweep is evaluated in windows that double while they hold no hit and
 shrink after one, so finding the next hit costs about the distance to it
 rather than the length of the remaining data. A window is one comparison
 of squared distances against a per-point bar: an assigned point's cached
 distance to its own centroid, refreshed only for clusters whose centroid
-moved, or an unassigned point's affinity bar g*, found once per run.
+moved, or an unassigned point's join bar, the affinity model's bar g*.
 Neither changes a decision: a squared distance is always the row-wise einsum
 of z - c, whose value for a row does not depend on which other rows share
-the call, and gap2 < g* holds exactly when exp(gap2 / -2sigma) > threshold.
+the call, and gap2 < g* is the affinity test itself.
 
 Most noise points open a cluster whose pass cannot move anything, and such a
 pass is skipped. Every bar is current when a pass starts, and the centroid of
 a cluster holding only point i is z_i exactly, so if no point j has gap2_j
 below bar[j] there, the first window hit never comes and the pass changes
-nothing. That is certain once a lower bound on i's squared distance to its
-nearest neighbour is at least max(bar); the affinity model's nearest2 gives
-one, up to rounding (see _skip_floor). Point i's own bar is 0.0, so the
+nothing. That is certain once the model's floor[i], a lower bound on every
+gap2_j of that pass, is at least max(bar). Point i's own bar is 0.0, so the
 cluster stays a singleton for good and is peeled off as an outlier.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import AffinityModel, NormalizedData, bisect_floats
+from .preprocess import AffinityModel, NormalizedData
 
 # Width of the first window a sweep tests, and the narrowest it shrinks to.
 _FIRST_WINDOW = 32
@@ -81,7 +78,7 @@ class ClusterState:
     sentinel so assignment values can index it directly.
 
     bar[i] is the squared distance to the open cluster's centroid below
-    which point i joins or shifts to it: the affinity bar while i is
+    which point i joins or shifts to it: the join bar g* while i is
     unassigned, 0.0 if it opened the open cluster, else its squared distance
     to its own centroid. add_point and remove_point leave it alone; the scan
     sets it and calls refresh_bar for every centroid it moved.
@@ -148,18 +145,6 @@ class ClusterState:
         return Clustering(assignment=relabel(self.assignment, keep), sizes=self.sizes[keep])
 
 
-def _affinity_bar(two_sigma: float, threshold: float) -> float:
-    """The smallest gap2 >= 0 for which exp(gap2 / -two_sigma) > threshold fails.
-
-    It is evaluated on an array, as in the scan, and found by bisect_floats:
-    the test holds at 0 (the threshold is below 1), fails at inf and, exp
-    taken to be monotone, turns false once as gap2 grows. For every finite
-    gap2 >= 0, gap2 < bar is then the test itself.
-    """
-    guess = np.array([two_sigma * -math.log(threshold)])  # where exp(gap2 / -two_sigma) = threshold
-    return float(bisect_floats(lambda gap2: np.exp(gap2 / (-two_sigma)) <= threshold, guess)[0])
-
-
 def _absorb_pass(state: ClusterState, k: int) -> None:
     """One full sweep on behalf of freshly opened cluster k.
 
@@ -198,47 +183,20 @@ def _absorb_pass(state: ClusterState, k: int) -> None:
     state.refresh_bar(k)
 
 
-def _skip_floor(nearest2: np.ndarray, d: int) -> np.ndarray:
-    """A lower bound on every gap2 a pass opened at point i can compute, per i.
-
-    The pass compares gap2_j, the einsum of the d differences z_j - z_i,
-    each rounded once, with bar[j]; nearest2 comes from preprocess's
-    distance kernel or from cdist, which square and sum the same
-    differences. Let S be the exact sum of their squares. Any order of
-    summing d non-negative products, fused or not, lands within a relative
-    gamma_d = d u / (1 - d u) of S (u = 2^-53), give or take d 2^-1075
-    where products underflow. So gap2_j >= S (1 - gamma_d) - d 2^-1075.
-    The kernel and cdist round the square root of their sum once, and
-    squaring the least distance rounds once more, so nearest2[i] <=
-    (S (1 + gamma_d) + d 2^-1075) (1 + u)^3 + 2^-1075. Eliminating S, for
-    any d below 10^13,
-
-        gap2_j >= nearest2[i] (1 - (2.02 d + 3) u) - (2 d + 1) 2^-1075.
-
-    The floor takes the relative slack (4 d + 8) u, which also covers the
-    two roundings of the product and difference below, and the absolute
-    slack (d + 1) 2^-1073. That is 2.9e-14 relative at d = 64, far below
-    the gaps between a noise point and its neighbours.
-    """
-    return nearest2 * (1.0 - (4 * d + 8) * 2.0**-53) - (d + 1) * 2.0**-1073
-
-
 def _sweep(z: np.ndarray, model: AffinityModel) -> ClusterState:
     """Open a cluster at every point still unassigned, in order, and sweep.
 
     A pass is skipped when point i's floor is at least every bar: no point
-    can join or shift to the singleton, so the pass would change nothing
-    (the module docstring has the argument, _skip_floor the rounding). The
-    cluster is still opened, so the counts of opened clusters are the same.
+    can join or shift to the singleton, so the pass would change nothing.
+    The cluster is still opened, so the counts of opened clusters agree.
     """
     state = ClusterState(z)
-    state.bar.fill(_affinity_bar(2.0 * model.dispersion, model.threshold))
-    floor = _skip_floor(model.nearest2, z.shape[1])
+    state.bar.fill(model.bar)
     for i in range(z.shape[0]):
         if state.assignment[i] == 0:
             k = state.open_cluster(i)
             state.bar[i] = 0.0
-            if floor[i] < state.bar.max():
+            if model.floor[i] < state.bar.max():
                 _absorb_pass(state, k)
     return state
 

@@ -105,13 +105,14 @@ class Geometry:
 
 @dataclass
 class AffinityModel:
-    """The Gaussian affinity histogram and the threshold derived from it."""
+    """The Gaussian affinity histogram, its threshold, and detection's two bars."""
 
     dispersion: float      # population standard deviation of all n*n distances
     histogram: np.ndarray  # (bins,) counts over equal-width affinity bins
     threshold: float       # midpoint of the bin below the steepest positive jump
     threshold_bin: int     # 1-based index k of that bin
-    nearest2: np.ndarray   # (n,) squared distance from each point to its nearest other point
+    bar: float             # g*: gap2 < bar exactly when gap2's affinity clears threshold
+    floor: np.ndarray      # (n,) a lower bound on every gap2 of a sweep opened at point i
 
 
 def normalize(dataset: Dataset) -> NormalizedData:
@@ -418,16 +419,21 @@ def bisect_floats(holds: Callable[[np.ndarray], np.ndarray], guess: np.ndarray) 
     return hi.view(np.float64)
 
 
+def _affinities(gap2: np.ndarray, dispersion: float) -> np.ndarray:
+    """exp(gap2 / (-2 * dispersion)) in place: every affinity production tests."""
+    np.divide(gap2, -2.0 * dispersion, out=gap2)
+    return np.exp(gap2, out=gap2)
+
+
 def _affinity_bins(block: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
     """Bin each distance d in a 1-D block by its affinity, in place.
 
-    The affinity is exp(d * d / (-2 * dispersion)), binned by
-    affinity_histogram's steps, v -> clip(ceil(v * bins), 1, bins); the
-    indices are returned in block's own memory, viewed as int64.
+    The affinity of d * d is binned by affinity_histogram's steps,
+    v -> clip(ceil(v * bins), 1, bins); the indices are returned in block's
+    own memory, viewed as int64.
     """
     np.multiply(block, block, out=block)
-    np.divide(block, -2.0 * dispersion, out=block)
-    np.exp(block, out=block)
+    _affinities(block, dispersion)
     np.multiply(block, float(bins), out=block)
     np.ceil(block, out=block)
     np.clip(block, 1.0, float(bins), out=block)
@@ -456,6 +462,41 @@ def affinity_edges(dispersion: float, bins: int) -> np.ndarray:
     top = np.arange(1, bins)
     guess = np.sqrt(2.0 * dispersion * np.log(bins / top))  # where exp(-d^2 / 2 sigma) * bins = m
     return bisect_floats(lambda d: _affinity_bins(d, dispersion, bins) <= top, guess)
+
+
+def _affinity_bar(dispersion: float, threshold: float) -> float:
+    """g*, the least gap2 >= 0 whose affinity does not clear threshold.
+
+    bisect_floats finds it on an array, as detection's windows hold gap2.
+    The test holds at 0 (threshold < 1), fails at inf and, exp taken to be
+    monotone, turns false once, so gap2 < g* is the test itself."""
+    guess = np.array([2.0 * dispersion * -math.log(threshold)])  # where the affinity = threshold
+    return float(bisect_floats(lambda gap2: _affinities(gap2, dispersion) <= threshold, guess)[0])
+
+
+def _skip_floor(nearest2: np.ndarray, d: int) -> np.ndarray:
+    """A lower bound on every gap2 a detection pass opened at point i computes, per i.
+
+    The pass compares gap2_j, the einsum of the d differences z_j - z_i,
+    each rounded once, with bar[j]; nearest2 comes from the distance kernel
+    or from cdist, which square and sum the same differences. Let S be the
+    exact sum of their squares. Any order of summing d non-negative
+    products, fused or not, lands within a relative
+    gamma_d = d u / (1 - d u) of S (u = 2^-53), give or take d 2^-1075
+    where products underflow. So gap2_j >= S (1 - gamma_d) - d 2^-1075.
+    The kernel and cdist round the square root of their sum once, and
+    squaring the least distance rounds once more, so nearest2[i] <=
+    (S (1 + gamma_d) + d 2^-1075) (1 + u)^3 + 2^-1075. Eliminating S, for
+    any d below 10^13,
+
+        gap2_j >= nearest2[i] (1 - (2.02 d + 3) u) - (2 d + 1) 2^-1075.
+
+    The floor takes the relative slack (4 d + 8) u, which also covers the
+    two roundings of the product and difference below, and the absolute
+    slack (d + 1) 2^-1073. That is 2.9e-14 relative at d = 64, far below
+    the gaps between a noise point and its neighbours.
+    """
+    return nearest2 * (1.0 - (4 * d + 8) * 2.0**-53) - (d + 1) * 2.0**-1073
 
 
 def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
@@ -590,10 +631,8 @@ def build_affinity_model(
     _affinity_bins; otherwise the pairs are counted by _screened_counts,
     which computes no distance by cdist except in a block holding a pair
     too close to a bin edge for its estimate to be certain, and gives the
-    same counts. nearest2 is the geometry's: the square of each point's
-    smallest distance to another point, by _kernel or cdist, the same bits
-    either way and at any worker count. The model does not keep the packed
-    triangle.
+    same counts. The model keeps detection's bars (_affinity_bar,
+    _skip_floor), not the packed triangle.
     """
     dispersion = geometry.dispersion
     if dispersion <= 0.0:
@@ -615,5 +654,6 @@ def build_affinity_model(
         histogram=histogram,
         threshold=threshold,
         threshold_bin=threshold_bin,
-        nearest2=geometry.nearest2,
+        bar=_affinity_bar(dispersion, threshold),
+        floor=_skip_floor(geometry.nearest2, z.shape[1]),
     )

@@ -155,6 +155,44 @@ def test_missing_input_exits_with_input_error(tmp_path):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["cluster", "evaluate", "histogram"])
+def test_empty_delimiter_exits_with_input_error(files, command):
+    proc = run_cli(command, "-i", files.labeled, "--label-col", "3", "--delimiter", "")
+    assert proc.returncode == 2
+    assert "empty delimiter" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_input_exits_with_input_error(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes("1,2,caf\u00e9\n3,4,th\u00e9\n5,6,caf\u00e9\n".encode("latin-1"))
+    proc = run_cli("evaluate", "-i", str(path), "--label-col", "3")
+    assert proc.returncode == 2
+    assert "latin.csv" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_oversized_label_exits_with_input_error(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1,2,1\n3,4,99999999999999999999\n5,6,1\n", encoding="utf-8")
+    proc = run_cli("evaluate", "-i", str(path), "--label-col", "3")
+    assert proc.returncode == 2
+    assert "99999999999999999999" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def unreadable_entries(files, tmp_path):
+    """Manifest sections for the blobs set, a set read with an empty
+    delimiter and a latin-1 file, in that order."""
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("1,2,caf\u00e9\n3,4,th\u00e9\n".encode("latin-1"))
+    return (
+        f"[blobs]\npath = {files.labeled}\ntruth_k = 3\nlabel_col = 3\n\n"
+        f"[blank]\npath = {files.labeled}\ntruth_k = 3\nlabel_col = 3\ndelimiter =\n\n"
+        f"[latin]\npath = {latin}\ntruth_k = 2\nlabel_col = 3\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -213,6 +251,13 @@ def test_truth_k_override_changes_the_match_verdict(files):
     )
     assert payload["truth_k"] == 5
     assert payload["exact_match"] is False
+
+
+@pytest.mark.parametrize("truth_k", ["0", "-4", "three"])
+def test_truth_k_below_one_is_rejected(files, truth_k):
+    proc = run_cli("evaluate", "-i", files.labeled, "--label-col", "3", "--truth-k", truth_k)
+    assert proc.returncode == 2
+    assert "bad truth k" in proc.stderr
 
 
 def test_evaluate_csv_row(files):
@@ -299,6 +344,16 @@ def test_sweep_bins_skips_an_unreadable_entry_and_scores_the_rest(files, tmp_pat
     assert "short: row 2" in proc.stderr
 
 
+def test_sweep_bins_skips_empty_delimiter_and_non_utf8_entries(files, tmp_path):
+    manifest = tmp_path / "unreadable.ini"
+    manifest.write_text(unreadable_entries(files, tmp_path))
+    proc = run_cli("sweep-bins", "--manifest", str(manifest), "--bin-range", "2:3", "--format", "json")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["skipped"] == ["blank", "latin"]
+    assert {r["dataset"] for r in payload["rows"]} == {"blobs"}
+
+
 def test_sweep_bins_fails_when_no_entry_loads(tmp_path):
     bad = tmp_path / "short.csv"
     bad.write_text("1,2,3\n4,5\n")
@@ -334,6 +389,20 @@ def test_bench_skips_missing_files_and_scores_the_rest(files):
     assert 0.0 <= payload["corpus_accuracy"] <= 100.0
     blobs = next(r for r in payload["datasets"] if r["name"] == "blobs")
     assert blobs["evaluation"]["truth_k"] == 3
+
+
+def test_bench_reports_empty_delimiter_and_non_utf8_entries_as_errors(files, tmp_path):
+    manifest = tmp_path / "unreadable.ini"
+    manifest.write_text(unreadable_entries(files, tmp_path))
+    proc = run_cli("bench", "--manifest", str(manifest))
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    statuses = {row["name"]: row["status"] for row in payload["datasets"]}
+    assert statuses == {"blobs": "ok", "blank": "error", "latin": "error"}
+    errors = {row["name"]: row["error"] for row in payload["datasets"] if row["status"] == "error"}
+    assert "empty delimiter" in errors["blank"]
+    assert "latin.csv" in errors["latin"]
+    assert payload["evaluated"] == 1
 
 
 def test_bench_csv_has_a_row_per_entry(files):

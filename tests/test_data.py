@@ -137,6 +137,30 @@ def test_empty_file_is_an_ingest_error(tmp_path):
         load_dataset(write(tmp_path, "# nothing\n\n"))
 
 
+def test_empty_delimiter_is_an_ingest_error(tmp_path):
+    with pytest.raises(IngestError, match="empty delimiter"):
+        load_dataset(write(tmp_path, "1,2\n3,4\n"), delimiter="")
+
+
+def test_non_utf8_file_is_an_ingest_error_naming_it(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes("1,2,caf\u00e9\n3,4,th\u00e9\n".encode("latin-1"))
+    with pytest.raises(IngestError, match="latin.csv"):
+        load_dataset(path, label_column=3)
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809", "1e30"])
+def test_label_beyond_int64_is_an_ingest_error_naming_it(tmp_path, label):
+    with pytest.raises(IngestError, match=f"big: label '{label}'"):
+        load_dataset(write(tmp_path, f"1,2,1\n3,4,{label}\n"), label_column=3, name="big")
+
+
+def test_int64_extremes_are_kept_as_labels(tmp_path):
+    path = write(tmp_path, "1,2,9223372036854775807\n3,4,-9223372036854775808\n")
+    d = load_dataset(path, label_column=3)
+    assert d.labels.tolist() == [2**63 - 1, -(2**63)]
+
+
 def test_round_trip_preserves_values_and_order(tmp_path):
     rng = np.random.default_rng(17)
     original = Dataset(
@@ -206,6 +230,13 @@ def test_manifest_requires_path_and_truth_k(tmp_path):
 def test_manifest_rejects_nonpositive_truth_k(tmp_path):
     path = write(tmp_path, "[x]\npath = a.csv\ntruth_k = 0\n", name="bad2.ini")
     with pytest.raises(IngestError):
+        load_manifest(path)
+
+
+def test_non_utf8_manifest_is_an_ingest_error_naming_it(tmp_path):
+    path = tmp_path / "latin.ini"
+    path.write_bytes("[caf\u00e9]\npath = a.csv\ntruth_k = 2\n".encode("latin-1"))
+    with pytest.raises(IngestError, match="latin.ini"):
         load_manifest(path)
 
 

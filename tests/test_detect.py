@@ -13,8 +13,6 @@ from affclust.detect import (
     Clustering,
     ClusterState,
     _absorb_pass,
-    _affinity_bar,
-    _skip_floor,
     _sweep,
     extract_outliers,
     find_clusters,
@@ -22,6 +20,7 @@ from affclust.detect import (
 )
 from affclust.preprocess import (
     NormalizedData,
+    _affinity_bar,
     build_affinity_model,
     distance_matrix,
     normalize,
@@ -52,14 +51,13 @@ def oracle_sweep(z, model):
     passes production skips.
     """
     state = ClusterState(z)
-    state.bar.fill(_affinity_bar(2.0 * model.dispersion, model.threshold))
-    floor = _skip_floor(model.nearest2, z.shape[1])
+    state.bar.fill(model.bar)
     skipped = 0
     for i in range(z.shape[0]):
         if state.assignment[i] == 0:
             k = state.open_cluster(i)
             state.bar[i] = 0.0
-            skip = floor[i] >= state.bar.max()
+            skip = model.floor[i] >= state.bar.max()
             before = snapshot(state)
             _absorb_pass(state, k)
             if skip:
@@ -194,16 +192,17 @@ def near_tie_models(z, model, target, reach=4):
     """Copies of model whose affinity bar g* lies within reach ulps of target.
 
     g* is about 2sigma * -ln(threshold), so the dispersion is set from target
-    and stepped one bit pattern at a time around that value.
+    and stepped one bit pattern at a time around that value. Each copy
+    carries that dispersion, which the naive reference reads, and its bar.
     """
     two_sigma = target / -np.log(model.threshold)
     centre = int(np.array(two_sigma).view(np.int64))
     found = {}
     for pattern in range(centre - 8 * reach, centre + 8 * reach + 1):
-        two_sigma = float(np.array(pattern).view(np.float64))
-        offset = ulps(target, _affinity_bar(two_sigma, model.threshold))
-        if abs(offset) <= reach:
-            found.setdefault(offset, replace(model, dispersion=two_sigma / 2.0))
+        sigma = float(np.array(pattern).view(np.float64)) / 2.0
+        bar = _affinity_bar(sigma, model.threshold)
+        if abs(offset := ulps(target, bar)) <= reach:
+            found.setdefault(offset, replace(model, dispersion=sigma, bar=bar))
     return found
 
 
@@ -213,7 +212,8 @@ def nd_of(z):
 
 
 def near_tie_points(seed, d, below):
-    """Noise point 0, its neighbour 1 and a far blob, in d dimensions.
+    """Noise point 0, its neighbour 1 and a far blob, in d dimensions, with
+    the model and point 0's nearest2.
 
     The neighbour is drawn until the scan's einsum of their squared distance
     reads below (or above) nearest2, the square of cdist's distance, so a
@@ -226,10 +226,11 @@ def near_tie_points(seed, d, below):
         q = p + rng.normal(scale=0.1, size=d)
         far = rng.normal(size=(6, d)) * 0.1 + 10.0
         z = np.vstack([p, q, far])
-        model = build_affinity_model(nd_of(z), distance_matrix(nd_of(z)))
+        geometry = distance_matrix(nd_of(z))
+        nearest2 = geometry.nearest2[0]
         gap = gap2(z, 1, z[0])[0]
-        if (gap < model.nearest2[0]) if below else (gap > model.nearest2[0]):
-            return z, model
+        if (gap < nearest2) if below else (gap > nearest2):
+            return z, build_affinity_model(nd_of(z), geometry), nearest2
     raise AssertionError("no such neighbour in 1,000 draws")
 
 
@@ -241,14 +242,14 @@ def test_skip_at_near_ties_with_the_bar(d, below):
     nothing, and the scan still matches the naive reference."""
     taken = {True: 0, False: 0}
     for seed in range(4):
-        z, model = near_tie_points(seed, d, below)
-        floor = _skip_floor(model.nearest2, d)[0]
-        for target in (model.nearest2[0], floor):
+        z, model, nearest2 = near_tie_points(seed, d, below)
+        floor = model.floor[0]
+        for target in (nearest2, floor):
             cases = near_tie_models(z, model, target)
             assert min(cases) < 0 < max(cases)
             for case in cases.values():
                 assert_skip_is_invisible(z, case)
-                taken[floor >= _affinity_bar(2.0 * case.dispersion, case.threshold)] += 1
+                taken[floor >= case.bar] += 1
                 got = find_clusters(nd_of(z), case)
                 expect = naive_find_clusters(z, case.dispersion, case.threshold)
                 assert got.assignment.tolist() == expect
@@ -349,7 +350,7 @@ def test_affinity_bar_is_the_affinity_test(two_sigma, threshold, seed):
     """gap2 < bar equals the exp test on every slice length the scan's
     windows and numpy's vector loops can produce, around the bar and away
     from it."""
-    bar = _affinity_bar(two_sigma, threshold)
+    bar = _affinity_bar(two_sigma / 2.0, threshold)
     assert bar == serial_affinity_bar(two_sigma, threshold)
     near = bar_neighbours(bar, 1 << 16)
     for length in (31, 33, 1 << 17):
@@ -370,12 +371,32 @@ def test_affinity_bar_is_the_affinity_test(two_sigma, threshold, seed):
 def test_affinity_bar_at_the_threshold_extremes(two_sigma, threshold):
     """Threshold bin 1 of 2 and of 1,000 bins, the top bin of 1,000, and
     the largest threshold below 1, where only exp(...) == 1.0 passes."""
-    bar = _affinity_bar(two_sigma, threshold)
+    bar = _affinity_bar(two_sigma / 2.0, threshold)
     assert bar == serial_affinity_bar(two_sigma, threshold)
     assert 0.0 < bar < np.inf
     gaps = bar_neighbours(bar, 1 << 12)
     for length in (1, 33):
         assert np.array_equal(affinity_test(gaps, two_sigma, threshold, length), gaps < bar)
+
+
+def test_model_bar_is_the_serial_bar_on_the_reference_seeds():
+    for seed in range(30):
+        _, model = prepared(interesting_points(seed))
+        assert model.bar == serial_affinity_bar(2.0 * model.dispersion, model.threshold)
+
+
+def test_scan_reads_only_the_bar_and_floor_of_the_model():
+    """With the dispersion and threshold made NaN, every assignment stands."""
+    sets = [interesting_points(seed) for seed in range(30)]
+    sets.append(generate_synthetic(SyntheticSpec(
+        cluster_count=10, points_per_cluster=20, dimension=16, center_scheme="axes",
+        center_separation=24.0, noise_fraction=0.10, noise_margin=0.75, seed=1,
+    )).points)
+    for pts in sets:
+        norm, model = prepared(pts)
+        blind = replace(model, dispersion=np.nan, threshold=np.nan)
+        expect = find_clusters(norm, model).assignment
+        assert np.array_equal(find_clusters(norm, blind).assignment, expect)
 
 
 def test_scan_matches_naive_reference_at_threshold_bin_one():
