@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,8 @@ class Dataset:
 
     points is (n, d) float64. labels, when present, is length n with integer
     cluster ids; id 0 marks noise/outlier points by convention, so dictionary
-    encoding of textual labels never assigns 0.
+    encoding of textual labels never assigns 0. A label given here must be
+    an int64 value, or a float that is one (3.0), as load_dataset takes it.
     """
 
     points: np.ndarray
@@ -48,12 +50,14 @@ class Dataset:
             )
         self.points = pts
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
+            lab = np.asarray(self.labels)
             if lab.shape != (n,):
                 raise IngestError(
                     f"{self.name}: label vector length {lab.shape} does not match {n} points"
                 )
-            self.labels = lab
+            if lab.dtype.kind not in "bi" and (bad := [v for v in lab.tolist() if not _is_int64(v)]):
+                raise IngestError(f"{self.name}: label {bad[0]!r} is not a 64-bit integer")
+            self.labels = lab.astype(np.int64, copy=False)
 
     @property
     def n_points(self) -> int:
@@ -62,6 +66,11 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.points.shape[1]
+
+
+def _is_int64(value: object) -> bool:
+    """Whether value is an integer, or an integral float, within int64's range."""
+    return isinstance(value, numbers.Real) and -(2**63) <= value < 2**63 and value == int(value)
 
 
 def _sniff_delimiter(line: str) -> str | None:

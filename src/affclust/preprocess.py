@@ -6,25 +6,36 @@ nearest other point, the histogram of the Gaussian affinities, and the
 data-driven threshold picked from it. Nothing in this module is tunable
 except the bin count.
 
-No n x n matrix is materialised. The strict upper triangle is cut into row
-blocks of about _BLOCK_ENTRIES entries; the dispersion folds the blocks'
-moments in block order, and the histogram sums their integer bin counts.
-Every distance is computed on its own, so a block holds the same bits
-whichever way it is computed; only the summation order of the dispersion
-differs from a dense computation. The pass that gives the dispersion also
-takes each point's distance to its nearest other point, as the minimum of
-its block rows and columns, which detection uses to skip provably idle
-sweeps.
+No n x n matrix is materialised. One walker, _map_blocks, goes over the
+strict upper triangle in row blocks of about _BLOCK_ENTRIES entries, and
+every pass over the distances is a visit it makes to each block: the
+dispersion folds the blocks' moments in block order, the nearest distances
+are the minima of the blocks' rows and columns (detection uses them to skip
+provably idle sweeps), and the histogram sums the blocks' integer bin
+counts. Every distance is computed on its own, so a block holds the same
+bits whichever way it is computed; only the summation order of the
+dispersion differs from a dense computation.
 
-Two ways to compute the distances give the same bits:
+The walker hands each visit its block's rectangle over the buffer of the
+worker that takes it. Up to _ONE_PASS_PAIRS pairs the calling thread is the
+one worker. Above that, up to one thread per available core shares the
+blocks (cdist, BLAS and numpy's ufuncs release the GIL), worker t taking
+blocks t, t+W, t+2W, ...; the moments are folded in block order, minima and
+integer counts do not depend on the order, so no result depends on the
+number of workers. The calling thread allocates every array a worker
+writes to, the block buffers and each visit's per-worker folds or masks:
+arrays allocated inside a worker would stay in that thread's malloc arena
+after it exits.
 
-- Up to _ONE_PASS_PAIRS pairs (n <= 1,448), each distance is computed once,
-  by _kernel, on the calling thread, in row tiles of the triangle. The
-  packed triangle (8 MB at most) is returned in the Geometry, and the
-  affinity pass bins it instead of computing the distances again.
-- Above that, scipy's cdist streams the distances once, for each block's
-  moments and the nearest distances. scipy is imported on the first such
-  call, so a small input never loads it.
+distance_matrix has one visit for each way to compute the distances, and
+the two give the same bits:
+
+- Up to _ONE_PASS_PAIRS pairs (n <= 1,448), _kernel computes each distance
+  once, in row tiles of the block, and the visit packs them into the
+  triangle (8 MB at most) returned in the Geometry. The affinity pass bins
+  the packed triangle instead of computing the distances again.
+- Above that, scipy's cdist computes each block in place. scipy is imported
+  on the first such call, so a small input never loads it.
 
 _kernel does cdist's operations in cdist's order (the squared differences
 summed in coordinate order, then one square root), each correctly rounded,
@@ -33,20 +44,11 @@ so its bits are cdist's under any SIMD dispatch.
 On the streamed path the histogram comes from a screen (_screened_counts)
 instead of a second cdist pass. A pair's bin is fixed by where its distance
 lies among the bin edges (affinity_edges: for each m, the least distance
-binned at m or below). Matrix products estimate every squared distance of a block, and a pair
-farther from every squared edge than a derived rounding bound is counted
-as it is; a block holding any other pair is computed by cdist and binned
-exactly. Either way each pair lands in the bin its cdist distance gives, so
-the histogram is the dense one's.
-
-Both streamed passes spread their blocks over up to one thread per
-available core (cdist, BLAS and numpy's ufuncs release the GIL); worker t
-takes blocks t, t+W, t+2W, ... The dispersion folds the block moments in
-block order, the nearest distances are minima and the histogram is a sum of
-integer counts, so none of them depends on the number of workers. The
-calling thread allocates every block-sized buffer and each worker reuses
-its own: arrays allocated inside a worker would stay in that thread's
-malloc arena after it exits.
+binned at m or below). Matrix products estimate every squared distance of a
+block, and a pair farther from every squared edge than a derived rounding
+bound is counted as it is; a block holding any other pair is computed by
+cdist and binned exactly. Either way each pair lands in the bin its cdist
+distance gives, so the histogram is the dense one's.
 """
 
 from __future__ import annotations
@@ -63,16 +65,17 @@ from .data import Dataset
 from .errors import DegenerateDataError
 
 # Distance entries per block (2 MB of float64), or one row of n entries when
-# n exceeds it. The row partition fixes the dispersion's bits. Each streaming
-# worker owns one buffer of rows x n entries, which holds a block's
-# distances, then its affinities, then its bin indices; no other block-sized
-# array is allocated.
+# n exceeds it. The row partition fixes the dispersion's bits. Each worker
+# owns one buffer of rows x n entries, which holds a block's distances, then
+# its affinities, then its bin indices; no other block-sized array of floats
+# is allocated.
 _BLOCK_ENTRIES = 1 << 18
 # Inputs with at most this many pairs (8 MB of packed float64) compute each
-# distance once, by _kernel, and keep the packed triangle until the
-# threshold is known.
+# distance once, by _kernel, on the calling thread, and keep the packed
+# triangle until the threshold is known.
 _ONE_PASS_PAIRS = 1 << 20
-# Entries in each of _kernel's two tile buffers (256 KB of float64).
+# Entries in each of _kernel's tiles (256 KB of float64): its output, at the
+# start of the block buffer, and one scratch tile.
 _TILE_ENTRIES = 1 << 15
 # Multiply-adds in each of the screen's matrix products. OpenBLAS runs a
 # product this small on the thread that calls it (on 2 cores it threads from
@@ -107,7 +110,6 @@ class Geometry:
 class AffinityModel:
     """The Gaussian affinity histogram, its threshold, and detection's two bars."""
 
-    dispersion: float      # population standard deviation of all n*n distances
     histogram: np.ndarray  # (bins,) counts over equal-width affinity bins
     threshold: float       # midpoint of the bin below the steepest positive jump
     threshold_bin: int     # 1-based index k of that bin
@@ -194,19 +196,21 @@ def _fold_nearest(rect: np.ndarray, i0: int, fold: np.ndarray) -> None:
     np.minimum(rows, rect.min(axis=1), out=rows)
 
 
-def _pack_upper(flat: memoryview, dst: memoryview, r: int, m: int) -> int:
-    """Move the strict upper triangle of the r x m rectangle in flat into dst.
+def _pack_upper(rect: np.ndarray, dst: np.ndarray) -> int:
+    """Move the strict upper triangle of the C-contiguous rectangle rect into dst.
 
     Row a's entries right of the diagonal (a, a) go, in row order, into one
-    row-major run at the start of dst, one memmove per row; dst may be flat
-    itself, since a row's destination never passes its source. Returns the
-    number of entries written.
+    row-major run at the start of dst, one memmove per row (cheaper than
+    numpy); dst may share rect's memory, since a row's destination never
+    passes its source. Returns the number of entries written.
     """
-    written, src = 0, 1
+    r, m = rect.shape
+    src, out = memoryview(rect.reshape(-1)), memoryview(dst)
+    written, start = 0, 1
     for length in range(m - 1, m - 1 - min(r, m - 1), -1):
-        dst[written : written + length] = flat[src : src + length]
+        out[written : written + length] = src[start : start + length]
         written += length
-        src += m + 1
+        start += m + 1
     return written
 
 
@@ -215,106 +219,56 @@ def _row_offset(n: int, i: int) -> int:
     return i * (n - 1) - i * (i - 1) // 2
 
 
-def _packed_triangle(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pairwise distance once, by _kernel, packed row-major, and each
-    point's distance to its nearest other point.
+def _packed_block(packed: np.ndarray, rect: np.ndarray, i0: int) -> np.ndarray:
+    """The packed distances of the block rect covers, copied into rect's memory."""
+    n = i0 + rect.shape[1]
+    lo, hi = _row_offset(n, i0), _row_offset(n, i0 + rect.shape[0])
+    block = rect.reshape(-1)[: hi - lo]
+    np.copyto(block, packed[lo:hi])
+    return block
 
-    The rows go in tiles of about _TILE_ENTRIES entries: a tile is the
-    rectangle right of its first row's diagonal, so all but its small lower
-    corner is the triangle's. Each tile is folded by _fold_nearest, then
-    packed.
+
+def _block_plan(n: int) -> tuple[int, int]:
+    """Rows per block, and how many workers share the blocks.
+
+    A block is rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n).
+    Up to _ONE_PASS_PAIRS pairs the calling thread is the one worker; above
+    that, W = min(cores, ceil(pairs / _BLOCK_ENTRIES)).
     """
-    n = z.shape[0]
-    cols = np.ascontiguousarray(z.T)  # (d, n): one contiguous run per coordinate
-    packed = np.empty(n * (n - 1) // 2)
-    fold = np.full((2, n), np.inf)
-    rows = max(1, _TILE_ENTRIES // n)
-    tiles = np.empty((2, min(rows, n) * n))
-    flat, dst = memoryview(tiles[0]), memoryview(packed)
-    for i0 in range(0, n - 1, rows):
-        i1, m = min(i0 + rows, n), n - i0
-        rect = tiles[0, : (i1 - i0) * m].reshape(i1 - i0, m)
-        _kernel(cols[:, i0:i1], cols[:, i0:], rect, tiles[1, : rect.size].reshape(rect.shape))
-        _fold_nearest(rect, i0, fold)
-        _pack_upper(flat, dst[_row_offset(n, i0) :], i1 - i0, m)
-    return packed, fold[0]
+    rows, pairs = max(1, _BLOCK_ENTRIES // n), n * (n - 1) // 2
+    workers = 1 if pairs <= _ONE_PASS_PAIRS else min(_available_cores(), -(-pairs // _BLOCK_ENTRIES))
+    return rows, workers
 
 
-def _packed_blocks(packed: np.ndarray, n: int, work: Callable[[np.ndarray], object]) -> list:
-    """Return work(block) for every row block of a packed triangle, in block order.
+def _map_blocks(n: int, visit: Callable[[np.ndarray, int, int], object]) -> list:
+    """Return visit(rect, i0, t) for every row block of the upper triangle, in block order.
 
-    The blocks are _map_blocks' blocks, with their bits. Each is copied into
-    one scratch buffer before work sees it, so work may overwrite it.
+    rect is the r x (n - i0) rectangle of the block's rows i0..i0+r-1
+    against points i0..n-1, laid over worker t's buffer; the visit fills it
+    as it likes. The blocks are _block_plan's, worker t taking blocks t,
+    t+W, ..., each worker on its own thread, or on the calling thread when
+    W is 1.
     """
-    rows = max(1, _BLOCK_ENTRIES // n)
-    scratch = np.empty(min(rows * n, packed.size))
-    results = []
-    for i0 in range(0, n - 1, rows):
-        lo, hi = _row_offset(n, i0), _row_offset(n, min(i0 + rows, n))
-        block = scratch[: hi - lo]
-        np.copyto(block, packed[lo:hi])
-        results.append(work(block))
-    return results
+    rows, workers = _block_plan(n)
+    starts = range(0, n - 1, rows)
+    # One allocation for all of them: freed at the top of the heap, it stays
+    # under glibc's trim threshold (twice the largest freed mmap chunk), so a
+    # later call reuses the pages instead of faulting them in again.
+    buffers = np.empty((workers, min(rows, n) * n))
+    results: list = [None] * len(starts)
 
+    def run(t: int) -> None:
+        for b in range(t, len(starts), workers):
+            i0 = starts[b]
+            r, m = min(rows, n - i0), n - i0
+            results[b] = visit(buffers[t, : r * m].reshape(r, m), i0, t)
 
-def _block_plan(n: int) -> tuple[int, range, int]:
-    """Rows per block, the blocks' first rows, and how many workers share them.
-
-    A block is rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n);
-    W = min(cores, ceil(pairs / _BLOCK_ENTRIES)) workers.
-    """
-    rows = max(1, _BLOCK_ENTRIES // n)
-    workers = max(1, min(_available_cores(), -(-(n * (n - 1) // 2) // _BLOCK_ENTRIES)))
-    return rows, range(0, n - 1, rows), workers
-
-
-def _on_workers(workers: int, run: Callable[[int], None]) -> None:
-    """Call run(t) for t = 0..workers-1, each on its own thread; inline when W is 1."""
     if workers == 1:
         run(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for future in [pool.submit(run, t) for t in range(workers)]:
                 future.result()
-
-
-def _map_blocks(
-    z: np.ndarray, work: Callable[[np.ndarray], object], nearest: np.ndarray | None = None
-) -> list:
-    """Return work(block) for every upper-triangle row block, in block order.
-
-    The blocks are _block_plan's, computed by cdist, worker t taking blocks
-    t, t+W, .... Each worker packs its blocks into its own buffer, allocated
-    here; work may overwrite the block. Given nearest (n floats), it is set
-    to each point's distance to its nearest other point: every worker folds
-    its blocks into its own n floats (plus n of scratch), and those are
-    min-folded once all blocks are done.
-    """
-    from scipy.spatial.distance import cdist  # here, before any worker starts
-
-    n = z.shape[0]
-    rows, starts, workers = _block_plan(n)
-    # One allocation for all of them: freed at the top of the heap, it stays
-    # under glibc's trim threshold (twice the largest freed mmap chunk), so a
-    # later call reuses the pages instead of faulting them in again.
-    buffers = np.empty((workers, min(rows, n) * n))
-    folds = None if nearest is None else np.full((workers, 2, n), np.inf)
-    results: list = [None] * len(starts)
-
-    def run(t: int) -> None:
-        buf, flat = buffers[t], memoryview(buffers[t])  # a memmove per row, cheaper than numpy
-        for b in range(t, len(starts), workers):
-            i0 = starts[b]
-            i1, m = min(i0 + rows, n), n - i0
-            rect = buf[: (i1 - i0) * m].reshape(i1 - i0, m)
-            cdist(z[i0:i1], z[i0:], out=rect)
-            if folds is not None:
-                _fold_nearest(rect, i0, folds[t])
-            results[b] = work(buf[: _pack_upper(flat, flat, i1 - i0, m)])
-
-    _on_workers(workers, run)
-    if folds is not None:
-        np.min(folds[:, 0], axis=0, out=nearest)
     return results
 
 
@@ -336,25 +290,55 @@ def distance_matrix(normalized: NormalizedData) -> Geometry:
     count or the way the distances were computed, with the pairwise
     (Chan-Golub-LeVeque) update of count, mean and sum of squared
     deviations; each off-diagonal distance counts twice, and the n diagonal
-    zeros seed the running moments.
+    zeros seed the running moments. Each worker folds its blocks' nearest
+    distances into its own n floats (plus n of scratch), and those are
+    min-folded once all blocks are done.
     """
     z = normalized.values
     n = z.shape[0]
     if n < 2:
         raise ValueError("distance matrix needs at least 2 points")
+    _, workers = _block_plan(n)
+    folds = np.full((workers, 2, n), np.inf)
     if n * (n - 1) // 2 <= _ONE_PASS_PAIRS:
-        packed, nearest = _packed_triangle(z)
-        moments = _packed_blocks(packed, n, _block_moments)
+        packed = np.empty(n * (n - 1) // 2)
+        cols = np.ascontiguousarray(z.T)  # (d, n): one contiguous run per coordinate
+        tile_rows = max(1, _TILE_ENTRIES // n)
+        scratch = np.empty(min(tile_rows, n) * n)
+
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
+            """The block's rows in tiles at the start of rect's memory, each the
+            rectangle right of its first row's diagonal, so all but its small
+            lower corner is the triangle's: each is folded and packed while it
+            is in cache. Then the packed block is copied back over the tiles."""
+            i1 = i0 + rect.shape[0]
+            for a0 in range(i0, i1, tile_rows):
+                a1 = min(a0 + tile_rows, i1)
+                tile = rect.reshape(-1)[: (a1 - a0) * (n - a0)].reshape(a1 - a0, n - a0)
+                _kernel(cols[:, a0:a1], cols[:, a0:], tile, scratch[: tile.size].reshape(tile.shape))
+                _fold_nearest(tile, a0, folds[t])
+                _pack_upper(tile, packed[_row_offset(n, a0) :])
+            return _block_moments(_packed_block(packed, rect, i0))
+
     else:
-        packed, nearest = None, np.empty(n)
-        moments = _map_blocks(z, _block_moments, nearest)
+        from scipy.spatial.distance import cdist  # here, before any worker starts
+
+        packed = None
+
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
+            cdist(z[i0 : i0 + rect.shape[0]], z[i0:], out=rect)
+            _fold_nearest(rect, i0, folds[t])
+            flat = rect.reshape(-1)
+            return _block_moments(flat[: _pack_upper(rect, flat)])
+
     count, mean, m2 = float(n), 0.0, 0.0
-    for b_count, b_mean, b_m2 in moments:
+    for b_count, b_mean, b_m2 in _map_blocks(n, visit):
         total = count + b_count
         delta = b_mean - mean
         mean += delta * (b_count / total)
         m2 += b_m2 + delta * delta * (count * b_count / total)
         count = total
+    nearest = np.min(folds[:, 0], axis=0)
     return Geometry(
         dispersion=math.sqrt(m2 / count),
         nearest2=np.multiply(nearest, nearest, out=nearest),
@@ -504,10 +488,10 @@ def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
 
     With E = edges[m - 1], C_m pairs have a cdist distance D >= E, that is a
     bin of m or below; bin 1 holds C_1 pairs, bin m C_m - C_(m-1), and the
-    top bin the rest. Each of _block_plan's blocks estimates its squared
-    distances by matrix products and counts C_m on them where that is
-    certain; the blocks are spread over workers as _map_blocks spreads
-    them, and the integer counts do not depend on how.
+    top bin the rest. A visit of _map_blocks estimates its block's squared
+    distances by matrix products, counts C_m on them where that is certain,
+    and returns the block's bin counts; integer counts, whose sum does not
+    depend on the worker count.
 
     Let a and b be two rows of z, S the exact sum of the squares of a - b,
     M = |a|^2 + |b|^2 exactly, u = 2^-53 and g = gamma_(d+2) =
@@ -551,8 +535,8 @@ def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
     X overflows nowhere while every squared norm is below 2^1000; normalize
     keeps them below d n. Past that every block is binned exactly.
 
-    Each product covers at most _PRODUCT_VOLUME multiply-adds. A worker owns
-    a block buffer and a mask of as many booleans, both allocated here.
+    Each product covers at most _PRODUCT_VOLUME multiply-adds. Each worker
+    has a mask of as many booleans as its block buffer, allocated here.
     """
     from scipy.spatial.distance import cdist  # here, before any worker starts
 
@@ -567,16 +551,12 @@ def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
         lo = (below * below - tiny) * (1.0 - 4.0 * g)
     screen = bool(norms.max() < 2.0**1000)
     col_max = np.maximum.accumulate(norms[::-1])[::-1]  # largest norm of rows i..n-1
-    rows, starts, workers = _block_plan(n)
+    rows, workers = _block_plan(n)
     tile_rows = max(1, min(rows, math.isqrt(_PRODUCT_VOLUME // d)))
     tile_cols = max(1, _PRODUCT_VOLUME // (tile_rows * d))
     cols = z.T
-    buffers = np.empty((workers, min(rows, n) * n))
-    masks = np.empty(buffers.shape, dtype=bool)
+    masks = np.empty((workers, min(rows, n) * n), dtype=bool)
     lower = np.tri(min(rows, n), dtype=bool)
-    # per worker: C_1..C_(bins-1) and the pair count of its screened blocks
-    at_least = np.zeros((workers, bins), dtype=np.int64)
-    exact = np.zeros((workers, bins), dtype=np.int64)  # per worker: its exactly binned pairs
 
     def estimate(rect: np.ndarray, i0: int, i1: int) -> None:
         """X for rows i0..i1-1 against rows i0..n-1, into rect."""
@@ -589,33 +569,27 @@ def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
         rect += norms[i0:i1, None]
         rect += norms[i0:]
 
-    def run(t: int) -> None:
-        buf, flat = buffers[t], memoryview(buffers[t])
-        for b in range(t, len(starts), workers):
-            i0 = starts[b]
-            i1, m = min(i0 + rows, n), n - i0
-            r = i1 - i0
-            rect = buf[: r * m].reshape(r, m)
-            if screen:
-                estimate(rect, i0, i1)
-                np.copyto(rect[:, :r], -np.inf, where=lower[:r, :r])
-                delta = 4.0 * g * (norms[i0:i1].max() + col_max[i0]) + tiny
-                mask = masks[t, : r * m].reshape(r, m)
-                counts = []
-                for hi_m, lo_m in zip(hi + delta, lo - delta):
-                    above = np.count_nonzero(np.greater_equal(rect, hi_m, out=mask))
-                    if np.count_nonzero(np.greater_equal(rect, lo_m, out=mask)) != above:
-                        break
-                    counts.append(above)
-                else:
-                    at_least[t, :-1] += counts
-                    at_least[t, -1] += r * m - r * (r + 1) // 2
-                    continue
-            cdist(z[i0:i1], z[i0:], out=rect)
-            exact[t] += _bin_counts(buf[: _pack_upper(flat, flat, r, m)], dispersion, bins)
+    def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
+        r, m = rect.shape
+        if screen:
+            estimate(rect, i0, i0 + r)
+            np.copyto(rect[:, :r], -np.inf, where=lower[:r, :r])
+            delta = 4.0 * g * (norms[i0 : i0 + r].max() + col_max[i0]) + tiny
+            mask = masks[t, : r * m].reshape(r, m)
+            at_least = []  # C_1..C_(bins-1), then the block's pair count
+            for hi_m, lo_m in zip(hi + delta, lo - delta):
+                above = np.count_nonzero(np.greater_equal(rect, hi_m, out=mask))
+                if np.count_nonzero(np.greater_equal(rect, lo_m, out=mask)) != above:
+                    break
+                at_least.append(above)
+            else:
+                at_least.append(r * m - r * (r + 1) // 2)
+                return np.diff(at_least, prepend=0)
+        cdist(z[i0 : i0 + r], z[i0:], out=rect)
+        flat = rect.reshape(-1)
+        return _bin_counts(flat[: _pack_upper(rect, flat)], dispersion, bins)
 
-    _on_workers(workers, run)
-    return np.diff(at_least.sum(axis=0), prepend=0) + exact.sum(axis=0)
+    return sum(_map_blocks(n, visit))
 
 
 def build_affinity_model(
@@ -642,15 +616,17 @@ def build_affinity_model(
         )
     z = normalized.values
     n = z.shape[0]
-    histogram = affinity_histogram(np.ones(n), bins)
     if geometry.packed is None:
-        histogram += 2 * _screened_counts(z, dispersion, bins)
+        counts = _screened_counts(z, dispersion, bins)
     else:
-        for counts in _packed_blocks(geometry.packed, n, lambda b: _bin_counts(b, dispersion, bins)):
-            histogram += 2 * counts
+
+        def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
+            return _bin_counts(_packed_block(geometry.packed, rect, i0), dispersion, bins)
+
+        counts = sum(_map_blocks(n, visit))
+    histogram = affinity_histogram(np.ones(n), bins) + 2 * counts
     threshold, threshold_bin = select_threshold(histogram)
     return AffinityModel(
-        dispersion=dispersion,
         histogram=histogram,
         threshold=threshold,
         threshold_bin=threshold_bin,

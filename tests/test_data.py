@@ -42,6 +42,25 @@ def test_label_length_must_match():
         Dataset(points=np.ones((3, 2)), labels=np.array([1, 2]))
 
 
+@pytest.mark.parametrize(
+    ("labels", "shown"),
+    [
+        ([1.5, 2.7], "1.5"),
+        ([1.0, np.nan], "nan"),
+        ([np.inf, 1.0], "inf"),
+        (["a", "b"], "'a'"),
+        ([2**70, 1], str(2**70)),
+        (np.array([2**63, 1], dtype=np.uint64), str(2**63)),
+        ([None, 1], "None"),
+    ],
+)
+def test_labels_given_directly_must_be_int64_values(labels, shown):
+    """Labels passed to Dataset itself, not through load_dataset, are
+    refused unless each is an int64 value, naming the dataset and the label."""
+    with pytest.raises(IngestError, match=f"^toy: label {shown} is not a 64-bit integer"):
+        Dataset(points=np.zeros((2, 1)), labels=labels, name="toy")
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -99,6 +118,8 @@ def test_numeric_labels_pass_through(tmp_path):
 def test_integral_float_labels_are_accepted(tmp_path):
     d = load_dataset(write(tmp_path, "1,2,3.0\n3,4,5.0\n"), label_column=3)
     assert d.labels.tolist() == [3, 5]
+    direct = Dataset(points=np.zeros((2, 1)), labels=[3.0, -(2.0**63)]).labels
+    assert direct.dtype == np.int64 and direct.tolist() == [3, -(2**63)]
 
 
 def test_label_column_in_the_middle(tmp_path):

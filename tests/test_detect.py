@@ -154,7 +154,7 @@ def test_scan_matches_naive_reference(seed):
     pts = interesting_points(seed)
     norm, model = prepared(pts)
     got = find_clusters(norm, model)
-    expect = naive_find_clusters(norm.values, model.dispersion, model.threshold)
+    expect = naive_find_clusters(norm.values, distance_matrix(norm).dispersion, model.threshold)
     assert got.assignment.tolist() == expect
 
 
@@ -189,11 +189,12 @@ def ulps(a, b):
 
 
 def near_tie_models(z, model, target, reach=4):
-    """Copies of model whose affinity bar g* lies within reach ulps of target.
+    """Dispersions whose affinity bar g* lies within reach ulps of target,
+    each with a copy of model that carries that bar.
 
     g* is about 2sigma * -ln(threshold), so the dispersion is set from target
-    and stepped one bit pattern at a time around that value. Each copy
-    carries that dispersion, which the naive reference reads, and its bar.
+    and stepped one bit pattern at a time around that value; the naive
+    reference reads the dispersion, the scan the copy's bar.
     """
     two_sigma = target / -np.log(model.threshold)
     centre = int(np.array(two_sigma).view(np.int64))
@@ -202,7 +203,7 @@ def near_tie_models(z, model, target, reach=4):
         sigma = float(np.array(pattern).view(np.float64)) / 2.0
         bar = _affinity_bar(sigma, model.threshold)
         if abs(offset := ulps(target, bar)) <= reach:
-            found.setdefault(offset, replace(model, dispersion=sigma, bar=bar))
+            found.setdefault(offset, (sigma, replace(model, bar=bar)))
     return found
 
 
@@ -247,11 +248,11 @@ def test_skip_at_near_ties_with_the_bar(d, below):
         for target in (nearest2, floor):
             cases = near_tie_models(z, model, target)
             assert min(cases) < 0 < max(cases)
-            for case in cases.values():
+            for sigma, case in cases.values():
                 assert_skip_is_invisible(z, case)
                 taken[floor >= case.bar] += 1
                 got = find_clusters(nd_of(z), case)
-                expect = naive_find_clusters(z, case.dispersion, case.threshold)
+                expect = naive_find_clusters(z, sigma, case.threshold)
                 assert got.assignment.tolist() == expect
     assert taken[True] and taken[False]
 
@@ -285,7 +286,7 @@ def test_windowed_scan_matches_naive_reference_on_grids(pts):
     assume(geometry.dispersion > 0)
     model = build_affinity_model(norm, geometry)
     got = find_clusters(norm, model)
-    expect = naive_find_clusters(norm.values, model.dispersion, model.threshold)
+    expect = naive_find_clusters(norm.values, geometry.dispersion, model.threshold)
     assert got.assignment.tolist() == expect
     assert_skip_is_invisible(norm.values, model)
 
@@ -381,12 +382,13 @@ def test_affinity_bar_at_the_threshold_extremes(two_sigma, threshold):
 
 def test_model_bar_is_the_serial_bar_on_the_reference_seeds():
     for seed in range(30):
-        _, model = prepared(interesting_points(seed))
-        assert model.bar == serial_affinity_bar(2.0 * model.dispersion, model.threshold)
+        norm, model = prepared(interesting_points(seed))
+        two_sigma = 2.0 * distance_matrix(norm).dispersion
+        assert model.bar == serial_affinity_bar(two_sigma, model.threshold)
 
 
 def test_scan_reads_only_the_bar_and_floor_of_the_model():
-    """With the dispersion and threshold made NaN, every assignment stands."""
+    """With the threshold made NaN, every assignment stands."""
     sets = [interesting_points(seed) for seed in range(30)]
     sets.append(generate_synthetic(SyntheticSpec(
         cluster_count=10, points_per_cluster=20, dimension=16, center_scheme="axes",
@@ -394,7 +396,7 @@ def test_scan_reads_only_the_bar_and_floor_of_the_model():
     )).points)
     for pts in sets:
         norm, model = prepared(pts)
-        blind = replace(model, dispersion=np.nan, threshold=np.nan)
+        blind = replace(model, threshold=np.nan)
         expect = find_clusters(norm, model).assignment
         assert np.array_equal(find_clusters(norm, blind).assignment, expect)
 
@@ -404,10 +406,11 @@ def test_scan_matches_naive_reference_at_threshold_bin_one():
     # in bin 2 and a few in bin 1, so the threshold is bin 1's midpoint.
     pts = np.repeat(np.eye(4), 3, axis=0) + np.random.default_rng(1).normal(scale=0.1, size=(12, 4))
     norm = NormalizedData(pts, np.zeros(4), np.ones(4))
-    model = build_affinity_model(norm, distance_matrix(norm))
+    geometry = distance_matrix(norm)
+    model = build_affinity_model(norm, geometry)
     assert model.threshold_bin == 1
     got = find_clusters(norm, model)
-    expect = naive_find_clusters(norm.values, model.dispersion, model.threshold)
+    expect = naive_find_clusters(norm.values, geometry.dispersion, model.threshold)
     assert got.assignment.tolist() == expect
 
 

@@ -16,7 +16,6 @@ from affclust.data import SyntheticSpec, generate_synthetic
 from affclust.detect import extract_outliers, find_clusters
 from affclust.preprocess import (
     NormalizedData,
-    _packed_triangle,
     build_affinity_model,
     distance_matrix,
     normalize,
@@ -65,16 +64,16 @@ def test_kernel_matches_cdist_on_identical_rows_and_constant_columns():
 @pytest.mark.parametrize("tile_entries", [1, 64, 1 << 12, preprocess._TILE_ENTRIES, 1 << 20])
 @pytest.mark.parametrize(("n", "d"), [(2, 1), (5, 3), (90, 2), (300, 17), (700, 64)])
 def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, tile_entries, n, d):
-    """Tiles of one row, several rows, and one tile wider than the whole
-    triangle all pack cdist's upper triangle and fold the same nearest
-    distances."""
+    """Tiles of one row, several rows, and one tile wider than a whole block
+    all pack cdist's upper triangle and fold the same nearest distances."""
     monkeypatch.setattr(preprocess, "_TILE_ENTRIES", tile_entries)
     z = np.random.default_rng(n * d).normal(size=(n, d))
-    packed, nearest = _packed_triangle(z)
+    geometry = distance_matrix(NormalizedData(z, z.mean(0), z.std(0)))
     dense = cdist(z, z)
-    assert same_bits(packed, upper(dense))
+    assert same_bits(geometry.packed, upper(dense))
     np.fill_diagonal(dense, np.inf)
-    assert same_bits(nearest, dense.min(axis=1))
+    nearest = dense.min(axis=1)
+    assert same_bits(geometry.nearest2, nearest * nearest)
 
 
 def test_merge_centroid_distances_match_cdist(monkeypatch):

@@ -30,7 +30,6 @@ from affclust import pipeline, preprocess
 from affclust.pipeline import run_pipeline
 from affclust.preprocess import (
     NormalizedData,
-    _map_blocks,
     affinity_edges,
     affinity_histogram,
     build_affinity_model,
@@ -90,16 +89,38 @@ def each_path(monkeypatch):
         yield path
 
 
+def folded_blocks(z):
+    """z's geometry and the row blocks its distance pass folds, in block order.
+
+    A spy on _block_moments copies each block it is given. Under 2 or 3
+    workers the blocks arrive out of order, so each is keyed by its first
+    row i0, which its size gives: a block of r rows from row i0 holds
+    r (n - i0) - r (r + 1) / 2 pairs, a count that falls as i0 grows.
+    """
+    n = z.shape[0]
+    rows = max(1, preprocess._BLOCK_ENTRIES // n)
+    first_row = {}
+    for i0 in range(0, n - 1, rows):
+        r = min(rows, n - i0)
+        first_row[r * (n - i0) - r * (r + 1) // 2] = i0
+    moments, blocks = preprocess._block_moments, {}
+
+    def spy(block):
+        blocks[first_row[block.size]] = block.copy()
+        return moments(block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preprocess, "_block_moments", spy)
+        geometry = distance_matrix(nd(z))
+    assert sorted(blocks) == sorted(first_row.values())
+    return geometry, [blocks[i0] for i0 in sorted(blocks)]
+
+
 def streamed_upper(z):
-    """Every distance the block stream yields, concatenated in stream order."""
-    return np.concatenate(_map_blocks(z, np.copy))
-
-
-def path_blocks(z, geometry):
-    """The row blocks the geometry's path bins: its packed triangle's, or the stream's."""
-    if geometry.packed is None:
-        return _map_blocks(z, np.copy)
-    return preprocess._packed_blocks(geometry.packed, z.shape[0], np.copy)
+    """Every distance the streamed path's blocks hold, concatenated in block order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+        return np.concatenate(folded_blocks(z)[1])
 
 
 def serial_blocks(z):
@@ -313,8 +334,8 @@ def test_streamed_model_matches_dense_reference(monkeypatch, n):
     for _ in each_path(monkeypatch):
         for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
             dist = dense_distances(z)
-            geometry = distance_matrix(nd(z))
-            got = np.concatenate(path_blocks(z, geometry))
+            geometry, blocks = folded_blocks(z)
+            got = np.concatenate(blocks)
             assert np.array_equal(got, dist[np.triu_indices(n, 1)])
             assert geometry.dispersion == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
             model = build_affinity_model(nd(z), geometry, bins=10)
@@ -334,7 +355,7 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
     last block. Three workers outnumber this machine's cores when it has two,
     and a short switch interval interleaves them often: a lost or misplaced
     block result would break the comparison. The one-pass path runs on the
-    calling thread; it must cut its packed triangle into the same blocks.
+    calling thread; it must cut the triangle into the same blocks.
     """
     monkeypatch.setattr(preprocess, "_available_cores", lambda: cores)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
@@ -344,8 +365,8 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
     try:
         for _ in each_path(monkeypatch):
             for z in (rng.normal(size=(n, 3)), np.eye(n)):
-                geometry = distance_matrix(nd(z))
-                got, expect = path_blocks(z, geometry), list(serial_blocks(z))
+                geometry, got = folded_blocks(z)
+                expect = list(serial_blocks(z))
                 assert len(got) == len(expect)
                 assert all(np.array_equal(g, e) for g, e in zip(got, expect))
                 assert geometry.dispersion.hex() == serial_dispersion(n, expect).hex()
@@ -417,6 +438,26 @@ def test_one_pass_memory_is_the_packed_triangle_plus_one_block():
     for field in dataclasses.fields(models[0]):
         value = getattr(models[0], field.name)
         assert np.size(value) <= n, field.name
+
+
+def test_one_pass_path_stays_on_the_calling_thread(monkeypatch):
+    """Below the cap, with four cores on offer, neither pass starts a thread:
+    _block_plan gives the one-pass path one worker, the calling thread, and
+    the memory budget at the cap counts on it. Above the cap the same input
+    would start a pool."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(preprocess, "_available_cores", lambda: 4)
+    monkeypatch.setattr(preprocess, "ThreadPoolExecutor", no_pool)
+    norm = cap_points()
+    geometry = distance_matrix(norm)
+    assert geometry.packed is not None
+    assert build_affinity_model(norm, geometry).histogram.sum() == norm.n_points**2
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    with pytest.raises(AssertionError, match="thread pool"):
+        distance_matrix(norm)
 
 
 def test_run_result_does_not_keep_the_packed_triangle(monkeypatch):
@@ -677,8 +718,9 @@ def test_all_negative_jumps_still_pick_a_bin():
 
 def test_model_composition_is_consistent():
     norm = normalize(random_dataset(61))
-    model = model_of(norm, bins=10)
-    assert model.dispersion == distance_matrix(norm).dispersion
+    geometry = distance_matrix(norm)
+    model = build_affinity_model(norm, geometry, bins=10)
+    assert model.bar == preprocess._affinity_bar(geometry.dispersion, model.threshold)
     assert model.histogram.size == 10
     assert model.histogram.sum() == norm.n_points**2
     assert model.threshold == (model.threshold_bin - 0.5) / model.histogram.size
