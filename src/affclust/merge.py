@@ -49,8 +49,13 @@ def _group_stats(values: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray
     sizes = np.bincount(assignment, minlength=p + 1)[1:]
     if (sizes == 0).any():
         raise ValueError("assignment ids must be contiguous 1..p")
-    centroids = np.zeros((p, values.shape[1]))
-    np.add.at(centroids, assignment[assignment > 0] - 1, values[assignment > 0])
+    mask = assignment > 0
+    ids = assignment[mask] - 1
+    members = values[mask]
+    # bincount adds each column's weights in index order, as np.add.at would
+    centroids = np.empty((p, values.shape[1]))
+    for col in range(values.shape[1]):
+        centroids[:, col] = np.bincount(ids, weights=members[:, col], minlength=p)
     centroids /= sizes[:, None]
     return centroids, sizes
 
@@ -156,8 +161,11 @@ def merge_clusters(
         dist[alive, a] = row
         dist[a, a] = np.inf
 
-    merged = relabel(work, np.flatnonzero(active) + 1)
-    cost_after = normalized_within_cost(values, merged)
+    if steps:
+        merged = relabel(work, np.flatnonzero(active) + 1)
+        cost_after = normalized_within_cost(values, merged)
+    else:  # the partition is base itself, so its cost is cost_before's bits
+        merged, cost_after = base, cost_before
     accepted = cost_after <= cost_before
     return MergePlan(
         initial_count=p,

@@ -1,5 +1,6 @@
 """Detection scan: sequential absorption, incremental centroids, outliers."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from affclust import detect
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic
 from affclust.detect import (
     _FIRST_WINDOW,
@@ -44,8 +46,46 @@ def snapshot(state):
     return [a.copy() for a in (state.assignment, state.centroids, state.sizes, state.bar)]
 
 
+def oracle_absorb_pass(state, k):
+    """The detection pass with one window of exact gap2 per join or shift.
+
+    Semantically a plain j = 1..n loop. Between two modifications nothing
+    changes, so positions are tested in vectorized windows: a window with no
+    hit is skipped and the next one is twice as wide, a hit is applied and
+    the scan resumes right after it with a narrower window. Each window is
+    one comparison, gap2 < bar, against the centroid as it stands. The
+    production pass must make its add_point and remove_point calls, in its
+    order.
+    """
+    z = state.points
+    n = z.shape[0]
+    assignment = state.assignment
+    bar = state.bar
+    j = 0
+    width = _FIRST_WINDOW
+    while j < n:
+        stop = min(j + width, n)
+        diff = z[j:stop] - state.centroids[k]
+        hits = np.einsum("ij,ij->i", diff, diff) < bar[j:stop]
+        pos = hits.argmax()
+        if not hits[pos]:
+            j = stop
+            width *= 2
+            continue
+        jj = j + int(pos)
+        donor = int(assignment[jj])
+        if donor != 0:
+            state.remove_point(jj)
+            state.refresh_bar(donor)
+        state.add_point(k, jj)
+        j = jj + 1
+        width = max(_FIRST_WINDOW, width // 2)
+    state.refresh_bar(k)
+
+
 def oracle_sweep(z, model):
-    """_sweep with every pass it skips run anyway, asserting the pass changed nothing.
+    """_sweep with the oracle pass, and with every pass production skips run
+    anyway, asserting the pass changed nothing.
 
     Returns the final state, which must be production's, and the number of
     passes production skips.
@@ -59,7 +99,7 @@ def oracle_sweep(z, model):
             state.bar[i] = 0.0
             skip = model.floor[i] >= state.bar.max()
             before = snapshot(state)
-            _absorb_pass(state, k)
+            oracle_absorb_pass(state, k)
             if skip:
                 skipped += 1
                 after = snapshot(state)
@@ -73,6 +113,49 @@ def assert_skip_is_invisible(z, model):
     got = _sweep(z, model)
     assert all(np.array_equal(g, e) for g, e in zip(snapshot(got), snapshot(expect)))
     return skipped
+
+
+# Budget shares of sqrt(g*) the sweep is checked at besides production's
+# (None): a smaller budget ends more windows on a join, a larger one lets
+# the centroid drift further before a window ends.
+SHARES = (None, 0.125, 0.25, 2.0)
+
+
+def moves(run, share=None):
+    """The add_point and remove_point calls run() makes, as (op, k, j), and
+    a snapshot of the state it returns, with the drift budget at share."""
+    calls = []
+    add, remove = ClusterState.add_point, ClusterState.remove_point
+
+    def logged_add(self, k, j):
+        calls.append(("add", int(k), int(j)))
+        add(self, k, j)
+
+    def logged_remove(self, j):
+        calls.append(("remove", int(self.assignment[j]), int(j)))
+        return remove(self, j)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ClusterState, "add_point", logged_add)
+        m.setattr(ClusterState, "remove_point", logged_remove)
+        if share is not None:
+            m.setattr(detect, "_BUDGET", share)
+        state = run()
+    return calls, snapshot(state)
+
+
+def assert_same_moves(got, expect):
+    assert got[0] == expect[0]
+    assert all(np.array_equal(g, e) for g, e in zip(got[1], expect[1]))
+
+
+def assert_moves_are_the_oracles(z, model, shares=SHARES):
+    """Production's sweep makes the oracle's calls, in its order, and ends in
+    its state, bit for bit, at every budget share. Returns the calls."""
+    expect = moves(lambda: oracle_sweep(z, model)[0])
+    for share in shares:
+        assert_same_moves(moves(lambda: _sweep(z, model), share), expect)
+    return expect[0]
 
 
 def gap2(z, j, c):
@@ -156,6 +239,7 @@ def test_scan_matches_naive_reference(seed):
     got = find_clusters(norm, model)
     expect = naive_find_clusters(norm.values, distance_matrix(norm).dispersion, model.threshold)
     assert got.assignment.tolist() == expect
+    assert_moves_are_the_oracles(norm.values, model)
 
 
 def test_skipped_passes_change_nothing_on_the_reference_seeds():
@@ -172,7 +256,8 @@ def test_skipped_passes_change_nothing_on_the_reference_seeds():
 @pytest.mark.parametrize("seed", [1, 2, 7])
 def test_skipped_passes_change_nothing_on_small_noisy_sets(seed, dimension):
     """noisy-64d's shape at 20 points per cluster: its noise points are
-    the singletons the skip is for."""
+    the singletons the skip is for, and its clusters' passes join many
+    points per window."""
     spec = SyntheticSpec(
         cluster_count=10, points_per_cluster=20, dimension=dimension,
         center_scheme="axes", center_separation=24.0, noise_fraction=0.10,
@@ -181,6 +266,7 @@ def test_skipped_passes_change_nothing_on_small_noisy_sets(seed, dimension):
     dataset = generate_synthetic(spec)
     norm, model = prepared(dataset.points)
     assert assert_skip_is_invisible(norm.values, model) >= 0.9 * (dataset.labels == 0).sum()
+    assert_moves_are_the_oracles(norm.values, model)
 
 
 def ulps(a, b):
@@ -288,7 +374,7 @@ def test_windowed_scan_matches_naive_reference_on_grids(pts):
     got = find_clusters(norm, model)
     expect = naive_find_clusters(norm.values, geometry.dispersion, model.threshold)
     assert got.assignment.tolist() == expect
-    assert_skip_is_invisible(norm.values, model)
+    assert_moves_are_the_oracles(norm.values, model)
 
 
 def test_own_distance_cache_is_fresh_after_full_scan():
@@ -301,6 +387,134 @@ def test_own_distance_cache_is_fresh_after_full_scan():
     assert (state.assignment > 0).all()
     diff = norm.values - state.centroids[state.assignment]
     assert np.array_equal(state.bar, np.einsum("ij,ij->i", diff, diff))
+
+
+# ---------------------------------------------------------------------------
+# drift-bounded windows versus the oracle pass
+
+def corpus_shape(i, seed=1009):
+    """Set i of perfbench's corpus-cli grid: n 100-950, d 2-16, k 2-8,
+    noise 0-10%."""
+    k = 2 + (5 * i) % 7
+    noise = (0.0, 0.05, 0.10)[i % 3]
+    n_target = 100 + (7 * i) % 18 * 50
+    return SyntheticSpec(
+        cluster_count=k, points_per_cluster=max(2, round(n_target / (k * (1.0 + noise)))),
+        dimension=(2, 4, 8, 16)[i % 4], noise_fraction=noise, seed=seed * 1000 + i,
+    )
+
+
+@functools.cache
+def swept_shapes():
+    """The nine smallest sets of the grid, which corpus-cli sweeps over bins 2..30."""
+    sizes = [generate_synthetic(corpus_shape(i)).n_points for i in range(24)]
+    return sorted(sorted(range(24), key=lambda i: (sizes[i], i))[:9])
+
+
+@pytest.mark.parametrize("i", range(24))
+def test_moves_match_the_oracle_on_the_corpus_shapes(i):
+    """Every set at 10 bins and every budget share, and the swept sets at
+    production's budget at every bin count corpus-cli sweeps."""
+    norm = normalize(generate_synthetic(corpus_shape(i)))
+    geometry = distance_matrix(norm)
+    for bins in range(2, 31) if i in swept_shapes() else [10]:
+        model = build_affinity_model(norm, geometry, bins=bins)
+        assert_moves_are_the_oracles(norm.values, model, SHARES if bins == 10 else (None,))
+
+
+def pass_moves(z, bar, share=None):
+    """One pass opened at point 0, every other point unassigned with join bar
+    bar: the oracle's moves if share is None, else production's at that
+    budget share."""
+
+    def run():
+        state = ClusterState(z)
+        state.bar.fill(bar)
+        k = state.open_cluster(0)
+        state.bar[0] = 0.0
+        if share is None:
+            oracle_absorb_pass(state, k)
+        else:
+            _absorb_pass(state, k, share * np.sqrt(bar))
+        return state
+
+    return moves(run)
+
+
+@pytest.mark.parametrize("d", [2, 5, 64])
+def test_a_row_within_ulps_of_its_bar_after_several_joins(d):
+    """Five points join, then row 6 sits within a few ulps of the bar from
+    the centroid it meets. Its gap2 against the window's first centroid
+    differs from that by about the drift, so no bound can decide it: it is
+    recomputed, and the oracle's decision flips across the offsets."""
+    rng = np.random.default_rng(d)
+    core = rng.normal(scale=0.2 / np.sqrt(d), size=(6, d))
+    state = ClusterState(core)
+    k = state.open_cluster(0)
+    for j in range(1, 6):
+        state.add_point(k, j)
+    centroid = state.centroids[k]
+    step = rng.normal(size=d)
+    tail = rng.normal(scale=0.2 / np.sqrt(d), size=(3, d))
+    z = np.vstack([core, centroid + step / np.linalg.norm(step), tail])
+    tie = gap2(z, 6, centroid)[0]
+    joined = set()
+    for offset in range(-4, 5):
+        bar = float(np.array(int(np.array(tie).view(np.int64)) + offset).view(np.float64))
+        expect = pass_moves(z, bar)
+        for share in (0.25, 0.5, 2.0):
+            assert_same_moves(pass_moves(z, bar, share), expect)
+        joined.add(("add", 1, 6) in expect[0])
+    assert joined == {True, False}
+
+
+def test_a_tight_cluster_far_from_the_origin():
+    """Points a few ulps apart around |c0| = 2^10..2^30, with the bar a few
+    ulps wide: the centroid's own roundings move it by as much as the joins
+    do, so the decisions rest on the bound's rounding terms."""
+    flips = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 4))
+        offset = 2.0 ** int(rng.integers(10, 31))
+        ulp = offset * 2.0**-52
+        z = offset + rng.integers(-8, 9, size=(int(rng.integers(8, 40)), d)) * ulp
+        bar = (rng.uniform(1.5, 6.0) * ulp) ** 2
+        expect = pass_moves(z, bar)
+        for share in (0.25, 0.5):
+            assert_same_moves(pass_moves(z, bar, share), expect)
+        flips += 0 < len(expect[0]) < z.shape[0] - 1
+    assert flips > 100
+
+
+@pytest.mark.parametrize("points, budget", [
+    # one join from the singleton drifts 0.45 > 0.25: the window must end there
+    ([0.0, 0.9, 1.0, 2.48], 0.25),
+    # two joins drift 0.62 > 0.5 in all: the window must end on the second
+    ([0.0, 0.9, 0.95, 1.0, 1.98], 0.5),
+])
+def test_a_shift_just_past_the_budget(points, budget):
+    """The join bar is 1, so the budget is its share. The last two points
+    form another cluster. Against the first centroid
+    the first of them is further from k than from its own centroid by just
+    over the budget, so it is no candidate; the joins before it move k's
+    centroid further than that, and it shifts."""
+    z = np.array(points)[:, None]
+
+    def run(absorb):
+        state = ClusterState(z)
+        state.bar.fill(1.0)
+        other = state.open_cluster(len(points) - 2)
+        state.add_point(other, len(points) - 1)
+        state.refresh_bar(other)
+        k = state.open_cluster(0)
+        state.bar[0] = 0.0
+        absorb(state, k)
+        return state
+
+    expect = moves(lambda: run(oracle_absorb_pass))
+    assert ("remove", 1, len(points) - 2) in expect[0]
+    assert_same_moves(moves(lambda: run(lambda state, k: _absorb_pass(state, k, budget))), expect)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,26 @@
 """Merge phase: count estimation, greedy merging, cost verdict, na reporting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affclust.detect import Clustering
+from affclust.data import SyntheticSpec, generate_synthetic, load_dataset
+from affclust.detect import Clustering, extract_outliers, find_clusters
 from affclust.errors import DegenerateDataError
 from affclust.merge import (
     MergePlan,
+    _group_stats,
     estimate_cluster_count,
     merge_clusters,
     normalized_within_cost,
     report_cluster_count,
 )
-from affclust.preprocess import NormalizedData
+from affclust.preprocess import NormalizedData, build_affinity_model, distance_matrix, normalize
+
+SYNTHETIC = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 
 
 def nd(rows):
@@ -137,6 +143,52 @@ def test_cost_rejects_gapped_ids():
         normalized_within_cost(np.zeros((3, 2)), [1, 3, 3])
 
 
+def add_at_group_stats(values, assignment):
+    """_group_stats with the member sums formed by np.add.at: the bit oracle."""
+    p = int(assignment.max())
+    sizes = np.bincount(assignment, minlength=p + 1)[1:]
+    centroids = np.zeros((p, values.shape[1]))
+    np.add.at(centroids, assignment[assignment > 0] - 1, values[assignment > 0])
+    centroids /= sizes[:, None]
+    return centroids, sizes
+
+
+def assert_group_stats_are_add_ats(values, assignment):
+    got, expect = _group_stats(values, assignment), add_at_group_stats(values, assignment)
+    assert got[0].tobytes() == expect[0].tobytes()
+    assert np.array_equal(got[1], expect[1])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_group_stats_are_the_add_at_sums_bit_for_bit(seed):
+    """Random partitions with outliers (id 0), from one to many columns."""
+    rng = np.random.default_rng(seed)
+    p, d = int(rng.integers(1, 12)), int(rng.integers(1, 70))
+    n = int(rng.integers(p, 400))
+    values = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, d))
+    # every id 1..p at least once, the rest drawn with outliers
+    assignment = rng.permutation(np.concatenate([np.arange(1, p + 1), rng.integers(0, p + 1, n - p)]))
+    assert_group_stats_are_add_ats(values, assignment)
+
+
+def golden_inputs():
+    """The points of the golden reports' clustering cases."""
+    for k in range(2, 7):
+        yield load_dataset(SYNTHETIC / f"blobs-k{k}.csv", label_column=9)
+    yield generate_synthetic(SyntheticSpec(
+        cluster_count=15, points_per_cluster=70, dimension=2, center_separation=12.0, seed=4
+    ))
+
+
+def test_group_stats_are_the_add_at_sums_on_the_golden_inputs():
+    """The detected clusters, outliers excluded, of the golden clustering cases."""
+    for dataset in golden_inputs():
+        norm = normalize(dataset)
+        model = build_affinity_model(norm, distance_matrix(norm))
+        cleaned = extract_outliers(find_clusters(norm, model))
+        assert_group_stats_are_add_ats(norm.values, cleaned.assignment)
+
+
 # ---------------------------------------------------------------------------
 # greedy merging
 
@@ -146,7 +198,7 @@ def test_identity_merge_keeps_everything():
     plan = merge_clusters(z, clustering, 2)
     assert plan.merge_steps == []
     assert plan.accepted
-    assert plan.cost_after == plan.cost_before
+    assert plan.cost_after is plan.cost_before  # the partition is base: no second cost pass
     assert np.array_equal(plan.final_assignment, clustering.assignment)
     assert plan.final_count == 2
 
