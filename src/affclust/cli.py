@@ -27,7 +27,7 @@ from .evaluate import (
     pair_counts,
 )
 from .pipeline import SCHEMA_VERSION, RunResult, run_pipeline
-from .preprocess import build_affinity_model, distance_matrix, normalize
+from .preprocess import Uncertain, build_affinity_model, distance_matrix, normalize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -307,13 +307,23 @@ def cmd_evaluate(args) -> int:
 def cmd_histogram(args) -> int:
     dataset = _load_input(args)
     normalized = normalize(dataset)
-    geometry = distance_matrix(normalized)
-    # Identical points have no affinity histogram: report null counts and
-    # threshold, then exit 3.
-    degenerate = geometry.dispersion <= 0.0
+
+    def model_of(exact: bool):
+        """The affinity model, or None for identical points, which have no
+        affinity histogram: null counts and threshold are reported, and the
+        exit code is 3."""
+        geometry = distance_matrix(normalized, exact=exact)
+        if geometry.dispersion <= 0.0:
+            return None
+        return build_affinity_model(normalized, geometry, bins=args.bins)
+
+    try:
+        model = model_of(False)
+    except Uncertain:  # the product geometry left a count undecided
+        model = model_of(True)
+    degenerate = model is None
     counts = threshold_bin = threshold = None
     if not degenerate:
-        model = build_affinity_model(normalized, geometry, bins=args.bins)
         counts, threshold_bin, threshold = model.histogram, model.threshold_bin, model.threshold
     edges = [(i / args.bins, (i + 1) / args.bins) for i in range(args.bins)]
     payload = {

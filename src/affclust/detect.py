@@ -11,16 +11,24 @@ points see. Singleton clusters are peeled off afterwards as outliers.
 The sweep is evaluated in windows of squared distances, gap2, to the open
 centroid, each compared with a per-point bar: an assigned point's cached
 distance to its own centroid, refreshed only for clusters whose centroid
-moved, or an unassigned point's join bar, the affinity model's bar g*.
-Neither changes a decision: a squared distance is always the row-wise einsum
-of z - c, whose value for a row does not depend on which other rows share
-the call, and gap2 < g* is the affinity test itself. A window with no hit
-is skipped and the next one is twice as wide. After a window's first hit,
-its later rows keep the decision their gap2 gives while a certified bound
-on how far the joins since have moved the centroid cannot overturn it; only
-the rows near their bar are recomputed, one at a time. So a pass costs
-about one O(n * d) scan, one add_point per join, and a window per shift or
-per spent drift budget.
+moved, or an unassigned point's join bar, the affinity model's bar g*
+(its upper end, below). Neither changes a decision: a squared distance is
+always the row-wise einsum of z - c, whose value for a row does not depend
+on which other rows share the call, and gap2 < g* is the affinity test
+itself. A window with no hit is skipped and the next one is twice as wide.
+After a window's first hit, its later rows keep the decision their gap2
+gives while a certified bound on how far the joins since have moved the
+centroid cannot overturn it; only the rows near their bar are recomputed,
+one at a time. So a pass costs about one O(n * d) scan, one add_point per
+join, and a window per shift or per spent drift budget.
+
+The model's join bar is an interval when it was built on the product
+geometry: g* at both ends of the dispersion interval, which holds the exact
+run's g*. Hits are found under the upper end, but an unassigned point joins
+only when its gap2 certainly lies below the lower end; a gap2 between the
+two raises Uncertain, and the caller reruns from the exact geometry. Below
+the lower end, or from the upper end up, every g* in the interval takes the
+same decision, so the joins are the exact run's.
 
 Most noise points open a cluster whose pass cannot move anything, and such a
 pass is skipped. Every bar is current when a pass starts, and the centroid of
@@ -38,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import AffinityModel, NormalizedData
+from .preprocess import AffinityModel, NormalizedData, Uncertain
 
 # Width of the first window a sweep tests.
 _FIRST_WINDOW = 32
@@ -89,10 +97,11 @@ class ClusterState:
     sentinel so assignment values can index it directly.
 
     bar[i] is the squared distance to the open cluster's centroid below
-    which point i joins or shifts to it: the join bar g* while i is
-    unassigned, 0.0 if it opened the open cluster, else its squared distance
-    to its own centroid. add_point and remove_point leave it alone; the scan
-    sets it and calls refresh_bar for every centroid it moved.
+    which point i shifts to it, or may join it: the upper join bar while i
+    is unassigned, 0.0 if it opened the open cluster, else its squared
+    distance to its own centroid. add_point and remove_point leave it
+    alone; the scan sets it and calls refresh_bar for every centroid it
+    moved.
 
     members[k] lists cluster k's points in no particular order, so a refresh
     touches only the cluster's rows, and its length is the cluster's size.
@@ -159,7 +168,7 @@ class ClusterState:
         return Clustering(assignment=relabel(self.assignment, keep), sizes=sizes[keep])
 
 
-def _absorb_pass(state: ClusterState, k: int, budget: float) -> None:
+def _absorb_pass(state: ClusterState, k: int, budget: float, join: float) -> None:
     """One full sweep on behalf of freshly opened cluster k.
 
     Semantically a plain j = 1..n loop. Between two joins only k's centroid
@@ -173,6 +182,12 @@ def _absorb_pass(state: ClusterState, k: int, budget: float) -> None:
     Points that join k fall behind the scan and keep stale bars until the
     sweep ends and refreshes k's. A shift refreshes the donor's at once, so
     it ends the window, and the scan resumes right after it.
+
+    An unassigned row's bar is the upper join bar; join is the lower one.
+    Such a row joins when its gap2 against the centroid it meets is below
+    join, and raises Uncertain when that gap2 is a hit but not below join.
+    An assigned row's lower bar is its bar. Below, "moves" is certain
+    against the lower bar and "does not move" against the upper one.
 
     Let g = gap2_j and b = bar[j] for a later row j, and c_t k's centroid
     after t joins in this window, with |c_t - c0| <= D. The einsum rounds
@@ -220,6 +235,7 @@ def _absorb_pass(state: ClusterState, k: int, budget: float) -> None:
     members = state.members[k]
     low, high = 1.0 - (d + 8) * _U, 1.0 + (d + 8) * _U  # 1 -+ eps
     grow = 1.0 + 16.0 * _U
+    join_root = math.sqrt(join)
     j = 0
     width = _FIRST_WINDOW
     while j < n:
@@ -242,14 +258,19 @@ def _absorb_pass(state: ClusterState, k: int, budget: float) -> None:
         resume = stop
         for r, a, b in zip(rows.tolist(), root[rows].tolist(), bar_root[rows].tolist()):
             jj = j + r
-            if drift:  # 0.0 only at rows[0], the window's first hit
-                if a * low - b * high > drift:
-                    continue
-                if b * low - a * high <= drift:
-                    diff = z[jj : jj + 1] - centroid
-                    if not np.einsum("ij,ij->i", diff, diff)[0] < bar[jj]:
-                        continue
             donor = assignment[jj]
+            if not drift:  # 0.0 only at rows[0], the window's first hit
+                if not (donor or gap2[pos] < join):
+                    raise Uncertain("a gap2 lies between the join bars")
+            elif a * low - b * high > drift:
+                continue
+            elif (b if donor else join_root) * low - a * high <= drift:
+                diff = z[jj : jj + 1] - centroid
+                gap = np.einsum("ij,ij->i", diff, diff)[0]
+                if not gap < bar[jj]:
+                    continue
+                if not (donor or gap < join):
+                    raise Uncertain("a gap2 lies between the join bars")
             if donor:
                 state.remove_point(jj)
                 state.refresh_bar(donor)
@@ -276,15 +297,16 @@ def _sweep(z: np.ndarray, model: AffinityModel) -> ClusterState:
     can join or shift to the singleton, so the pass would change nothing.
     The cluster is still opened, so the counts of opened clusters agree.
     """
+    join, upper = model.bar
     state = ClusterState(z)
-    state.bar.fill(model.bar)
-    budget = _BUDGET * math.sqrt(model.bar)
+    state.bar.fill(upper)
+    budget = _BUDGET * math.sqrt(upper)
     for i in range(z.shape[0]):
         if state.assignment[i] == 0:
             k = state.open_cluster(i)
             state.bar[i] = 0.0
             if model.floor[i] < state.bar.max():
-                _absorb_pass(state, k, budget)
+                _absorb_pass(state, k, budget, join)
     return state
 
 

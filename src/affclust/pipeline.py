@@ -8,9 +8,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .detect import extract_outliers, find_clusters
+from .detect import Clustering, extract_outliers, find_clusters
 from .merge import MergePlan, estimate_cluster_count, merge_clusters, report_cluster_count
-from .preprocess import build_affinity_model, distance_matrix, normalize
+from .preprocess import (
+    AffinityModel,
+    NormalizedData,
+    Uncertain,
+    build_affinity_model,
+    distance_matrix,
+    normalize,
+)
 
 SCHEMA_VERSION = 1
 
@@ -22,7 +29,9 @@ class RunResult:
     assignment holds final 1-based cluster ids with 0 for outliers;
     outlier_points are 0-based indices into the input order. reported_count
     is None when the final count exceeded sqrt(n) and was withheld.
-    timings_ms is informational only and excluded from deterministic output.
+    timings_ms is informational only and excluded from deterministic output;
+    it holds an "exact" entry, the rerun from the exact geometry, only when
+    the product geometry left a decision uncertain.
     """
 
     name: str
@@ -50,25 +59,20 @@ class RunResult:
         return int(self.outlier_points.size)
 
 
-def run_pipeline(dataset: Dataset, bins: int = 10) -> RunResult:
-    """Cluster one dataset with no tuning beyond the histogram bin count.
+def _detect(
+    norm: NormalizedData, bins: int, exact: bool, timings: dict[str, float]
+) -> tuple[AffinityModel | None, Clustering]:
+    """The affinity model and the clustering detection leaves once the
+    outliers are out, from the product geometry or, when exact is set, the
+    exact one; timings gets each stage's wall time.
 
-    Degenerate inputs do not raise here: identical points come back as a
-    single all-points cluster with no threshold, and an all-singleton
-    detection comes back with zero clusters and no merge costs, both flagged
-    degenerate so callers can set exit status.
+    Zero dispersion means every point coincides: there is no affinity model,
+    and detection returns one all-points cluster whose merge is trivial.
     """
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    norm = normalize(dataset)
-    timings["normalize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    geometry = distance_matrix(norm)
+    geometry = distance_matrix(norm, exact=exact)
     timings["distances"] = time.perf_counter() - t0
 
-    # Zero dispersion means every point coincides: there is no affinity model,
-    # and detection returns one all-points cluster whose merge is trivial.
     model = None
     if geometry.dispersion > 0.0:
         t0 = time.perf_counter()
@@ -77,9 +81,33 @@ def run_pipeline(dataset: Dataset, bins: int = 10) -> RunResult:
     del geometry  # its packed distances are not needed once the threshold is known
 
     t0 = time.perf_counter()
-    detected = find_clusters(norm, model)
-    cleaned = extract_outliers(detected)
+    cleaned = extract_outliers(find_clusters(norm, model))
     timings["detect"] = time.perf_counter() - t0
+    return model, cleaned
+
+
+def run_pipeline(dataset: Dataset, bins: int = 10) -> RunResult:
+    """Cluster one dataset with no tuning beyond the histogram bin count.
+
+    Degenerate inputs do not raise here: identical points come back as a
+    single all-points cluster with no threshold, and an all-singleton
+    detection comes back with zero clusters and no merge costs, both flagged
+    degenerate so callers can set exit status. A count or join the product
+    geometry leaves uncertain reruns the model and detection from the exact
+    geometry, which gives the same result the product geometry gives
+    wherever it decides.
+    """
+    timings: dict[str, float] = {}
+    t0 = time.perf_counter()
+    norm = normalize(dataset)
+    timings["normalize"] = time.perf_counter() - t0
+
+    try:
+        model, cleaned = _detect(norm, bins, False, timings)
+    except Uncertain:
+        t0 = time.perf_counter()
+        model, cleaned = _detect(norm, bins, True, {})
+        timings["exact"] = time.perf_counter() - t0
 
     merged = cleaned.cluster_count > 0  # zero when every detected cluster was a singleton
     if merged:

@@ -1,20 +1,18 @@
 """Normalization, pairwise geometry and the histogram-based affinity threshold.
 
 Every quantity downstream of the raw points is derived here: column z-scores,
-the dispersion of all n x n Euclidean distances, each point's distance to its
-nearest other point, the histogram of the Gaussian affinities, and the
-data-driven threshold picked from it. Nothing in this module is tunable
-except the bin count.
+the dispersion of all n x n Euclidean distances, a lower bound on each
+point's distance to its nearest other point, the histogram of the Gaussian
+affinities, and the data-driven threshold picked from it. Nothing in this
+module is tunable except the bin count.
 
 No n x n matrix is materialised. One walker, _map_blocks, goes over the
 strict upper triangle in row blocks of about _BLOCK_ENTRIES entries, and
 every pass over the distances is a visit it makes to each block: the
-dispersion folds the blocks' moments in block order, the nearest distances
-are the minima of the blocks' rows and columns (detection uses them to skip
+dispersion folds the blocks' moments in block order, the skip floor comes
+from the minima of the blocks' rows and columns (detection uses it to skip
 provably idle sweeps), and the histogram sums the blocks' integer bin
-counts. Every distance is computed on its own, so a block holds the same
-bits whichever way it is computed; only the summation order of the
-dispersion differs from a dense computation.
+counts.
 
 The walker hands each visit its block's rectangle over the buffer of the
 worker that takes it. Up to _ONE_PASS_PAIRS pairs the calling thread is the
@@ -27,28 +25,35 @@ writes to, the block buffers and each visit's per-worker folds or masks:
 arrays allocated inside a worker would stay in that thread's malloc arena
 after it exits.
 
-distance_matrix has one visit for each way to compute the distances, and
-the two give the same bits:
+distance_matrix has three visits:
 
 - Up to _ONE_PASS_PAIRS pairs (n <= 1,448), _kernel computes each distance
   once, in row tiles of the block, and the visit packs them into the
   triangle (8 MB at most) returned in the Geometry. The affinity pass bins
-  the packed triangle instead of computing the distances again.
-- Above that, scipy's cdist computes each block in place. scipy is imported
-  on the first such call, so a small input never loads it.
+  the packed triangle instead of computing the distances again. _kernel
+  does cdist's operations in cdist's order (the squared differences summed
+  in coordinate order, then one square root), each correctly rounded, so
+  its bits are cdist's under any SIMD dispatch.
+- Above that, the product visit estimates each block's squared distances
+  by matrix products (_products, the screen's own), and folds the moments
+  of their square roots into an estimate of the dispersion, with a
+  certified slack: the exact dispersion lies within it (_dispersion_slack).
+- The exact visit, asked for by a caller once the product geometry has
+  left a decision uncertain, computes each block by scipy's cdist, which
+  gives the exact dispersion, the slack 0. It is the only visit that
+  imports scipy, so a run that needs no fallback never loads it.
 
-_kernel does cdist's operations in cdist's order (the squared differences
-summed in coordinate order, then one square root), each correctly rounded,
-so its bits are cdist's under any SIMD dispatch.
-
-On the streamed path the histogram comes from a screen (_screened_counts)
-instead of a second cdist pass. A pair's bin is fixed by where its distance
-lies among the bin edges (affinity_edges: for each m, the least distance
-binned at m or below). Matrix products estimate every squared distance of a
+Downstream, the product geometry's dispersion is an interval. The bin edges
+and detection's join bar g* are both monotone in the dispersion, so a
+pair's bin and a join are decided wherever the interval's two ends agree;
+where they do not, Uncertain is raised and the caller reruns from the exact
+geometry. The histogram comes from a screen (_screened_counts) on either
+streamed geometry: matrix products estimate every squared distance of a
 block, and a pair farther from every squared edge than a derived rounding
-bound is counted as it is; a block holding any other pair is computed by
-cdist and binned exactly. Either way each pair lands in the bin its cdist
-distance gives, so the histogram is the dense one's.
+bound is counted as it is. A block holding any other pair is computed by
+cdist and binned exactly on the exact geometry, and raises Uncertain on the
+product geometry. Either way each pair lands in the bin its cdist distance
+gives at the exact dispersion, so the histogram is the dense one's.
 """
 
 from __future__ import annotations
@@ -66,9 +71,8 @@ from .errors import DegenerateDataError
 
 # Distance entries per block (2 MB of float64), or one row of n entries when
 # n exceeds it. The row partition fixes the dispersion's bits. Each worker
-# owns one buffer of rows x n entries, which holds a block's distances, then
-# its affinities, then its bin indices; no other block-sized array of floats
-# is allocated.
+# owns one buffer of rows x n entries, which holds a block's distances or
+# their estimates; no other block-sized array of floats is allocated.
 _BLOCK_ENTRIES = 1 << 18
 # Inputs with at most this many pairs (8 MB of packed float64) compute each
 # distance once, by _kernel, on the calling thread, and keep the packed
@@ -79,9 +83,18 @@ _ONE_PASS_PAIRS = 1 << 20
 _TILE_ENTRIES = 1 << 15
 # Multiply-adds in each of the screen's matrix products. OpenBLAS runs a
 # product this small on the thread that calls it (on 2 cores it threads from
-# about twice this), so the screen's workers are the only threads at work. A
-# product it threads can wait a scheduler quantum for its helper thread.
+# about twice this), so the workers are the only threads at work. A product
+# it threads can wait a scheduler quantum for its helper thread.
 _PRODUCT_VOLUME = 1 << 18
+# float64's unit roundoff: a correctly rounded result is within a relative _U.
+_U = 2.0**-53
+
+
+class Uncertain(Exception):
+    """A count or a join that the product geometry's slack cannot decide.
+
+    The caller reruns from the exact geometry, distance_matrix(..., exact=True).
+    """
 
 
 @dataclass
@@ -101,8 +114,9 @@ class NormalizedData:
 class Geometry:
     """What the pairwise distances give before a bin count is chosen."""
 
-    dispersion: float        # population standard deviation of all n*n distances
-    nearest2: np.ndarray     # (n,) squared distance from each point to its nearest other point
+    dispersion: float        # population SD of all n*n distances, or the product estimate of it
+    slack: float             # the exact dispersion is within slack of it; 0.0 when exact
+    floor: np.ndarray        # (n,) a lower bound on every gap2 of a sweep opened at point i
     packed: np.ndarray | None  # the strict upper triangle, row-major; None above _ONE_PASS_PAIRS
 
 
@@ -113,8 +127,10 @@ class AffinityModel:
     histogram: np.ndarray  # (bins,) counts over equal-width affinity bins
     threshold: float       # midpoint of the bin below the steepest positive jump
     threshold_bin: int     # 1-based index k of that bin
-    bar: float             # g*: gap2 < bar exactly when gap2's affinity clears threshold
-    floor: np.ndarray      # (n,) a lower bound on every gap2 of a sweep opened at point i
+    # g* at the two ends of the dispersion interval, equal when it is exact:
+    # a gap2 below bar[0] clears the threshold, one of bar[1] or more does not
+    bar: tuple[float, float]
+    floor: np.ndarray      # the geometry's floor
 
 
 def normalize(dataset: Dataset) -> NormalizedData:
@@ -177,23 +193,32 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _fold_nearest(rect: np.ndarray, i0: int, fold: np.ndarray) -> None:
-    """Lower fold[0, i] to point i's distances in a block's rectangle.
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): k roundings err by at most this relative amount."""
+    return k * _U / (1.0 - k * _U)
 
-    Entry (a, b) is the distance between points i0 + a and i0 + b. Below the
-    diagonal it repeats a pair that is also above it, which a minimum does
-    not mind, so only the diagonal (each point to itself) is set to inf.
-    Column minima then cover each column's point, row minima each row's
-    point. fold[1] holds the column minima, so no block-sized array is
-    allocated even when a block is one row.
+
+def _fold_nearest(rect: np.ndarray, i0: int, fold: np.ndarray, less: float = 0.0) -> np.ndarray:
+    """Lower fold[0, i] to point i's entries in a block's rectangle, less `less`.
+
+    Entry (a, b) is the distance, or its estimate, between points i0 + a and
+    i0 + b. Below the diagonal it repeats a pair that is also above it,
+    which a minimum does not mind, so only the diagonal (each point to
+    itself) is set to inf. Column minima then cover each column's point,
+    row minima each row's point. fold[1] holds the column minima, so no
+    block-sized array is allocated even when a block is one row. Returns
+    the row minima.
     """
     r, m = rect.shape
     near, col = fold[0, i0:], fold[1, :m]
     np.fill_diagonal(rect, np.inf)
     np.min(rect, axis=0, out=col)
+    col -= less
     np.minimum(near, col, out=near)
+    least = rect.min(axis=1)
     rows = near[:r]
-    np.minimum(rows, rect.min(axis=1), out=rows)
+    np.minimum(rows, least - less, out=rows)
+    return least
 
 
 def _pack_upper(rect: np.ndarray, dst: np.ndarray) -> int:
@@ -247,7 +272,8 @@ def _map_blocks(n: int, visit: Callable[[np.ndarray, int, int], object]) -> list
     against points i0..n-1, laid over worker t's buffer; the visit fills it
     as it likes. The blocks are _block_plan's, worker t taking blocks t,
     t+W, ..., each worker on its own thread, or on the calling thread when
-    W is 1.
+    W is 1. A visit that raises ends its worker; the exception reaches the
+    caller once every worker is done.
     """
     rows, workers = _block_plan(n)
     starts = range(0, n - 1, rows)
@@ -279,9 +305,138 @@ def _block_moments(block: np.ndarray) -> tuple[float, float, float]:
     return 2.0 * block.size, b_mean, 2.0 * float(np.square(block, out=block).sum())
 
 
-def distance_matrix(normalized: NormalizedData) -> Geometry:
-    """Return the dispersion, the nearest distances and, for a small input,
-    the packed distances.
+def _rounding(d: int) -> tuple[float, float]:
+    """g = gamma_(d+2) and tiny = (d + 4) 2^-1072, the screen's rounding terms at d coordinates."""
+    return _gamma(d + 2), (d + 4) * 2.0**-1072
+
+
+def _products(z: np.ndarray) -> Callable[[np.ndarray, int], float] | None:
+    """estimate(rect, i0): a block's squared distances estimated by matrix products.
+
+    estimate writes X = (G + n_a) + n_b for rows i0..i0+r-1 against rows
+    i0..n-1 into rect, where G is (-2 a) . b and n_a, n_b are the squared
+    row norms, and returns the block's delta = 4 g Mhat + tiny (_rounding),
+    Mhat being the block's largest computed row norm plus its largest column
+    norm. _screened_counts derives |X - S| <= 2 g M + d 2^-1073 <= delta
+    for every pair, S the exact squared distance and M = |a|^2 + |b|^2,
+    with spare for rounding. Each product covers at most _PRODUCT_VOLUME
+    multiply-adds.
+
+    None when a squared norm reaches 2^1000: X could overflow. normalize
+    keeps them below d n.
+    """
+    n, d = z.shape
+    norms = np.einsum("ij,ij->i", z, z)
+    if not norms.max() < 2.0**1000:
+        return None
+    col_max = np.maximum.accumulate(norms[::-1])[::-1]  # largest norm of rows i..n-1
+    g, tiny = _rounding(d)
+    rows, _ = _block_plan(n)
+    tile_rows = max(1, min(rows, math.isqrt(_PRODUCT_VOLUME // d)))
+    tile_cols = max(1, _PRODUCT_VOLUME // (tile_rows * d))
+    cols = z.T
+
+    def estimate(rect: np.ndarray, i0: int) -> float:
+        i1 = i0 + rect.shape[0]
+        for a0 in range(i0, i1, tile_rows):
+            a1 = min(a0 + tile_rows, i1)
+            a = np.multiply(z[a0:a1], -2.0)
+            for b0 in range(i0, n, tile_cols):
+                b1 = min(b0 + tile_cols, n)
+                np.matmul(a, cols[:, b0:b1], out=rect[a0 - i0 : a1 - i0, b0 - i0 : b1 - i0])
+        rect += norms[i0:i1, None]
+        rect += norms[i0:]
+        return 4.0 * g * (norms[i0:i1].max() + col_max[i0]) + tiny
+
+    return estimate
+
+
+def _dispersion_slack(
+    dispersion: float, top: float, spread: float, count: float, block_pairs: int, blocks: int
+) -> float:
+    """A bound on |sigma - dispersion|, where sigma is the exact path's dispersion.
+
+    sigma folds cdist's distances D; dispersion folds the product
+    estimates D~ = fl(sqrt(max(X, 0))) by the same steps and in the same
+    blocks. Both fold count = N = n^2 entries (the zero diagonal and each
+    pair twice) in B = `blocks` blocks of at most K = block_pairs pairs.
+    The bound has four pieces.
+
+    1. The screen's bound. For a pair, |X - S| <= 2 g M + d 2^-1073, and
+    cdist's sum S_c is within g S + d 2^-1074 of S <= 2 M (_screened_counts),
+    so |S_c - max(X, 0)| <= E = 2 delta (_products) with room. Hence
+    |sqrt(S_c) - sqrt(max(X, 0))| <= min(sqrt(E), E / sqrt(max(X, 0))), whose
+    square is at most E^2 / max(E, L), L being the least X of the pair's
+    row in the block. `spread` sums that over every pair, twice. The two
+    rounded square roots add at most u (D + D~) (1 + u) to |D - D~|.
+
+    2. A standard deviation is 1-Lipschitz in RMS: std(x) = |P x| / sqrt(N)
+    with P the centring projection, so |std(x) - std(y)| <= |x - y| /
+    sqrt(N). With R bounding the RMS of D~, the exact standard deviations
+    of D and D~ differ by at most
+
+        rho = sqrt(spread / N) + 3 u R.
+
+    3. An any-order bound on numpy's sums. A sum of k terms in any order,
+    pairwise or not, errs by at most gamma_(k-1) times the sum of their
+    magnitudes. So a block's computed mean mu^ is within gamma_k mu of its
+    mean mu (the entries are non-negative), and its squared-deviation sum
+    is sum (x - mu^)^2 (1 + phi), |phi| <= gamma_(k+2), where sum (x -
+    mu^)^2 is the exact within-block sum W plus k (mu - mu^)^2.
+
+    4. The Chan fold. The fold adds, for each block, its W and a between
+    term w (mu^ - m^)^2, m^ the running mean, each rounded by gamma_6 or
+    less and then by at most `blocks` + 1 additions of non-negative terms;
+    exactly, sigma^2 N is the sum of the W and the between terms
+    w (mu - m)^2 with exact means (Chan, Golub and LeVeque 1983). The
+    between terms' root sum of squares moves by at most the root sum of
+    w (e - eta)^2, e = mu^ - mu and eta = m^ - m, and w never exceeds the
+    block's count c. c mu^2 is at most the block's sum of squares, so the
+    e part is at most gamma_K sqrt(N) r, r the RMS of the data; the
+    k (mu - mu^)^2 terms add as much again. Each step of the running mean
+    shrinks eta towards the block's e and rounds by at most 5 u times the
+    largest mean, so |eta| <= gamma_(K + 5 B) U, U bounding every block
+    mean. With the final square root and division,
+    a fold of any non-negative data gives its standard deviation s to
+    within
+
+        F = gamma_C (s + 3 max(r, U)),  gamma_C = gamma_(K + 5 B + 16).
+
+    `top` is the largest over the blocks of mu^ + sqrt(spread_b / c), so
+    U = top (1 + 2^-20) bounds the block means of both D and D~: a block
+    mean of D is within (1 + u) sqrt(spread_b / c) + 3 u mu of D~'s. R =
+    (dispersion + U) (1 + 2^-20) bounds r and U for D~, and R + rho for D,
+    since F is below 2^-21 R while K + 5 B < 2^28. So sigma and dispersion,
+    each within F of its data's exact deviation, and those within rho of
+    each other, give
+
+        |sigma - dispersion| <= rho + gamma_C (2 dispersion + 6 R + 4 rho),
+
+    returned with a factor 1 + 2^-20 for the roundings of its own
+    evaluation and of the sums of positive terms in `spread`, and 2^-535
+    more for squares that underflow, in the fold and in `spread`.
+    """
+    up = 1.0 + 2.0**-20
+    scale = (dispersion + top * up) * up  # R
+    rho = (math.sqrt(spread / count) + 3.0 * _U * scale) * up
+    gamma = _gamma(block_pairs + 5 * blocks + 16)
+    return (rho + gamma * (2.0 * dispersion + 6.0 * scale + 4.0 * rho)) * up * up + 2.0**-535
+
+
+def _interval(sigma: float, slack: float) -> tuple[float, float]:
+    """The least and the largest dispersion within slack of sigma.
+
+    One step outward from each rounded end covers its rounding, so the
+    exact dispersion lies in the closed interval.
+    """
+    if not slack:
+        return sigma, sigma
+    return float(np.nextafter(sigma - slack, -np.inf)), float(np.nextafter(sigma + slack, np.inf))
+
+
+def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry:
+    """Return the dispersion, its slack, the skip floor and, for a small
+    input, the packed distances.
 
     The dispersion is the population standard deviation of all n*n pairwise
     distances. The spread is taken over the whole matrix, zero diagonal
@@ -290,23 +445,36 @@ def distance_matrix(normalized: NormalizedData) -> Geometry:
     count or the way the distances were computed, with the pairwise
     (Chan-Golub-LeVeque) update of count, mean and sum of squared
     deviations; each off-diagonal distance counts twice, and the n diagonal
-    zeros seed the running moments. Each worker folds its blocks' nearest
-    distances into its own n floats (plus n of scratch), and those are
+    zeros seed the running moments. Each worker folds its blocks' row and
+    column minima into its own n floats (plus n of scratch), and those are
     min-folded once all blocks are done.
+
+    Up to _ONE_PASS_PAIRS pairs, and above it when exact is set, the
+    distances are exact and so is the dispersion (slack 0.0); the floor is
+    _skip_floor of the squared nearest distances. Above it otherwise, the
+    blocks are _products' estimates X: the dispersion folds their clipped
+    square roots, the slack is _dispersion_slack's, and the floor is
+    _skip_floor of the least X - delta of each point, which bounds every
+    exact squared distance from below. That raises Uncertain where the
+    interval reaches 0 but the points are not all zero (the exact
+    dispersion could be 0 or not), or where a squared norm is too large
+    to estimate.
     """
     z = normalized.values
-    n = z.shape[0]
+    n, d = z.shape
     if n < 2:
         raise ValueError("distance matrix needs at least 2 points")
     _, workers = _block_plan(n)
     folds = np.full((workers, 2, n), np.inf)
+    packed = None
+    estimate = None
     if n * (n - 1) // 2 <= _ONE_PASS_PAIRS:
         packed = np.empty(n * (n - 1) // 2)
         cols = np.ascontiguousarray(z.T)  # (d, n): one contiguous run per coordinate
         tile_rows = max(1, _TILE_ENTRIES // n)
         scratch = np.empty(min(tile_rows, n) * n)
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float, float]:
             """The block's rows in tiles at the start of rect's memory, each the
             rectangle right of its first row's diagonal, so all but its small
             lower corner is the triangle's: each is folded and packed while it
@@ -318,45 +486,58 @@ def distance_matrix(normalized: NormalizedData) -> Geometry:
                 _kernel(cols[:, a0:a1], cols[:, a0:], tile, scratch[: tile.size].reshape(tile.shape))
                 _fold_nearest(tile, a0, folds[t])
                 _pack_upper(tile, packed[_row_offset(n, a0) :])
-            return _block_moments(_packed_block(packed, rect, i0))
+            return *_block_moments(_packed_block(packed, rect, i0)), 0.0
 
-    else:
+    elif exact:
         from scipy.spatial.distance import cdist  # here, before any worker starts
 
-        packed = None
-
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float, float]:
             cdist(z[i0 : i0 + rect.shape[0]], z[i0:], out=rect)
             _fold_nearest(rect, i0, folds[t])
             flat = rect.reshape(-1)
-            return _block_moments(flat[: _pack_upper(rect, flat)])
+            return *_block_moments(flat[: _pack_upper(rect, flat)]), 0.0
+
+    else:
+        estimate = _products(z)
+        if estimate is None:
+            raise Uncertain("a squared norm is too large for the product estimate")
+
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float, float]:
+            r, m = rect.shape
+            delta = estimate(rect, i0)
+            least = _fold_nearest(rect, i0, folds[t], delta)
+            e = 2.0 * delta
+            pairs = np.arange(m - 1, m - 1 - r, -1, dtype=np.float64)  # each row's, right of (a, a)
+            spread = 2.0 * float(pairs @ (e * (e / np.maximum(least, e))))
+            flat = rect.reshape(-1)
+            block = flat[: _pack_upper(rect, flat)]
+            np.maximum(block, 0.0, out=block)
+            return *_block_moments(np.sqrt(block, out=block)), spread
 
     count, mean, m2 = float(n), 0.0, 0.0
-    for b_count, b_mean, b_m2 in _map_blocks(n, visit):
+    top = spread = 0.0
+    blocks = _map_blocks(n, visit)
+    for b_count, b_mean, b_m2, b_spread in blocks:
         total = count + b_count
         delta = b_mean - mean
         mean += delta * (b_count / total)
         m2 += b_m2 + delta * delta * (count * b_count / total)
         count = total
-    nearest = np.min(folds[:, 0], axis=0)
-    return Geometry(
-        dispersion=math.sqrt(m2 / count),
-        nearest2=np.multiply(nearest, nearest, out=nearest),
-        packed=packed,
-    )
-
-
-def affinity_histogram(affinity: np.ndarray, bins: int = 10) -> np.ndarray:
-    """Count affinity values of any shape into equal-width bins over (0, 1].
-
-    A value v lands in bin ceil(v * bins), so self-affinities of exactly 1
-    land in the top bin. Counts always sum to the number of values.
-    """
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
-    idx = np.ceil(affinity * float(bins)).astype(np.int64)
-    np.clip(idx, 1, bins, out=idx)
-    return np.bincount(idx.ravel(), minlength=bins + 1)[1:]
+        top = max(top, b_mean + math.sqrt(b_spread / b_count))
+        spread += b_spread
+    dispersion = math.sqrt(m2 / count)
+    least = np.min(folds[:, 0], axis=0)
+    if estimate is None:
+        slack = 0.0
+        np.multiply(least, least, out=least)  # nearest2: the squared nearest distances
+    elif not z.any():
+        slack = 0.0  # every estimate is exactly 0, and so is every distance
+    else:
+        block_pairs = int(max(b[0] for b in blocks)) // 2
+        slack = _dispersion_slack(dispersion, top, spread, count, block_pairs, len(blocks))
+        if not _interval(dispersion, slack)[0] > 0.0:
+            raise Uncertain("the dispersion interval reaches 0")
+    return Geometry(dispersion=dispersion, slack=slack, floor=_skip_floor(least, d), packed=packed)
 
 
 def select_threshold(histogram: np.ndarray) -> tuple[float, int]:
@@ -412,9 +593,9 @@ def _affinities(gap2: np.ndarray, dispersion: float) -> np.ndarray:
 def _affinity_bins(block: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
     """Bin each distance d in a 1-D block by its affinity, in place.
 
-    The affinity of d * d is binned by affinity_histogram's steps,
-    v -> clip(ceil(v * bins), 1, bins); the indices are returned in block's
-    own memory, viewed as int64.
+    The affinity v of d * d goes to bin clip(ceil(v * bins), 1, bins), so
+    an affinity of exactly 1 lands in the top bin; the indices are returned
+    in block's own memory, viewed as int64.
     """
     np.multiply(block, block, out=block)
     _affinities(block, dispersion)
@@ -441,7 +622,9 @@ def affinity_edges(dispersion: float, bins: int) -> np.ndarray:
     distance's bin is at most m exactly when the distance is at least
     edges[m - 1], and the edges do not rise with m. Distance 0.0 has bin
     bins and inf has bin 1, so every edge is positive and at most the
-    largest float.
+    largest float. The steps are monotone in the dispersion too (a
+    correctly rounded quotient is monotone in its divisor), so no edge
+    falls as the dispersion grows.
     """
     top = np.arange(1, bins)
     guess = np.sqrt(2.0 * dispersion * np.log(bins / top))  # where exp(-d^2 / 2 sigma) * bins = m
@@ -453,45 +636,50 @@ def _affinity_bar(dispersion: float, threshold: float) -> float:
 
     bisect_floats finds it on an array, as detection's windows hold gap2.
     The test holds at 0 (threshold < 1), fails at inf and, exp taken to be
-    monotone, turns false once, so gap2 < g* is the test itself."""
+    monotone, turns false once, so gap2 < g* is the test itself. For the
+    reason affinity_edges gives, g* does not fall as the dispersion grows."""
     guess = np.array([2.0 * dispersion * -math.log(threshold)])  # where the affinity = threshold
     return float(bisect_floats(lambda gap2: _affinities(gap2, dispersion) <= threshold, guess)[0])
 
 
-def _skip_floor(nearest2: np.ndarray, d: int) -> np.ndarray:
+def _skip_floor(least2: np.ndarray, d: int) -> np.ndarray:
     """A lower bound on every gap2 a detection pass opened at point i computes, per i.
 
-    The pass compares gap2_j, the einsum of the d differences z_j - z_i,
-    each rounded once, with bar[j]; nearest2 comes from the distance kernel
-    or from cdist, which square and sum the same differences. Let S be the
-    exact sum of their squares. Any order of summing d non-negative
-    products, fused or not, lands within a relative
-    gamma_d = d u / (1 - d u) of S (u = 2^-53), give or take d 2^-1075
-    where products underflow. So gap2_j >= S (1 - gamma_d) - d 2^-1075.
-    The kernel and cdist round the square root of their sum once, and
-    squaring the least distance rounds once more, so nearest2[i] <=
-    (S (1 + gamma_d) + d 2^-1075) (1 + u)^3 + 2^-1075. Eliminating S, for
-    any d below 10^13,
+    least2[i] is point i's squared nearest distance on the exact paths, or
+    the least X - delta over its pairs on the product path (distance_matrix).
+    Let T be the exact squared distance from z_i to z_j. The pass compares
+    gap2_j, the einsum of the d differences z_j - z_i, each rounded once,
+    with bar[j]. Rounding each difference and its square, then adding d
+    non-negative products in any order, fused or not, lands within a
+    relative gamma_(d+2) = (d + 2) u / (1 - (d + 2) u) of T (u = 2^-53),
+    give or take d 2^-1075 where products underflow. So gap2_j >= T (1 -
+    gamma_(d+2)) - d 2^-1075. The kernel and cdist sum the same kind of
+    terms and round the square root of their sum once, and squaring the
+    least distance rounds once more, so nearest2[i] <= (T (1 + gamma_(d+2))
+    + d 2^-1075) (1 + u)^3 + 2^-1075. On the product path least2[i] <= T
+    (1 + u): X - delta <= T for every pair, and the subtraction rounds
+    once. Eliminating T, for any d below 10^13,
 
-        gap2_j >= nearest2[i] (1 - (2.02 d + 3) u) - (2 d + 1) 2^-1075.
+        gap2_j >= least2[i] (1 - (2.02 d + 7) u) - (2 d + 1) 2^-1075.
 
     The floor takes the relative slack (4 d + 8) u, which also covers the
     two roundings of the product and difference below, and the absolute
     slack (d + 1) 2^-1073. That is 2.9e-14 relative at d = 64, far below
     the gaps between a noise point and its neighbours.
     """
-    return nearest2 * (1.0 - (4 * d + 8) * 2.0**-53) - (d + 1) * 2.0**-1073
+    return least2 * (1.0 - (4 * d + 8) * _U) - (d + 1) * 2.0**-1073
 
 
-def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
+def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int) -> np.ndarray:
     """The bin counts of the strict upper triangle, each pair counted once.
 
-    With E = edges[m - 1], C_m pairs have a cdist distance D >= E, that is a
-    bin of m or below; bin 1 holds C_1 pairs, bin m C_m - C_(m-1), and the
-    top bin the rest. A visit of _map_blocks estimates its block's squared
-    distances by matrix products, counts C_m on them where that is certain,
-    and returns the block's bin counts; integer counts, whose sum does not
-    depend on the worker count.
+    dispersions is the geometry's interval (low, high), a single point when
+    the geometry is exact. With E = edges[m - 1], C_m pairs have a cdist
+    distance D >= E, that is a bin of m or below; bin 1 holds C_1 pairs,
+    bin m C_m - C_(m-1), and the top bin the rest. A visit of _map_blocks
+    estimates its block's squared distances by _products, counts C_m on
+    them where that is certain, and returns the block's bin counts;
+    integer counts, whose sum does not depend on the worker count.
 
     Let a and b be two rows of z, S the exact sum of the squares of a - b,
     M = |a|^2 + |b|^2 exactly, u = 2^-53 and g = gamma_(d+2) =
@@ -526,55 +714,45 @@ def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
     and tiny is at least twice each absolute term. The spare 2.9 g, half of
     4 g Mhat and the rest of tiny cover the at most six roundings in
     evaluating each of hi_m, lo_m and delta. An edge whose square overflows
-    lies beyond every X. A block with a pair in
-    some [lo_m, hi_m) is computed by cdist and binned by _affinity_bins
-    instead. The lower r x r corner of a block's rectangle, its pairs below
-    the diagonal and each point with itself, is set to -inf, below every
-    lo_m.
+    lies beyond every X. The lower r x r corner of a block's rectangle, its
+    pairs below the diagonal and each point with itself, is set to -inf,
+    below every lo_m.
 
-    X overflows nowhere while every squared norm is below 2^1000; normalize
-    keeps them below d n. Past that every block is binned exactly.
+    On an interval, E comes from the edges at its high end and P from those
+    at its low end. The edges do not fall as the dispersion grows, so a
+    pair counted either way is counted as at every dispersion in the
+    interval, the exact one among them.
 
-    Each product covers at most _PRODUCT_VOLUME multiply-adds. Each worker
-    has a mask of as many booleans as its block buffer, allocated here.
+    A block with a pair in some [lo_m, hi_m) is computed by cdist and binned
+    by _affinity_bins on an exact geometry, and raises Uncertain on an
+    interval; so do all blocks where _products cannot estimate. scipy is
+    imported only for an exact geometry. Each worker has a mask of as many
+    booleans as its block buffer, allocated here.
     """
-    from scipy.spatial.distance import cdist  # here, before any worker starts
+    low, high = dispersions
+    exact = low == high
+    if exact:
+        from scipy.spatial.distance import cdist  # here, before any worker starts
 
     n, d = z.shape
+    estimate = _products(z)
+    if estimate is None and not exact:
+        raise Uncertain("a squared norm is too large for the product estimate")
+    g, tiny = _rounding(d)
     with np.errstate(over="ignore"):
-        edges = affinity_edges(dispersion, bins)
-        below = np.nextafter(edges, 0.0)
-        norms = np.einsum("ij,ij->i", z, z)
-        g = (d + 2) * 2.0**-53 / (1.0 - (d + 2) * 2.0**-53)  # gamma_(d+2)
-        tiny = (d + 4) * 2.0**-1072
+        edges = affinity_edges(high, bins)
+        below = np.nextafter(edges if exact else affinity_edges(low, bins), 0.0)
         hi = (edges * edges + tiny) * (1.0 + 4.0 * g)
         lo = (below * below - tiny) * (1.0 - 4.0 * g)
-    screen = bool(norms.max() < 2.0**1000)
-    col_max = np.maximum.accumulate(norms[::-1])[::-1]  # largest norm of rows i..n-1
     rows, workers = _block_plan(n)
-    tile_rows = max(1, min(rows, math.isqrt(_PRODUCT_VOLUME // d)))
-    tile_cols = max(1, _PRODUCT_VOLUME // (tile_rows * d))
-    cols = z.T
     masks = np.empty((workers, min(rows, n) * n), dtype=bool)
     lower = np.tri(min(rows, n), dtype=bool)
 
-    def estimate(rect: np.ndarray, i0: int, i1: int) -> None:
-        """X for rows i0..i1-1 against rows i0..n-1, into rect."""
-        for a0 in range(i0, i1, tile_rows):
-            a1 = min(a0 + tile_rows, i1)
-            a = np.multiply(z[a0:a1], -2.0)
-            for b0 in range(i0, n, tile_cols):
-                b1 = min(b0 + tile_cols, n)
-                np.matmul(a, cols[:, b0:b1], out=rect[a0 - i0 : a1 - i0, b0 - i0 : b1 - i0])
-        rect += norms[i0:i1, None]
-        rect += norms[i0:]
-
     def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
         r, m = rect.shape
-        if screen:
-            estimate(rect, i0, i0 + r)
+        if estimate is not None:
+            delta = estimate(rect, i0)
             np.copyto(rect[:, :r], -np.inf, where=lower[:r, :r])
-            delta = 4.0 * g * (norms[i0 : i0 + r].max() + col_max[i0]) + tiny
             mask = masks[t, : r * m].reshape(r, m)
             at_least = []  # C_1..C_(bins-1), then the block's pair count
             for hi_m, lo_m in zip(hi + delta, lo - delta):
@@ -585,9 +763,11 @@ def _screened_counts(z: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
             else:
                 at_least.append(r * m - r * (r + 1) // 2)
                 return np.diff(at_least, prepend=0)
+            if not exact:
+                raise Uncertain("a pair lies within its bin edge's band")
         cdist(z[i0 : i0 + r], z[i0:], out=rect)
         flat = rect.reshape(-1)
-        return _bin_counts(flat[: _pack_upper(rect, flat)], dispersion, bins)
+        return _bin_counts(flat[: _pack_upper(rect, flat)], low, bins)
 
     return sum(_map_blocks(n, visit))
 
@@ -602,12 +782,14 @@ def build_affinity_model(
     for both tight and diffuse data. Each pair of the upper triangle is
     counted twice; the n self-affinities of exactly 1 go to the top bin. A
     geometry with a packed triangle has its blocks binned by
-    _affinity_bins; otherwise the pairs are counted by _screened_counts,
-    which computes no distance by cdist except in a block holding a pair
-    too close to a bin edge for its estimate to be certain, and gives the
-    same counts. The model keeps detection's bars (_affinity_bar,
-    _skip_floor), not the packed triangle.
+    _affinity_bins; otherwise the pairs are counted by _screened_counts over
+    the geometry's dispersion interval, which gives the exact path's counts
+    or raises Uncertain. The model keeps detection's bars, g* at both ends
+    of the interval (_affinity_bar), and the geometry's skip floor, not the
+    packed triangle.
     """
+    if bins < 2:
+        raise ValueError("need at least 2 bins")
     dispersion = geometry.dispersion
     if dispersion <= 0.0:
         raise DegenerateDataError(
@@ -616,20 +798,23 @@ def build_affinity_model(
         )
     z = normalized.values
     n = z.shape[0]
+    low, high = _interval(dispersion, geometry.slack)
     if geometry.packed is None:
-        counts = _screened_counts(z, dispersion, bins)
+        counts = _screened_counts(z, (low, high), bins)
     else:
 
         def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
             return _bin_counts(_packed_block(geometry.packed, rect, i0), dispersion, bins)
 
         counts = sum(_map_blocks(n, visit))
-    histogram = affinity_histogram(np.ones(n), bins) + 2 * counts
+    histogram = 2 * counts
+    histogram[-1] += n
     threshold, threshold_bin = select_threshold(histogram)
+    bar = _affinity_bar(low, threshold)
     return AffinityModel(
         histogram=histogram,
         threshold=threshold,
         threshold_bin=threshold_bin,
-        bar=_affinity_bar(dispersion, threshold),
-        floor=_skip_floor(geometry.nearest2, z.shape[1]),
+        bar=(bar, bar if high == low else _affinity_bar(high, threshold)),
+        floor=geometry.floor,
     )

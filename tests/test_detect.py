@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affclust import detect
+from affclust import detect, preprocess
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic
 from affclust.detect import (
     _FIRST_WINDOW,
@@ -22,10 +22,12 @@ from affclust.detect import (
 )
 from affclust.preprocess import (
     NormalizedData,
+    Uncertain,
     _affinity_bar,
     build_affinity_model,
     distance_matrix,
     normalize,
+    pairwise_distances,
 )
 
 
@@ -46,16 +48,17 @@ def snapshot(state):
     return [a.copy() for a in (state.assignment, state.centroids, state.sizes, state.bar)]
 
 
-def oracle_absorb_pass(state, k):
+def oracle_absorb_pass(state, k, join=None):
     """The detection pass with one window of exact gap2 per join or shift.
 
     Semantically a plain j = 1..n loop. Between two modifications nothing
     changes, so positions are tested in vectorized windows: a window with no
     hit is skipped and the next one is twice as wide, a hit is applied and
     the scan resumes right after it with a narrower window. Each window is
-    one comparison, gap2 < bar, against the centroid as it stands. The
-    production pass must make its add_point and remove_point calls, in its
-    order.
+    one comparison, gap2 < bar, against the centroid as it stands. A hit on
+    an unassigned point whose gap2 is not below join, the lower join bar,
+    raises Uncertain. The production pass must make its add_point and
+    remove_point calls, in its order, and raise where it raises.
     """
     z = state.points
     n = z.shape[0]
@@ -66,7 +69,8 @@ def oracle_absorb_pass(state, k):
     while j < n:
         stop = min(j + width, n)
         diff = z[j:stop] - state.centroids[k]
-        hits = np.einsum("ij,ij->i", diff, diff) < bar[j:stop]
+        gaps = np.einsum("ij,ij->i", diff, diff)
+        hits = gaps < bar[j:stop]
         pos = hits.argmax()
         if not hits[pos]:
             j = stop
@@ -77,6 +81,8 @@ def oracle_absorb_pass(state, k):
         if donor != 0:
             state.remove_point(jj)
             state.refresh_bar(donor)
+        elif join is not None and not gaps[pos] < join:
+            raise Uncertain("a gap2 lies between the join bars")
         state.add_point(k, jj)
         j = jj + 1
         width = max(_FIRST_WINDOW, width // 2)
@@ -90,8 +96,9 @@ def oracle_sweep(z, model):
     Returns the final state, which must be production's, and the number of
     passes production skips.
     """
+    join, upper = model.bar
     state = ClusterState(z)
-    state.bar.fill(model.bar)
+    state.bar.fill(upper)
     skipped = 0
     for i in range(z.shape[0]):
         if state.assignment[i] == 0:
@@ -99,7 +106,7 @@ def oracle_sweep(z, model):
             state.bar[i] = 0.0
             skip = model.floor[i] >= state.bar.max()
             before = snapshot(state)
-            oracle_absorb_pass(state, k)
+            oracle_absorb_pass(state, k, join)
             if skip:
                 skipped += 1
                 after = snapshot(state)
@@ -289,7 +296,7 @@ def near_tie_models(z, model, target, reach=4):
         sigma = float(np.array(pattern).view(np.float64)) / 2.0
         bar = _affinity_bar(sigma, model.threshold)
         if abs(offset := ulps(target, bar)) <= reach:
-            found.setdefault(offset, (sigma, replace(model, bar=bar)))
+            found.setdefault(offset, (sigma, replace(model, bar=(bar, bar))))
     return found
 
 
@@ -314,7 +321,7 @@ def near_tie_points(seed, d, below):
         far = rng.normal(size=(6, d)) * 0.1 + 10.0
         z = np.vstack([p, q, far])
         geometry = distance_matrix(nd_of(z))
-        nearest2 = geometry.nearest2[0]
+        nearest2 = pairwise_distances(z[:1], z[1:]).min() ** 2
         gap = gap2(z, 1, z[0])[0]
         if (gap < nearest2) if below else (gap > nearest2):
             return z, build_affinity_model(nd_of(z), geometry), nearest2
@@ -336,7 +343,7 @@ def test_skip_at_near_ties_with_the_bar(d, below):
             assert min(cases) < 0 < max(cases)
             for sigma, case in cases.values():
                 assert_skip_is_invisible(z, case)
-                taken[floor >= case.bar] += 1
+                taken[floor >= case.bar[1]] += 1
                 got = find_clusters(nd_of(z), case)
                 expect = naive_find_clusters(z, sigma, case.threshold)
                 assert got.assignment.tolist() == expect
@@ -422,10 +429,33 @@ def test_moves_match_the_oracle_on_the_corpus_shapes(i):
         assert_moves_are_the_oracles(norm.values, model, SHARES if bins == 10 else (None,))
 
 
-def pass_moves(z, bar, share=None):
-    """One pass opened at point 0, every other point unassigned with join bar
-    bar: the oracle's moves if share is None, else production's at that
-    budget share."""
+@pytest.mark.parametrize("i", range(24))
+def test_product_models_move_as_the_exact_ones_on_the_corpus_shapes(i, monkeypatch):
+    """Each set streamed (the one-pass cap at 0): the product geometry's
+    model has the exact geometry's histogram and threshold, its bar
+    interval holds the exact g*, and its sweep makes the oracle's moves on
+    the exact model, at 10 bins and every budget share and, for the swept
+    sets, at every bin count corpus-cli sweeps."""
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    norm = normalize(generate_synthetic(corpus_shape(i)))
+    product, exact = distance_matrix(norm), distance_matrix(norm, exact=True)
+    assert product.slack > 0.0 == exact.slack
+    for bins in range(2, 31) if i in swept_shapes() else [10]:
+        got = build_affinity_model(norm, product, bins=bins)
+        expect = build_affinity_model(norm, exact, bins=bins)
+        assert np.array_equal(got.histogram, expect.histogram)
+        assert got.threshold == expect.threshold
+        assert got.bar[0] <= expect.bar[0] == expect.bar[1] <= got.bar[1]
+        calls = moves(lambda: oracle_sweep(norm.values, expect)[0])
+        for share in SHARES if bins == 10 else (None,):
+            assert_same_moves(moves(lambda: _sweep(norm.values, got), share), calls)
+
+
+def pass_moves(z, bar, share=None, join=None):
+    """One pass opened at point 0, every other point unassigned with join
+    bars join (bar if None) and bar: the oracle's moves if share is None,
+    else production's at that budget share."""
+    join = bar if join is None else join
 
     def run():
         state = ClusterState(z)
@@ -433,12 +463,26 @@ def pass_moves(z, bar, share=None):
         k = state.open_cluster(0)
         state.bar[0] = 0.0
         if share is None:
-            oracle_absorb_pass(state, k)
+            oracle_absorb_pass(state, k, join)
         else:
-            _absorb_pass(state, k, share * np.sqrt(bar))
+            _absorb_pass(state, k, share * np.sqrt(bar), join)
         return state
 
     return moves(run)
+
+
+def outcome(run):
+    """run()'s moves, or None where it raises Uncertain."""
+    try:
+        return run()
+    except Uncertain:
+        return None
+
+
+def assert_same_outcome(got, expect):
+    assert (got is None) == (expect is None)
+    if expect is not None:
+        assert_same_moves(got, expect)
 
 
 @pytest.mark.parametrize("d", [2, 5, 64])
@@ -514,7 +558,69 @@ def test_a_shift_just_past_the_budget(points, budget):
 
     expect = moves(lambda: run(oracle_absorb_pass))
     assert ("remove", 1, len(points) - 2) in expect[0]
-    assert_same_moves(moves(lambda: run(lambda state, k: _absorb_pass(state, k, budget))), expect)
+    absorb = lambda state, k: _absorb_pass(state, k, budget, 1.0)  # noqa: E731
+    assert_same_moves(moves(lambda: run(absorb)), expect)
+
+
+# ---------------------------------------------------------------------------
+# an interval of join bars
+
+@pytest.mark.parametrize("d", [2, 5, 64])
+def test_a_row_near_the_join_bars_after_several_joins(d):
+    """test_a_row_within_ulps_of_its_bar_after_several_joins with the join
+    bar an interval a few ulps wide around row 6's tie: the pass raises
+    exactly where the oracle's gap2 lies between the two bars, and moves as
+    the oracle does elsewhere."""
+    rng = np.random.default_rng(d)
+    core = rng.normal(scale=0.2 / np.sqrt(d), size=(6, d))
+    state = ClusterState(core)
+    k = state.open_cluster(0)
+    for j in range(1, 6):
+        state.add_point(k, j)
+    centroid = state.centroids[k]
+    step = rng.normal(size=d)
+    tail = rng.normal(scale=0.2 / np.sqrt(d), size=(3, d))
+    z = np.vstack([core, centroid + step / np.linalg.norm(step), tail])
+    tie = int(np.array(gap2(z, 6, centroid)[0]).view(np.int64))
+    raised = set()
+    for lo in range(-4, 5):
+        for width in (0, 1, 3):
+            join, bar = np.array([tie + lo, tie + lo + width]).view(np.float64).tolist()
+            expect = outcome(lambda: pass_moves(z, bar, join=join))
+            for share in (0.25, 0.5, 2.0):
+                assert_same_outcome(outcome(lambda: pass_moves(z, bar, share, join)), expect)
+            raised.add(expect is None)
+    assert raised == {True, False}
+
+
+def test_a_wide_join_bar_raises_exactly_where_a_join_falls_inside_it():
+    """The reference seeds and noisy sets with the model's bar widened to
+    g* (1 -+ w): production raises Uncertain exactly where the oracle meets
+    an unassigned point between the bars, at every budget share, and where
+    neither raises, it moves as the exact sweeps at both ends do."""
+    sets = [interesting_points(seed) for seed in range(30)]
+    sets += [
+        generate_synthetic(SyntheticSpec(
+            cluster_count=10, points_per_cluster=20, dimension=16, center_scheme="axes",
+            center_separation=24.0, noise_fraction=0.10, noise_margin=0.75, seed=seed,
+        )).points
+        for seed in (1, 2)
+    ]
+    raised = {True: 0, False: 0}
+    for pts in sets:
+        norm, model = prepared(pts)
+        z, g = norm.values, model.bar[1]
+        for width in (1e-12, 1e-3, 3e-2, 0.3):
+            case = replace(model, bar=(g * (1.0 - width), g * (1.0 + width)))
+            expect = outcome(lambda: moves(lambda: oracle_sweep(z, case)[0]))
+            for share in SHARES:
+                assert_same_outcome(outcome(lambda: moves(lambda: _sweep(z, case), share)), expect)
+            if expect is not None:
+                for end in case.bar:
+                    exact = replace(case, bar=(end, end))
+                    assert_same_moves(moves(lambda: oracle_sweep(z, exact)[0]), expect)
+            raised[expect is None] += 1
+    assert raised[True] and raised[False]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +704,8 @@ def test_model_bar_is_the_serial_bar_on_the_reference_seeds():
     for seed in range(30):
         norm, model = prepared(interesting_points(seed))
         two_sigma = 2.0 * distance_matrix(norm).dispersion
-        assert model.bar == serial_affinity_bar(two_sigma, model.threshold)
+        bar = serial_affinity_bar(two_sigma, model.threshold)
+        assert model.bar == (bar, bar)
 
 
 def test_scan_reads_only_the_bar_and_floor_of_the_model():

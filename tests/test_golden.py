@@ -7,17 +7,20 @@ blocks; `bench` and `sweep-bins` over the bundled synthetic corpus; and
 `cluster` on two degenerate inputs, identical points and a set where every
 point is an outlier, `histogram` on the identical points and `evaluate`
 (both outlier policies) on the all-outlier set, which exit 3 but still
-report. Every report is checked twice: with the distances computed once by
-the numpy kernel (every input here is below the one-pass cap), and with
-them streamed twice by cdist (the cap forced to 0). Any change to the
-reports shows up here; a deliberate one is made by rewriting the
-files with `write_goldens()` from the repository root and recording why in
-CHANGES.md:
+report. Every report is checked three times: with the distances computed
+once by the numpy kernel (every input here is below the one-pass cap);
+streamed, with the cap forced to 0, from the product geometry, which must
+decide every count and join on these inputs; and with the product geometry
+forced to fall back (its slack made infinite), from the exact cdist
+geometry. Any change to the reports shows up here; a deliberate one is made
+by rewriting the files with `write_goldens()` from the repository root and
+recording why in CHANGES.md:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden; test_golden.write_goldens()"
 """
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -132,6 +135,23 @@ def test_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(("case", "command", "fmt"), REPORT_PARAMS)
 def test_streamed_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch):
-    """The same bytes when every input takes the streamed cdist path."""
+    """The same bytes when every input takes the streamed product path."""
     monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     test_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize(("case", "command", "fmt"), REPORT_PARAMS)
+def test_fallback_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch):
+    """The same bytes when every streamed run falls back to the exact
+    geometry: an infinite slack leaves the product geometry deciding
+    nothing. Only identical points, whose estimates are exactly 0, take no
+    slack and need no fallback."""
+    attempts = []
+
+    def infinite(*args):
+        attempts.append(args)
+        return math.inf
+
+    monkeypatch.setattr(preprocess, "_dispersion_slack", infinite)
+    test_streamed_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch)
+    assert bool(attempts) == (case != "identical")

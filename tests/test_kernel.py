@@ -58,14 +58,15 @@ def test_kernel_matches_cdist_on_identical_rows_and_constant_columns():
     assert same_bits(pairwise_distances(z, z), cdist(z, z))
     geometry = distance_matrix(NormalizedData(z, z.mean(0), z.std(0)))
     assert same_bits(geometry.packed, upper(cdist(z, z)))
-    assert (geometry.nearest2[10:20] == 0.0).all()
+    assert (geometry.floor[10:20] < 0.0).all()  # nearest2 is 0.0, less the floor's slack
 
 
 @pytest.mark.parametrize("tile_entries", [1, 64, 1 << 12, preprocess._TILE_ENTRIES, 1 << 20])
 @pytest.mark.parametrize(("n", "d"), [(2, 1), (5, 3), (90, 2), (300, 17), (700, 64)])
 def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, tile_entries, n, d):
     """Tiles of one row, several rows, and one tile wider than a whole block
-    all pack cdist's upper triangle and fold the same nearest distances."""
+    all pack cdist's upper triangle and fold the same nearest distances into
+    the skip floor."""
     monkeypatch.setattr(preprocess, "_TILE_ENTRIES", tile_entries)
     z = np.random.default_rng(n * d).normal(size=(n, d))
     geometry = distance_matrix(NormalizedData(z, z.mean(0), z.std(0)))
@@ -73,7 +74,7 @@ def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, tile_entri
     assert same_bits(geometry.packed, upper(dense))
     np.fill_diagonal(dense, np.inf)
     nearest = dense.min(axis=1)
-    assert same_bits(geometry.nearest2, nearest * nearest)
+    assert same_bits(geometry.floor, preprocess._skip_floor(nearest * nearest, d))
 
 
 def test_merge_centroid_distances_match_cdist(monkeypatch):

@@ -2,13 +2,18 @@
 
 Production never holds an n x n matrix. Up to preprocess._ONE_PASS_PAIRS
 pairs it computes each distance once with its own kernel and keeps the
-packed triangle; above that it streams the distances once in blocks, spread
-over worker threads, and counts the histogram with a screen of matrix
-products that bins only uncertain blocks exactly. `each_path` runs a test
-body on both paths. The dense matrices these tests compare against are
-built here, by `dense_distances` and `dense_affinities`, and so is the
-serial one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
-`serial_histogram`) whose bits both paths must reproduce.
+packed triangle. Above that it streams blocks spread over worker threads:
+on the product path it estimates the dispersion from matrix products with
+a certified slack, and counts the histogram with a screen that raises
+Uncertain where the slack leaves a count open; on the exact path, the
+fallback, it computes the distances by cdist and bins only the screen's
+uncertain blocks exactly. `each_path` runs a test body on all three paths.
+The dense matrices these tests compare against are built here, by
+`dense_distances` and `dense_affinities`, and so is the serial
+one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
+`serial_histogram`) whose bits the exact paths must reproduce, and whose
+dispersion the product path's interval must hold. `affinity_histogram`,
+the binning production once used, is the histogram oracle.
 """
 
 import dataclasses
@@ -30,8 +35,8 @@ from affclust import pipeline, preprocess
 from affclust.pipeline import run_pipeline
 from affclust.preprocess import (
     NormalizedData,
+    Uncertain,
     affinity_edges,
-    affinity_histogram,
     build_affinity_model,
     distance_matrix,
     normalize,
@@ -69,6 +74,36 @@ def dense_nearest2(z):
     return nearest * nearest
 
 
+def affinity_histogram(affinity, bins=10):
+    """Reference: affinity values of any shape counted into equal-width bins
+    over (0, 1].
+
+    A value v lands in bin ceil(v * bins), so self-affinities of exactly 1
+    land in the top bin. Counts always sum to the number of values.
+    """
+    if bins < 2:
+        raise ValueError("need at least 2 bins")
+    idx = np.ceil(affinity * float(bins)).astype(np.int64)
+    np.clip(idx, 1, bins, out=idx)
+    return np.bincount(idx.ravel(), minlength=bins + 1)[1:]
+
+
+def least_gap2(z):
+    """Reference: for each point i, the least squared distance to another
+    point as detection computes it, the row-wise einsum of z_j - z_i (a
+    row's einsum does not depend on the rows that share the call)."""
+    n, d = z.shape
+    chunk = max(1, (1 << 20) // (n * d))
+    least = np.empty(n)
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        diff = (z[None, :, :] - z[i0:i1, None, :]).reshape(-1, d)
+        gaps = np.einsum("ij,ij->i", diff, diff).reshape(i1 - i0, n)
+        gaps[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
+        least[i0:i1] = gaps.min(axis=1)
+    return least
+
+
 def dense_affinities(dist, sigma):
     """Reference: the full affinity matrix, with production's per-entry expression."""
     a = dist * dist
@@ -81,15 +116,25 @@ def model_of(norm, bins=10):
     return build_affinity_model(norm, distance_matrix(norm), bins)
 
 
+ONE_PASS_PAIRS = preprocess._ONE_PASS_PAIRS
+
+
 def each_path(monkeypatch):
-    """Yield once with the distances computed in one pass by the kernel (the
-    default cap), then once with them streamed by cdist (the cap at 0)."""
-    for path, cap in (("one-pass", preprocess._ONE_PASS_PAIRS), ("streamed", 0)):
+    """Yield "one-pass" with the distances computed in one pass by the kernel
+    (the default cap), then, with the cap at 0, "exact" for them streamed by
+    cdist and "product" for the product estimates."""
+    for path, cap in (("one-pass", ONE_PASS_PAIRS), ("exact", 0), ("product", 0)):
         monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", cap)
         yield path
 
 
-def folded_blocks(z):
+def holds(geometry, sigma):
+    """Whether sigma lies in the geometry's dispersion interval."""
+    low, high = preprocess._interval(geometry.dispersion, geometry.slack)
+    return low <= sigma <= high
+
+
+def folded_blocks(z, exact=False):
     """z's geometry and the row blocks its distance pass folds, in block order.
 
     A spy on _block_moments copies each block it is given. Under 2 or 3
@@ -111,16 +156,16 @@ def folded_blocks(z):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(preprocess, "_block_moments", spy)
-        geometry = distance_matrix(nd(z))
+        geometry = distance_matrix(nd(z), exact=exact)
     assert sorted(blocks) == sorted(first_row.values())
     return geometry, [blocks[i0] for i0 in sorted(blocks)]
 
 
 def streamed_upper(z):
-    """Every distance the streamed path's blocks hold, concatenated in block order."""
+    """Every distance the exact streamed path's blocks hold, concatenated in block order."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
-        return np.concatenate(folded_blocks(z)[1])
+        return np.concatenate(folded_blocks(z, exact=True)[1])
 
 
 def serial_blocks(z):
@@ -315,6 +360,19 @@ def test_identical_points_are_rejected_as_degenerate():
         model_of(normalize(ds([[4.0, 4.0]] * 5)))
 
 
+def test_identical_rows_off_the_origin_fall_back_to_the_exact_dispersion(monkeypatch):
+    """Identical rows that are not zero: their product estimates are rounding
+    noise, so the interval reaches 0 and the product path raises Uncertain;
+    the exact path finds the dispersion 0. All-zero rows estimate exactly."""
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    z = np.tile([0.1, 3.7, -2.9], (600, 1))
+    with pytest.raises(Uncertain):
+        distance_matrix(nd(z))
+    assert distance_matrix(nd(z), exact=True).dispersion == 0.0
+    zero = distance_matrix(nd(np.zeros((600, 3))))
+    assert zero.dispersion == zero.slack == 0.0
+
+
 def test_affinity_decreases_with_distance():
     norm = normalize(random_dataset(31))
     geometry = distance_matrix(norm)
@@ -328,18 +386,23 @@ def test_affinity_decreases_with_distance():
 
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
 def test_streamed_model_matches_dense_reference(monkeypatch, n):
-    """Several blocks and a partial last one, on both paths: same distances,
-    same histogram, same dispersion."""
+    """Several blocks and a partial last one, on every path: the dense
+    histogram at the exact dispersion, which the product path's interval
+    holds; the dense distances and dispersion on the exact paths."""
     rng = np.random.default_rng(n)
-    for _ in each_path(monkeypatch):
-        for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
-            dist = dense_distances(z)
-            geometry, blocks = folded_blocks(z)
-            got = np.concatenate(blocks)
-            assert np.array_equal(got, dist[np.triu_indices(n, 1)])
-            assert geometry.dispersion == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
+    for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
+        dist = dense_distances(z)
+        sigma = serial_dispersion(n, serial_blocks(z))
+        for path in each_path(monkeypatch):
+            geometry, blocks = folded_blocks(z, exact=path == "exact")
+            if path == "product":
+                assert holds(geometry, sigma)
+            else:
+                assert np.array_equal(np.concatenate(blocks), dist[np.triu_indices(n, 1)])
+                assert geometry.dispersion == sigma
+            assert sigma == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
             model = build_affinity_model(nd(z), geometry, bins=10)
-            expect = affinity_histogram(dense_affinities(dist, geometry.dispersion), 10)
+            expect = affinity_histogram(dense_affinities(dist, sigma), 10)
             assert np.array_equal(model.histogram, expect)
 
 
@@ -347,15 +410,18 @@ def test_streamed_model_matches_dense_reference(monkeypatch, n):
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
 def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cores, block_entries):
-    """Either path, at any worker count, gives the serial stream's blocks,
-    dispersion bits and histograms, and the dense nearest-neighbour distances.
+    """Every path, at any worker count, gives the serial stream's histograms.
+    The exact paths give its blocks and dispersion bits, and the skip floor
+    of the dense nearest-neighbour distances; the product path's interval
+    holds that dispersion.
 
     At the real block size only n=1100 has more than one worker's worth of
     pairs; 4,096-entry blocks give every n > 90 three workers and a partial
     last block. Three workers outnumber this machine's cores when it has two,
     and a short switch interval interleaves them often: a lost or misplaced
     block result would break the comparison. The one-pass path runs on the
-    calling thread; it must cut the triangle into the same blocks.
+    calling thread; it must cut the triangle into the same blocks. The
+    product path must give the bits it gives on one worker.
     """
     monkeypatch.setattr(preprocess, "_available_cores", lambda: cores)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
@@ -363,36 +429,83 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for _ in each_path(monkeypatch):
-            for z in (rng.normal(size=(n, 3)), np.eye(n)):
-                geometry, got = folded_blocks(z)
-                expect = list(serial_blocks(z))
+        for z in (rng.normal(size=(n, 3)), np.eye(n)):
+            expect = list(serial_blocks(z))
+            sigma = serial_dispersion(n, expect)
+            floor = preprocess._skip_floor(dense_nearest2(z), z.shape[1])
+            histograms = {bins: serial_histogram(n, expect, sigma, bins) for bins in (2, 10, 30)}
+            for path in each_path(monkeypatch):
+                geometry, got = folded_blocks(z, exact=path == "exact")
                 assert len(got) == len(expect)
-                assert all(np.array_equal(g, e) for g, e in zip(got, expect))
-                assert geometry.dispersion.hex() == serial_dispersion(n, expect).hex()
-                nearest2 = dense_nearest2(z)
-                assert np.array_equal(geometry.nearest2, nearest2)
-                for bins in (2, 10, 30):
+                if path == "product":
+                    assert holds(geometry, sigma)
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(preprocess, "_available_cores", lambda: 1)
+                        serial = distance_matrix(nd(z))
+                    assert geometry.dispersion.hex() == serial.dispersion.hex()
+                    assert geometry.slack.hex() == serial.slack.hex()
+                    assert np.array_equal(geometry.floor, serial.floor)
+                else:
+                    assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+                    assert geometry.dispersion.hex() == sigma.hex()
+                    assert np.array_equal(geometry.floor, floor)
+                for bins, histogram in histograms.items():
                     model = build_affinity_model(nd(z), geometry, bins)
-                    expect_hist = serial_histogram(n, expect, geometry.dispersion, bins)
-                    assert np.array_equal(model.histogram, expect_hist)
-                    floor = preprocess._skip_floor(nearest2, z.shape[1])
-                    assert np.array_equal(model.floor, floor)
+                    assert np.array_equal(model.histogram, histogram)
+                    assert model.floor is geometry.floor
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n", [3, 40, 513, 1100])
 def test_nearest2_is_the_dense_minimum_squared(monkeypatch, n):
-    """Bit for bit on both paths, with duplicates (nearest2 0) and one isolated point."""
+    """The skip floor comes from the dense nearest2, bit for bit, on the
+    exact paths, with duplicates (nearest2 0) and one isolated point. On the
+    product path it stays below every gap2 detection computes, and within a
+    few ulps of the squared distance's scale of it."""
     rng = np.random.default_rng(n)
     z = rng.normal(size=(n, 5))
     z[n // 2] = z[0]
     z[-1] += 100.0
-    for _ in each_path(monkeypatch):
-        nearest2 = distance_matrix(nd(z)).nearest2
-        assert np.array_equal(nearest2, dense_nearest2(z))
-        assert nearest2[0] == 0.0
+    least = least_gap2(z)
+    for path in each_path(monkeypatch):
+        floor = distance_matrix(nd(z), exact=path == "exact").floor
+        if path == "product":
+            assert (floor <= least).all()
+            assert (floor >= least - 1e-12 * (1.0 + np.einsum("ij,ij->i", z, z).max())).all()
+        else:
+            assert np.array_equal(floor, preprocess._skip_floor(dense_nearest2(z), 5))
+        assert floor[0] < 0.0
+
+
+def estimate_misses():
+    """Sets where the product estimate of some squared distances is far off
+    in relative terms: a tight cluster a thousand units out, whose |a|^2 is
+    about 10^12 times its squared distances, and near-duplicate pairs 10^-9
+    apart, whose squared distances are below the estimate's rounding."""
+    rng = np.random.default_rng(17)
+    cluster = np.array([1e3, -1e3, 5e2]) + 1e-3 * rng.normal(size=(240, 3))
+    pairs = rng.normal(size=(300, 4))
+    pairs[150:] = pairs[:150] + 1e-9 * rng.normal(size=(150, 4))
+    return {
+        "far-tight-cluster": np.vstack([rng.normal(size=(240, 3)), cluster]),
+        "near-duplicates": pairs,
+    }
+
+
+@pytest.mark.parametrize("case", ["far-tight-cluster", "near-duplicates"])
+def test_the_interval_holds_the_dispersion_where_the_estimate_misses_it(monkeypatch, case):
+    """The product estimate's bits differ from the serial stream's
+    dispersion here, so only its slack makes the interval hold it; the
+    floor still stays below every gap2."""
+    z = estimate_misses()[case]
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
+    sigma = serial_dispersion(z.shape[0], serial_blocks(z))
+    geometry = distance_matrix(nd(z))
+    assert geometry.dispersion != sigma
+    assert holds(geometry, sigma)
+    assert (geometry.floor <= least_gap2(z)).all()
 
 
 def test_affinity_model_memory_stays_far_below_one_dense_matrix():
@@ -466,8 +579,8 @@ def test_run_result_does_not_keep_the_packed_triangle(monkeypatch):
     norm = cap_points()
     geometries = []
 
-    def recorded(normalized):
-        geometry = distance_matrix(normalized)
+    def recorded(normalized, exact=False):
+        geometry = distance_matrix(normalized, exact=exact)
         geometries.append(weakref.ref(geometry.packed))
         return geometry
 
@@ -527,10 +640,12 @@ def test_bisect_floats_answers_do_not_depend_on_the_guess(bins):
         assert np.array_equal(got, expect)
 
 
-def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12):
+def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12, slack=0.0):
     """The streamed model's histogram of z at this dispersion, and how many
     blocks the screen left to the exact binning (a spy on _bin_counts, which
-    on the streamed path only those blocks reach)."""
+    on the streamed path only those blocks reach). With a slack, the
+    dispersion is an interval, as on the product path, and the histogram is
+    None where the screen raises Uncertain."""
     monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
     exact = preprocess._bin_counts
@@ -541,8 +656,13 @@ def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12):
         return exact(block, dispersion, bins)
 
     monkeypatch.setattr(preprocess, "_bin_counts", spy)
-    geometry = dataclasses.replace(distance_matrix(nd(z)), dispersion=dispersion)
-    histogram = build_affinity_model(nd(z), geometry, bins).histogram
+    geometry = dataclasses.replace(
+        distance_matrix(nd(z), exact=True), dispersion=dispersion, slack=slack
+    )
+    try:
+        histogram = build_affinity_model(nd(z), geometry, bins).histogram
+    except Uncertain:
+        histogram = None
     return histogram, len(fallbacks)
 
 
@@ -574,7 +694,9 @@ def near_edge_dispersions(distance, bins, m, reach=3):
 def test_screen_bins_pairs_within_ulps_of_an_edge_exactly(monkeypatch, d):
     """A pair whose cdist distance sits a few ulps from edge m, on either side
     and on it: the screen cannot tell which side, so that block is binned
-    exactly, and the histogram is the dense one's."""
+    exactly, and the histogram is the dense one's. An interval of the
+    smallest slack around the same dispersion raises Uncertain wherever a
+    block was binned exactly, and gives the dense histogram elsewhere."""
     rng = np.random.default_rng(d)
     z = rng.normal(size=(300, d))
     dist = dense_distances(z)
@@ -582,9 +704,38 @@ def test_screen_bins_pairs_within_ulps_of_an_edge_exactly(monkeypatch, d):
     for bins, m, (i, j) in ((10, 4, (0, 1)), (10, 9, (5, 200)), (2, 1, (7, 299)), (30, 17, (150, 151))):
         for dispersion in near_edge_dispersions(dist[i, j], bins, m).values():
             got, used = screened_histogram(monkeypatch, z, dispersion, bins)
-            assert np.array_equal(got, dense_histogram(z, dispersion, bins))
+            expect = dense_histogram(z, dispersion, bins)
+            assert np.array_equal(got, expect)
             fallbacks += used
+            narrow, _ = screened_histogram(monkeypatch, z, dispersion, bins, slack=5e-324)
+            assert narrow is None if used else np.array_equal(narrow, expect)
     assert fallbacks > 0
+
+
+@pytest.mark.parametrize("width", [1e-9, 1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("d", [2, 16])
+def test_screen_counts_a_pair_only_where_both_ends_agree(monkeypatch, d, width):
+    """A dispersion interval of relative width 2 width: the screen gives the
+    dense histogram at both ends where they agree, which is then the
+    histogram at every dispersion between them, and raises Uncertain
+    wherever the ends disagree on some pair's bin."""
+    z = np.random.default_rng(d).normal(size=(400, d))
+    dispersion = distance_matrix(nd(z)).dispersion
+    outcomes = set()
+    for bins in (2, 10, 30):
+        slack = width * dispersion
+        low, high = preprocess._interval(dispersion, slack)
+        ends = [dense_histogram(z, sigma, bins) for sigma in (low, dispersion, high)]
+        got, _ = screened_histogram(monkeypatch, z, dispersion, bins, slack=slack)
+        if not np.array_equal(ends[0], ends[2]):
+            assert got is None
+        if got is not None:
+            assert all(np.array_equal(got, end) for end in ends)
+        outcomes.add(got is None)
+    if width <= 1e-9:
+        assert outcomes == {False}
+    if width >= 1e-2:
+        assert True in outcomes
 
 
 def test_screen_bins_a_far_tight_cluster_exactly(monkeypatch):
@@ -720,7 +871,8 @@ def test_model_composition_is_consistent():
     norm = normalize(random_dataset(61))
     geometry = distance_matrix(norm)
     model = build_affinity_model(norm, geometry, bins=10)
-    assert model.bar == preprocess._affinity_bar(geometry.dispersion, model.threshold)
+    bar = preprocess._affinity_bar(geometry.dispersion, model.threshold)
+    assert model.bar == (bar, bar)
     assert model.histogram.size == 10
     assert model.histogram.sum() == norm.n_points**2
     assert model.threshold == (model.threshold_bin - 0.5) / model.histogram.size

@@ -1,4 +1,4 @@
-"""Start-up: scipy stays unloaded until an input above the one-pass cap.
+"""Start-up: scipy stays unloaded unless a run falls back to the exact geometry.
 
 Each check runs in a fresh interpreter, since this test process has long
 imported scipy itself.
@@ -40,7 +40,7 @@ def test_clustering_a_small_input_loads_no_scipy():
 
 
 RUN_ABOVE_THE_CAP = """
-import json, sys
+import json, math, sys
 import numpy as np
 from affclust import preprocess
 from affclust.data import SyntheticSpec, generate_synthetic
@@ -55,20 +55,31 @@ n = dataset.n_points
 cap = preprocess._ONE_PASS_PAIRS
 preprocess._ONE_PASS_PAIRS = n * (n - 1) // 2  # this input, in one pass
 one_pass = run_pipeline(dataset)
-after_one_pass = loaded()
 preprocess._ONE_PASS_PAIRS = cap
+if sys.argv[1] == "wide":  # a slack that reaches 0: the product geometry decides nothing
+    preprocess._dispersion_slack = lambda *args: math.inf
 streamed = run_pipeline(dataset)
 same = all(
     np.array_equal(getattr(one_pass, f), getattr(streamed, f))
     for f in vars(one_pass) if f != "timings_ms"
 )
-print(json.dumps([n * (n - 1) // 2 > cap, after_one_pass, loaded(), same]))
+print(json.dumps([n * (n - 1) // 2 > cap, loaded(), "exact" in streamed.timings_ms, same]))
 """
 
 
-def test_a_run_above_the_cap_loads_scipy_with_the_same_result():
-    above, after_one_pass, after_streamed, same = json.loads(python("-c", RUN_ABOVE_THE_CAP).stdout)
+def test_a_run_above_the_cap_loads_no_scipy_with_the_same_result():
+    """The product geometry decides every count and join on this input."""
+    above, scipy, fell_back, same = json.loads(python("-c", RUN_ABOVE_THE_CAP, "product").stdout)
     assert above
-    assert not after_one_pass
-    assert after_streamed
+    assert not scipy
+    assert not fell_back
+    assert same
+
+
+def test_a_forced_fallback_loads_scipy_with_the_same_result():
+    """With the slack forced wide, the run reruns from the exact cdist geometry."""
+    above, scipy, fell_back, same = json.loads(python("-c", RUN_ABOVE_THE_CAP, "wide").stdout)
+    assert above
+    assert scipy
+    assert fell_back
     assert same
