@@ -309,13 +309,18 @@ def cmd_histogram(args) -> int:
     normalized = normalize(dataset)
 
     def model_of(exact: bool):
-        """The affinity model, or None for identical points, which have no
-        affinity histogram: null counts and threshold are reported, and the
-        exit code is 3."""
+        """The affinity model with exact counts, or None for identical
+        points, which have no affinity histogram: null counts and threshold
+        are reported, and the exit code is 3. Where the sketch bounded the
+        counts, the screen counts them: a geometry without a sketch."""
         geometry = distance_matrix(normalized, exact=exact)
         if geometry.dispersion <= 0.0:
             return None
-        return build_affinity_model(normalized, geometry, bins=args.bins)
+        model = build_affinity_model(normalized, geometry, bins=args.bins)
+        if not np.array_equal(*model.histogram):
+            geometry.sketch = None
+            model = build_affinity_model(normalized, geometry, bins=args.bins)
+        return model
 
     try:
         model = model_of(False)
@@ -324,7 +329,7 @@ def cmd_histogram(args) -> int:
     degenerate = model is None
     counts = threshold_bin = threshold = None
     if not degenerate:
-        counts, threshold_bin, threshold = model.histogram, model.threshold_bin, model.threshold
+        counts, threshold_bin, threshold = model.histogram[0], model.threshold_bin, model.threshold
     edges = [(i / args.bins, (i + 1) / args.bins) for i in range(args.bins)]
     payload = {
         "schema_version": SCHEMA_VERSION,

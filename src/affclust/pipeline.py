@@ -30,8 +30,10 @@ class RunResult:
     outlier_points are 0-based indices into the input order. reported_count
     is None when the final count exceeded sqrt(n) and was withheld.
     timings_ms is informational only and excluded from deterministic output;
-    it holds an "exact" entry, the rerun from the exact geometry, only when
-    the product geometry left a decision uncertain.
+    it holds a "screen" entry, the part of "affinity" the screen took, only
+    when the sketch left the threshold bin open, and an "exact" entry, the
+    rerun from the exact geometry, only when the product geometry left a
+    decision uncertain.
     """
 
     name: str
@@ -76,7 +78,7 @@ def _detect(
     model = None
     if geometry.dispersion > 0.0:
         t0 = time.perf_counter()
-        model = build_affinity_model(norm, geometry, bins=bins)
+        model = build_affinity_model(norm, geometry, bins=bins, timings=timings)
         timings["affinity"] = time.perf_counter() - t0
     del geometry  # its packed distances are not needed once the threshold is known
 

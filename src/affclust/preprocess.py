@@ -38,6 +38,11 @@ distance_matrix has three visits:
   by matrix products (_products, the screen's own), and folds the moments
   of their square roots into an estimate of the dispersion, with a
   certified slack: the exact dispersion lies within it (_dispersion_slack).
+  Before the square roots it counts each clipped estimate X+ = max(X, 0)
+  into a sketch of fixed buckets (_sketch). The keys are computed a chunk
+  at a time into a small per-worker scratch, not in the block, so the
+  block still holds X+ for the square roots and the dispersion's bits are
+  those of a pass without the sketch; no block-sized array is added.
 - The exact visit, asked for by a caller once the product geometry has
   left a decision uncertain, computes each block by scipy's cdist, which
   gives the exact dispersion, the slack 0. It is the only visit that
@@ -47,19 +52,26 @@ Downstream, the product geometry's dispersion is an interval. The bin edges
 and detection's join bar g* are both monotone in the dispersion, so a
 pair's bin and a join are decided wherever the interval's two ends agree;
 where they do not, Uncertain is raised and the caller reruns from the exact
-geometry. The histogram comes from a screen (_screened_counts) on either
-streamed geometry: matrix products estimate every squared distance of a
-block, and a pair farther from every squared edge than a derived rounding
-bound is counted as it is. A block holding any other pair is computed by
-cdist and binned exactly on the exact geometry, and raises Uncertain on the
-product geometry. Either way each pair lands in the bin its cdist distance
-gives at the exact dispersion, so the histogram is the dense one's.
+geometry. Only the bin below the steepest jump reaches the clustering, and
+on the product geometry the sketch usually names it: a bucket wholly past
+a bin edge's rounding band (_bands) at both ends of the interval is
+decided, so the sketch gives a lower and an upper count for each bin
+(_sketch_bounds), and select_threshold names the bin where no rival jump
+can reach the winner's. Otherwise the histogram comes from a screen
+(_screened_counts) on either streamed geometry: matrix products estimate
+every squared distance of a block, and a pair farther from every squared
+edge than a derived rounding bound is counted as it is. A block holding
+any other pair is computed by cdist and binned exactly on the exact
+geometry, and raises Uncertain on the product geometry. Either way each
+pair lands in the bin its cdist distance gives at the exact dispersion, so
+the histogram is the dense one's.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -88,6 +100,17 @@ _TILE_ENTRIES = 1 << 15
 _PRODUCT_VOLUME = 1 << 18
 # float64's unit roundoff: a correctly rounded result is within a relative _U.
 _U = 2.0**-53
+# The sketch's buckets. An estimate X+ >= 0 is keyed by the top bits of its
+# pattern, the exponent and _SKETCH_BITS mantissa bits, so an inner bucket
+# spans a relative 2^-6 of X+. The inner buckets 0.._SKETCH_INNER - 1 cover
+# the window [2^-64, 2^64) in order; bucket _SKETCH_INNER takes everything
+# below and above it, and is never decided.
+_SKETCH_BITS = 6
+_SKETCH_SHIFT = 52 - _SKETCH_BITS
+_SKETCH_FIRST = (1023 - 64) << _SKETCH_BITS  # the key of 2^-64
+_SKETCH_INNER = 128 << _SKETCH_BITS
+# Keys computed at a time into each worker's scratch (128 KB of int64).
+_SKETCH_CHUNK = 1 << 14
 
 
 class Uncertain(Exception):
@@ -118,13 +141,20 @@ class Geometry:
     slack: float             # the exact dispersion is within slack of it; 0.0 when exact
     floor: np.ndarray        # (n,) a lower bound on every gap2 of a sweep opened at point i
     packed: np.ndarray | None  # the strict upper triangle, row-major; None above _ONE_PASS_PAIRS
+    # On the product geometry, the upper triangle's estimates X+ counted into
+    # the _SKETCH_INNER + 1 buckets (_sketch), and the largest block's delta
+    # (_products); None and 0.0 on the exact geometries
+    sketch: np.ndarray | None = None
+    delta: float = 0.0
 
 
 @dataclass
 class AffinityModel:
     """The Gaussian affinity histogram, its threshold, and detection's two bars."""
 
-    histogram: np.ndarray  # (bins,) counts over equal-width affinity bins
+    # (bins,) counts over equal-width affinity bins: a lower and an upper
+    # bound on each, the same array twice when the counts are exact
+    histogram: tuple[np.ndarray, np.ndarray]
     threshold: float       # midpoint of the bin below the steepest positive jump
     threshold_bin: int     # 1-based index k of that bin
     # g* at the two ends of the dispersion interval, equal when it is exact:
@@ -305,6 +335,27 @@ def _block_moments(block: np.ndarray) -> tuple[float, float, float]:
     return 2.0 * block.size, b_mean, 2.0 * float(np.square(block, out=block).sum())
 
 
+def _sketch(block: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> None:
+    """Count each entry of a 1-D block of non-negative floats into its bucket.
+
+    The bit patterns of non-negative floats order as the floats do. An
+    entry's key is its pattern less that of 2^-64, shifted right by
+    _SKETCH_SHIFT as an unsigned integer, so an entry below 2^-64 wraps
+    round to a key above every inner bucket's, as does one of 2^64 or more;
+    the keys are capped at _SKETCH_INNER, the outside bucket. They go
+    through `keys`, a scratch of _SKETCH_CHUNK int64, so block is left as
+    it is.
+    """
+    bits = block.view(np.int64)
+    for c0 in range(0, bits.size, keys.size):
+        chunk = keys[: min(keys.size, bits.size - c0)]
+        np.subtract(bits[c0 : c0 + chunk.size], _SKETCH_FIRST << _SKETCH_SHIFT, out=chunk)
+        wrapped = chunk.view(np.uint64)
+        np.right_shift(wrapped, np.uint64(_SKETCH_SHIFT), out=wrapped)
+        np.minimum(wrapped, np.uint64(_SKETCH_INNER), out=wrapped)
+        counts += np.bincount(chunk, minlength=counts.size)
+
+
 def _rounding(d: int) -> tuple[float, float]:
     """g = gamma_(d+2) and tiny = (d + 4) 2^-1072, the screen's rounding terms at d coordinates."""
     return _gamma(d + 2), (d + 4) * 2.0**-1072
@@ -455,7 +506,9 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
     blocks are _products' estimates X: the dispersion folds their clipped
     square roots, the slack is _dispersion_slack's, and the floor is
     _skip_floor of the least X - delta of each point, which bounds every
-    exact squared distance from below. That raises Uncertain where the
+    exact squared distance from below; the geometry also carries the
+    sketch of the clipped estimates and the largest block's delta, for
+    _sketch_bounds. That raises Uncertain where the
     interval reaches 0 but the points are not all zero (the exact
     dispersion could be 0 or not), or where a squared norm is too large
     to estimate.
@@ -466,15 +519,14 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
         raise ValueError("distance matrix needs at least 2 points")
     _, workers = _block_plan(n)
     folds = np.full((workers, 2, n), np.inf)
-    packed = None
-    estimate = None
+    packed = sketches = estimate = None
     if n * (n - 1) // 2 <= _ONE_PASS_PAIRS:
         packed = np.empty(n * (n - 1) // 2)
         cols = np.ascontiguousarray(z.T)  # (d, n): one contiguous run per coordinate
         tile_rows = max(1, _TILE_ENTRIES // n)
         scratch = np.empty(min(tile_rows, n) * n)
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float, float]:
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, ...]:
             """The block's rows in tiles at the start of rect's memory, each the
             rectangle right of its first row's diagonal, so all but its small
             lower corner is the triangle's: each is folded and packed while it
@@ -486,23 +538,25 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
                 _kernel(cols[:, a0:a1], cols[:, a0:], tile, scratch[: tile.size].reshape(tile.shape))
                 _fold_nearest(tile, a0, folds[t])
                 _pack_upper(tile, packed[_row_offset(n, a0) :])
-            return *_block_moments(_packed_block(packed, rect, i0)), 0.0
+            return *_block_moments(_packed_block(packed, rect, i0)), 0.0, 0.0
 
     elif exact:
         from scipy.spatial.distance import cdist  # here, before any worker starts
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float, float]:
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, ...]:
             cdist(z[i0 : i0 + rect.shape[0]], z[i0:], out=rect)
             _fold_nearest(rect, i0, folds[t])
             flat = rect.reshape(-1)
-            return *_block_moments(flat[: _pack_upper(rect, flat)]), 0.0
+            return *_block_moments(flat[: _pack_upper(rect, flat)]), 0.0, 0.0
 
     else:
         estimate = _products(z)
         if estimate is None:
             raise Uncertain("a squared norm is too large for the product estimate")
+        sketches = np.zeros((workers, _SKETCH_INNER + 1), dtype=np.int64)
+        keys = np.empty((workers, _SKETCH_CHUNK), dtype=np.int64)
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float, float]:
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, ...]:
             r, m = rect.shape
             delta = estimate(rect, i0)
             least = _fold_nearest(rect, i0, folds[t], delta)
@@ -512,12 +566,13 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
             flat = rect.reshape(-1)
             block = flat[: _pack_upper(rect, flat)]
             np.maximum(block, 0.0, out=block)
-            return *_block_moments(np.sqrt(block, out=block)), spread
+            _sketch(block, keys[t], sketches[t])
+            return *_block_moments(np.sqrt(block, out=block)), spread, delta
 
     count, mean, m2 = float(n), 0.0, 0.0
     top = spread = 0.0
     blocks = _map_blocks(n, visit)
-    for b_count, b_mean, b_m2, b_spread in blocks:
+    for b_count, b_mean, b_m2, b_spread, _ in blocks:
         total = count + b_count
         delta = b_mean - mean
         mean += delta * (b_count / total)
@@ -537,21 +592,43 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
         slack = _dispersion_slack(dispersion, top, spread, count, block_pairs, len(blocks))
         if not _interval(dispersion, slack)[0] > 0.0:
             raise Uncertain("the dispersion interval reaches 0")
-    return Geometry(dispersion=dispersion, slack=slack, floor=_skip_floor(least, d), packed=packed)
+    return Geometry(
+        dispersion=dispersion,
+        slack=slack,
+        floor=_skip_floor(least, d),
+        packed=packed,
+        sketch=None if sketches is None else sketches.sum(axis=0),
+        delta=max(b[4] for b in blocks),
+    )
 
 
-def select_threshold(histogram: np.ndarray) -> tuple[float, int]:
+def select_threshold(
+    lower: np.ndarray, upper: np.ndarray | None = None
+) -> tuple[float, int] | None:
     """Pick the affinity threshold from the steepest positive histogram jump.
 
     Scans consecutive bin pairs, takes the (smallest) index k maximizing
     H(k+1) - H(k), and returns the midpoint of bin k: (k - 0.5) / bins.
+
+    The counts may be known only within bounds, lower <= H <= upper (upper
+    defaults to lower: exact counts). Jump k then lies between
+    lower(k+1) - upper(k) and upper(k+1) - lower(k), and k is named only
+    when no rival can beat it or, before it, tie it: every jump before k
+    has its upper bound below k's lower bound, and every jump after k its
+    upper bound at most that. The candidate is the first maximizer of the
+    lower bounds, the only bin that can pass. On exact counts it is the
+    first maximizer of the jumps and always passes; on wider bounds the
+    result is None where they leave the bin open.
     """
-    h = np.asarray(histogram, dtype=np.int64)
-    if h.size < 2:
+    lo = np.asarray(lower, dtype=np.int64)
+    hi = lo if upper is None else np.asarray(upper, dtype=np.int64)
+    if lo.size < 2:
         raise ValueError("threshold selection needs at least 2 bins")
-    jumps = h[1:] - h[:-1]
-    k = int(np.argmax(jumps)) + 1  # argmax returns the first (smallest) maximizer
-    return (k - 0.5) / h.size, k
+    least, most = lo[1:] - hi[:-1], hi[1:] - lo[:-1]
+    k = int(np.argmax(least))  # argmax returns the first (smallest) maximizer
+    if (most[:k] < least[k]).all() and (most[k + 1 :] <= least[k]).all():
+        return (k + 0.5) / lo.size, k + 1
+    return None
 
 
 def bisect_floats(holds: Callable[[np.ndarray], np.ndarray], guess: np.ndarray) -> np.ndarray:
@@ -670,6 +747,53 @@ def _skip_floor(least2: np.ndarray, d: int) -> np.ndarray:
     return least2 * (1.0 - (4 * d + 8) * _U) - (d + 1) * 2.0**-1073
 
 
+def _bands(d: int, dispersions: tuple[float, float], bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """hi_m and lo_m of _screened_counts for m = 1..bins-1, before delta.
+
+    A pair whose estimate X is at least hi_m + delta has a bin of m or
+    below at every dispersion in the interval, and one whose X is below
+    lo_m - delta a bin above m. Both fall as m grows, as the edges do.
+    """
+    low, high = dispersions
+    g, tiny = _rounding(d)
+    with np.errstate(over="ignore"):
+        edges = affinity_edges(high, bins)
+        below = np.nextafter(edges if low == high else affinity_edges(low, bins), 0.0)
+        return (edges * edges + tiny) * (1.0 + 4.0 * g), (below * below - tiny) * (1.0 - 4.0 * g)
+
+
+def _sketch_bounds(
+    sketch: np.ndarray, delta: float, d: int, dispersions: tuple[float, float], bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A lower and an upper bound on each bin count of the upper triangle, from the sketch.
+
+    An inner bucket holds the pairs whose X+ = max(X, 0) lies in [x0, x1),
+    its two ends' patterns. Against _bands widened by delta, the largest
+    block's, a bucket with x0 >= hi_m + delta holds pairs of bin m or
+    below, and one with x1 <= lo_m - delta pairs above bin m (X <= X+ <
+    x1). So its pairs' bins lie in [1 + #{m: lo_m - delta >= x1},
+    bins - #{m: hi_m + delta <= x0}], and a bucket a band touches spans two
+    bins or more. The outside bucket spans every bin. A bucket of one bin
+    adds its pairs to that bin's lower and upper bound, any other bucket to
+    the upper bound of each bin it spans; the exact counts lie between.
+    """
+    hi, lo = _bands(d, dispersions, bins)
+    hi, lo = (hi + delta)[::-1], (lo - delta)[::-1]  # ascending
+    patterns = (np.arange(_SKETCH_INNER + 1, dtype=np.int64) + _SKETCH_FIRST) << _SKETCH_SHIFT
+    x = patterns.view(np.float64)
+    first = np.ones(sketch.size, dtype=np.int64)  # the least bin each bucket may hold
+    last = np.full(sketch.size, bins, dtype=np.int64)  # and the largest
+    first[:-1] += bins - 1 - np.searchsorted(lo, x[1:], side="left")
+    last[:-1] -= np.searchsorted(hi, x[:-1], side="right")
+    one = first == last
+    lower = np.zeros(bins, dtype=np.int64)
+    np.add.at(lower, first[one] - 1, sketch[one])
+    spans = np.zeros(bins + 1, dtype=np.int64)  # each bucket's pairs from bin `first` to `last`
+    np.add.at(spans, first - 1, sketch)
+    np.subtract.at(spans, last, sketch)
+    return lower, np.cumsum(spans[:bins])
+
+
 def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int) -> np.ndarray:
     """The bin counts of the strict upper triangle, each pair counted once.
 
@@ -738,12 +862,7 @@ def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int)
     estimate = _products(z)
     if estimate is None and not exact:
         raise Uncertain("a squared norm is too large for the product estimate")
-    g, tiny = _rounding(d)
-    with np.errstate(over="ignore"):
-        edges = affinity_edges(high, bins)
-        below = np.nextafter(edges if exact else affinity_edges(low, bins), 0.0)
-        hi = (edges * edges + tiny) * (1.0 + 4.0 * g)
-        lo = (below * below - tiny) * (1.0 - 4.0 * g)
+    hi, lo = _bands(d, dispersions, bins)
     rows, workers = _block_plan(n)
     masks = np.empty((workers, min(rows, n) * n), dtype=bool)
     lower = np.tri(min(rows, n), dtype=bool)
@@ -773,20 +892,28 @@ def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int)
 
 
 def build_affinity_model(
-    normalized: NormalizedData, geometry: Geometry, bins: int = 10
+    normalized: NormalizedData,
+    geometry: Geometry,
+    bins: int = 10,
+    timings: dict[str, float] | None = None,
 ) -> AffinityModel:
     """Histogram the affinities exp(-d^2 / (2 * dispersion)) and pick the threshold.
 
     The dispersion enters linearly, not squared: the bandwidth is the square
     root of the distance spread, which keeps the exponent dimensionally mild
     for both tight and diffuse data. Each pair of the upper triangle is
-    counted twice; the n self-affinities of exactly 1 go to the top bin. A
-    geometry with a packed triangle has its blocks binned by
-    _affinity_bins; otherwise the pairs are counted by _screened_counts over
-    the geometry's dispersion interval, which gives the exact path's counts
-    or raises Uncertain. The model keeps detection's bars, g* at both ends
-    of the interval (_affinity_bar), and the geometry's skip floor, not the
-    packed triangle.
+    counted twice; the n self-affinities of exactly 1 go to the top bin.
+
+    A geometry with a sketch (the product geometry) first bounds the counts
+    by _sketch_bounds over its dispersion interval; where select_threshold
+    names the bin from those bounds, the model keeps them. Otherwise the
+    counts are exact: a geometry with a packed triangle has its blocks
+    binned by _affinity_bins, and any other is counted by _screened_counts
+    over its dispersion interval, which gives the exact path's counts or
+    raises Uncertain. timings, when given, gets the screen's wall time in
+    seconds under "screen" when a sketch left the bin open. The model keeps
+    detection's bars, g* at both ends of the interval (_affinity_bar), and
+    the geometry's skip floor, not the packed triangle.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
@@ -797,22 +924,37 @@ def build_affinity_model(
             "the only valid clustering is a single cluster holding every point"
         )
     z = normalized.values
-    n = z.shape[0]
+    n, d = z.shape
     low, high = _interval(dispersion, geometry.slack)
-    if geometry.packed is None:
-        counts = _screened_counts(z, (low, high), bins)
-    else:
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
-            return _bin_counts(_packed_block(geometry.packed, rect, i0), dispersion, bins)
+    def histogram(counts: np.ndarray) -> np.ndarray:
+        doubled = 2 * counts
+        doubled[-1] += n
+        return doubled
 
-        counts = sum(_map_blocks(n, visit))
-    histogram = 2 * counts
-    histogram[-1] += n
-    threshold, threshold_bin = select_threshold(histogram)
+    picked = None
+    if geometry.sketch is not None:
+        bounds = _sketch_bounds(geometry.sketch, geometry.delta, d, (low, high), bins)
+        lower, upper = map(histogram, bounds)
+        picked = select_threshold(lower, upper)
+    if picked is None:
+        started = time.perf_counter()
+        if geometry.packed is None:
+            counts = _screened_counts(z, (low, high), bins)
+        else:
+
+            def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
+                return _bin_counts(_packed_block(geometry.packed, rect, i0), dispersion, bins)
+
+            counts = sum(_map_blocks(n, visit))
+        lower = upper = histogram(counts)
+        picked = select_threshold(lower)
+        if geometry.sketch is not None and timings is not None:
+            timings["screen"] = time.perf_counter() - started
+    threshold, threshold_bin = picked
     bar = _affinity_bar(low, threshold)
     return AffinityModel(
-        histogram=histogram,
+        histogram=(lower, upper),
         threshold=threshold,
         threshold_bin=threshold_bin,
         bar=(bar, bar if high == low else _affinity_bar(high, threshold)),

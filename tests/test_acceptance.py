@@ -356,9 +356,11 @@ def test_criterion_6e_preprocess_invariants_on_random_data():
         assert affinity.min() > 0.0
         assert affinity.max() <= 1.0
         assert (np.diagonal(affinity) == 1.0).all()
-        assert np.array_equal(model.histogram, affinity_histogram(affinity, 10))
-        assert model.histogram.sum() == n * n
-        assert model.histogram.size == 10
+        lower, upper = model.histogram
+        assert np.array_equal(lower, upper)
+        assert np.array_equal(lower, affinity_histogram(affinity, 10))
+        assert lower.sum() == n * n
+        assert lower.size == 10
         assert 1 <= model.threshold_bin <= 9
         assert abs(model.threshold - (model.threshold_bin - 0.5) / 10) < 1e-15
         assert 0.0 < model.threshold < 1.0

@@ -288,7 +288,9 @@ def test_histogram_counts_sum_to_n_squared(files):
     assert sum(payload["counts"]) == payload["n"] ** 2
     norm = normalize(files.dataset)
     model = build_affinity_model(norm, distance_matrix(norm), bins=12)
-    assert payload["counts"] == [int(c) for c in model.histogram]
+    lower, upper = model.histogram
+    assert np.array_equal(lower, upper)
+    assert payload["counts"] == [int(c) for c in lower]
     assert payload["threshold"] == round(model.threshold, 6)
     assert payload["threshold_bin"] == model.threshold_bin
     assert len(payload["edges"]) == 12

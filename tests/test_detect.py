@@ -432,10 +432,11 @@ def test_moves_match_the_oracle_on_the_corpus_shapes(i):
 @pytest.mark.parametrize("i", range(24))
 def test_product_models_move_as_the_exact_ones_on_the_corpus_shapes(i, monkeypatch):
     """Each set streamed (the one-pass cap at 0): the product geometry's
-    model has the exact geometry's histogram and threshold, its bar
-    interval holds the exact g*, and its sweep makes the oracle's moves on
-    the exact model, at 10 bins and every budget share and, for the swept
-    sets, at every bin count corpus-cli sweeps."""
+    count bounds hold the exact geometry's histogram, its model has the
+    exact model's threshold, its bar interval holds the exact g*, and its
+    sweep makes the oracle's moves on the exact model, at 10 bins and every
+    budget share and, for the swept sets, at every bin count corpus-cli
+    sweeps."""
     monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     norm = normalize(generate_synthetic(corpus_shape(i)))
     product, exact = distance_matrix(norm), distance_matrix(norm, exact=True)
@@ -443,7 +444,9 @@ def test_product_models_move_as_the_exact_ones_on_the_corpus_shapes(i, monkeypat
     for bins in range(2, 31) if i in swept_shapes() else [10]:
         got = build_affinity_model(norm, product, bins=bins)
         expect = build_affinity_model(norm, exact, bins=bins)
-        assert np.array_equal(got.histogram, expect.histogram)
+        lower, upper = got.histogram
+        histogram = expect.histogram[0]
+        assert (lower <= histogram).all() and (histogram <= upper).all()
         assert got.threshold == expect.threshold
         assert got.bar[0] <= expect.bar[0] == expect.bar[1] <= got.bar[1]
         calls = moves(lambda: oracle_sweep(norm.values, expect)[0])

@@ -4,8 +4,12 @@ Production never holds an n x n matrix. Up to preprocess._ONE_PASS_PAIRS
 pairs it computes each distance once with its own kernel and keeps the
 packed triangle. Above that it streams blocks spread over worker threads:
 on the product path it estimates the dispersion from matrix products with
-a certified slack, and counts the histogram with a screen that raises
-Uncertain where the slack leaves a count open; on the exact path, the
+a certified slack, bounds each bin's count from a sketch of the estimates,
+and where those bounds cannot name the threshold bin counts the histogram
+with a screen that raises Uncertain where the slack leaves a count open.
+A model's histogram is a (lower, upper) pair, one array twice where the
+counts are exact (`exact_counts`); on the product path the oracle must lie
+between them (`assert_bounds_hold`). On the exact path, the
 fallback, it computes the distances by cdist and bins only the screen's
 uncertain blocks exactly. `each_path` runs a test body on all three paths.
 The dense matrices these tests compare against are built here, by
@@ -29,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from affclust.data import Dataset, SyntheticSpec, generate_synthetic
+from affclust.data import Dataset, SyntheticSpec, generate_synthetic, load_dataset
 from affclust.errors import DegenerateDataError
 from affclust import pipeline, preprocess
 from affclust.pipeline import run_pipeline
@@ -114,6 +118,21 @@ def dense_affinities(dist, sigma):
 def model_of(norm, bins=10):
     """The affinity model over the geometry production computes for norm."""
     return build_affinity_model(norm, distance_matrix(norm), bins)
+
+
+def exact_counts(model):
+    """The model's histogram where it must be exact: its two bounds are equal."""
+    lower, upper = model.histogram
+    assert np.array_equal(lower, upper)
+    return lower
+
+
+def assert_bounds_hold(model, expect):
+    """The model's count bounds hold the oracle histogram in every bin, and
+    its bin is the one the oracle's counts select."""
+    lower, upper = model.histogram
+    assert (lower <= expect).all() and (expect <= upper).all()
+    assert (model.threshold, model.threshold_bin) == select_threshold(expect)
 
 
 ONE_PASS_PAIRS = preprocess._ONE_PASS_PAIRS
@@ -324,7 +343,7 @@ def test_distance_matrix_rejects_single_point():
 def test_zero_distance_gives_unit_affinity():
     # the far pair's affinity is exp(-50), bin 1; the two self-affinities are exactly 1
     model = model_of(nd([[0.0], [50.0]]), bins=10)
-    assert model.histogram.tolist() == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+    assert exact_counts(model).tolist() == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
 
 
 def test_distance_squared_twice_dispersion_maps_to_e_inverse():
@@ -337,7 +356,7 @@ def test_distance_squared_twice_dispersion_maps_to_e_inverse():
     expect = np.zeros(bins, dtype=np.int64)
     expect[math.ceil(math.exp(-1.0) * bins) - 1] = 2  # 0.36788 lands in bin 3679
     expect[-1] = 2
-    assert np.array_equal(model.histogram, expect)
+    assert np.array_equal(exact_counts(model), expect)
 
 
 def test_affinity_matches_scalar_recomputation():
@@ -352,7 +371,7 @@ def test_affinity_matches_scalar_recomputation():
         for j in range(n):
             v = math.exp(-dist[i, j] ** 2 / (2.0 * dispersion))
             expect[min(bins, max(1, math.ceil(v * bins))) - 1] += 1
-    assert build_affinity_model(norm, geometry, bins).histogram.tolist() == expect
+    assert exact_counts(build_affinity_model(norm, geometry, bins)).tolist() == expect
 
 
 def test_identical_points_are_rejected_as_degenerate():
@@ -381,14 +400,15 @@ def test_affinity_decreases_with_distance():
     iu = np.triu_indices_from(a, k=1)
     order = np.argsort(dist[iu])
     assert (np.diff(a[iu][order]) <= 1e-15).all()
-    assert np.array_equal(build_affinity_model(norm, geometry).histogram, affinity_histogram(a))
+    assert np.array_equal(exact_counts(build_affinity_model(norm, geometry)), affinity_histogram(a))
 
 
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
 def test_streamed_model_matches_dense_reference(monkeypatch, n):
     """Several blocks and a partial last one, on every path: the dense
     histogram at the exact dispersion, which the product path's interval
-    holds; the dense distances and dispersion on the exact paths."""
+    holds and its count bounds hold; the dense distances and dispersion on
+    the exact paths."""
     rng = np.random.default_rng(n)
     for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
         dist = dense_distances(z)
@@ -403,17 +423,21 @@ def test_streamed_model_matches_dense_reference(monkeypatch, n):
             assert sigma == pytest.approx(float(np.std(dist)), rel=1e-12, abs=0.0)
             model = build_affinity_model(nd(z), geometry, bins=10)
             expect = affinity_histogram(dense_affinities(dist, sigma), 10)
-            assert np.array_equal(model.histogram, expect)
+            if path == "product":
+                assert_bounds_hold(model, expect)
+            else:
+                assert np.array_equal(exact_counts(model), expect)
 
 
 @pytest.mark.parametrize("block_entries", [preprocess._BLOCK_ENTRIES, 1 << 12])
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
 def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cores, block_entries):
-    """Every path, at any worker count, gives the serial stream's histograms.
-    The exact paths give its blocks and dispersion bits, and the skip floor
-    of the dense nearest-neighbour distances; the product path's interval
-    holds that dispersion.
+    """Every path, at any worker count, gives the serial stream's histograms,
+    or on the product path count bounds that hold them and the bin they
+    select. The exact paths give its blocks and dispersion bits, and the
+    skip floor of the dense nearest-neighbour distances; the product path's
+    interval holds that dispersion.
 
     At the real block size only n=1100 has more than one worker's worth of
     pairs; 4,096-entry blocks give every n > 90 three workers and a partial
@@ -421,7 +445,8 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
     and a short switch interval interleaves them often: a lost or misplaced
     block result would break the comparison. The one-pass path runs on the
     calling thread; it must cut the triangle into the same blocks. The
-    product path must give the bits it gives on one worker.
+    product path must give the bits, the sketch and the delta it gives on
+    one worker.
     """
     monkeypatch.setattr(preprocess, "_available_cores", lambda: cores)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
@@ -445,13 +470,18 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
                     assert geometry.dispersion.hex() == serial.dispersion.hex()
                     assert geometry.slack.hex() == serial.slack.hex()
                     assert np.array_equal(geometry.floor, serial.floor)
+                    assert np.array_equal(geometry.sketch, serial.sketch)
+                    assert geometry.delta.hex() == serial.delta.hex()
                 else:
                     assert all(np.array_equal(g, e) for g, e in zip(got, expect))
                     assert geometry.dispersion.hex() == sigma.hex()
                     assert np.array_equal(geometry.floor, floor)
                 for bins, histogram in histograms.items():
                     model = build_affinity_model(nd(z), geometry, bins)
-                    assert np.array_equal(model.histogram, histogram)
+                    if path == "product":
+                        assert_bounds_hold(model, histogram)
+                    else:
+                        assert np.array_equal(exact_counts(model), histogram)
                     assert model.floor is geometry.floor
     finally:
         sys.setswitchinterval(interval)
@@ -567,7 +597,7 @@ def test_one_pass_path_stays_on_the_calling_thread(monkeypatch):
     norm = cap_points()
     geometry = distance_matrix(norm)
     assert geometry.packed is not None
-    assert build_affinity_model(norm, geometry).histogram.sum() == norm.n_points**2
+    assert exact_counts(build_affinity_model(norm, geometry)).sum() == norm.n_points**2
     monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     with pytest.raises(AssertionError, match="thread pool"):
         distance_matrix(norm)
@@ -660,7 +690,7 @@ def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12, 
         distance_matrix(nd(z), exact=True), dispersion=dispersion, slack=slack
     )
     try:
-        histogram = build_affinity_model(nd(z), geometry, bins).histogram
+        histogram = exact_counts(build_affinity_model(nd(z), geometry, bins))
     except Uncertain:
         histogram = None
     return histogram, len(fallbacks)
@@ -788,6 +818,214 @@ def test_screen_gives_the_unscaled_histogram_at_extreme_scales(monkeypatch, k):
 
 
 # ---------------------------------------------------------------------------
+# the sketch: count bounds from the product estimates
+
+def noisy_64d(seed):
+    """perfbench's noisy-64d set: 10 axis blobs of 400 points in 64
+    dimensions, plus 10% uniform noise."""
+    return generate_synthetic(SyntheticSpec(
+        cluster_count=10, points_per_cluster=400, dimension=64, center_scheme="axes",
+        center_separation=24.0, noise_fraction=0.10, noise_margin=0.75, seed=seed,
+    ))
+
+
+def sketch_histograms(geometry, d, bins):
+    """The sketch's lower and upper bounds on each bin of the histogram over
+    the geometry's interval: each pair counted twice, n in the top bin."""
+    interval = preprocess._interval(geometry.dispersion, geometry.slack)
+    bounds = preprocess._sketch_bounds(geometry.sketch, geometry.delta, d, interval, bins)
+    for counts in bounds:
+        counts *= 2
+        counts[-1] += geometry.floor.size
+    return bounds
+
+
+def sketch_outcomes(z, bin_counts):
+    """z on the product path at each bin count. The affinity_histogram
+    oracle at the exact dispersion lies within the sketch's bounds in every
+    bin. Where the bounds name a bin it is select_threshold of the oracle,
+    the model keeps the bounds and no screen runs; elsewhere the screen runs
+    and the model has the oracle's counts. Returns how many bin counts the
+    sketch left open."""
+    n, d = z.shape
+    geometry = distance_matrix(nd(z))
+    sigma = distance_matrix(nd(z), exact=True).dispersion
+    opened = 0
+    for bins in bin_counts:
+        expect = serial_histogram(n, serial_blocks(z), sigma, bins)
+        lower, upper = sketch_histograms(geometry, d, bins)
+        assert (lower <= expect).all() and (expect <= upper).all()
+        named = select_threshold(lower, upper)
+        timings = {}
+        model = build_affinity_model(nd(z), geometry, bins, timings=timings)
+        assert (model.threshold, model.threshold_bin) == select_threshold(expect)
+        assert ("screen" in timings) == (named is None)
+        if named is None:
+            assert np.array_equal(exact_counts(model), expect)
+            opened += 1
+        else:
+            assert np.array_equal(model.histogram, (lower, upper))
+    return opened
+
+
+@pytest.mark.parametrize("i", range(24))
+def test_sketch_bounds_hold_the_oracle_on_the_corpus_grid(monkeypatch, i):
+    """perfbench's corpus grid, streamed, at the bin counts corpus-cli runs."""
+    from test_detect import corpus_shape, swept_shapes
+
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    z = normalize(generate_synthetic(corpus_shape(i))).values
+    sketch_outcomes(z, range(2, 31) if i in swept_shapes() else [10])
+
+
+@pytest.mark.parametrize("case", [f"blobs-k{k}" for k in range(2, 7)] + ["blobs15-d2"])
+def test_sketch_names_the_bin_on_the_streamed_golden_sets(monkeypatch, case):
+    """The golden sets, streamed, at the bin counts the golden reports use
+    (10, and 2..6 for sweep-bins): the sketch names every bin, so no
+    streamed golden report but `histogram`, which prints the counts, runs
+    the screen."""
+    from test_golden import BLOBS15, SYNTHETIC
+
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    if case == "blobs15-d2":
+        dataset, bin_counts = generate_synthetic(BLOBS15), [10]
+    else:
+        dataset = load_dataset(SYNTHETIC / f"{case}.csv", label_column=9)
+        bin_counts = [2, 3, 4, 5, 6, 10]
+    assert sketch_outcomes(normalize(dataset).values, bin_counts) == 0
+
+
+def test_sketch_bounds_hold_the_oracle_on_the_reference_seeds(monkeypatch):
+    """Detection's 30 reference seeds, streamed, at 2, 10 and 30 bins."""
+    from test_detect import interesting_points
+
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    for seed in range(30):
+        sketch_outcomes(normalize(ds(interesting_points(seed))).values, (2, 10, 30))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1009])
+def test_the_sketch_decides_noisy_64d_as_the_screen_does(monkeypatch, seed):
+    """noisy-64d's own size (n = 4,400, d = 64): the sketch names the bin
+    with no screen, and the run equals one forced through the screen (its
+    geometries stripped of their sketch)."""
+    dataset = noisy_64d(seed)
+    assert sketch_outcomes(normalize(dataset).values, [10]) == 0
+    result = run_pipeline(dataset)
+    assert "screen" not in result.timings_ms and "exact" not in result.timings_ms
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "distance_matrix", lambda norm, exact=False: dataclasses.replace(
+            distance_matrix(norm, exact=exact), sketch=None
+        ))
+        screened = run_pipeline(dataset)
+    for field in dataclasses.fields(result):
+        if field.name != "timings_ms":
+            got, expect = getattr(result, field.name), getattr(screened, field.name)
+            assert np.array_equal(got, expect), field.name
+
+
+def test_a_bin_the_sketch_leaves_open_runs_the_screen_for_the_exact_model():
+    """15 blobs, d = 2, n = 5,250: at 10 bins the two steepest jumps lie
+    within 5% of each other (ROADMAP item 2), closer than the sketch's
+    bounds can tell apart, so the screen counts the pairs and the model is
+    the exact geometry's; at 20 and 30 bins the sketch names the bin."""
+    norm = normalize(generate_synthetic(SyntheticSpec(
+        cluster_count=15, points_per_cluster=350, dimension=2, center_separation=12.0, seed=1,
+    )))
+    product, exact = distance_matrix(norm), distance_matrix(norm, exact=True)
+    opened = []
+    for bins in (10, 20, 30):
+        timings = {}
+        got = build_affinity_model(norm, product, bins, timings=timings)
+        expect = build_affinity_model(norm, exact, bins)
+        if "screen" in timings:
+            assert np.array_equal(exact_counts(got), exact_counts(expect))
+            opened.append(bins)
+        else:
+            assert_bounds_hold(got, exact_counts(expect))
+        assert (got.threshold, got.threshold_bin) == (expect.threshold, expect.threshold_bin)
+        assert got.bar[0] <= expect.bar[0] == expect.bar[1] <= got.bar[1]
+    assert opened == [10]
+
+
+def far_cluster(offset):
+    """A tight cluster `offset` units out beside 240 points around the
+    origin: within the cluster |a|^2 is some 10^5 offset^2 times the
+    squared distances, and an estimate errs by a matching share."""
+    rng = np.random.default_rng(17)
+    cluster = np.array([1.0, -1.0, 0.5]) * offset + 1e-3 * rng.normal(size=(240, 3))
+    return np.vstack([rng.normal(size=(240, 3)), cluster])
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e4])
+def test_sketch_bounds_hold_where_the_estimates_miss_the_distances(monkeypatch, offset):
+    """With the dispersion set to put the edges among the far cluster's own
+    distances, the estimates of those pairs err by more than the edges'
+    rounding bands: only the block delta keeps the oracle within the
+    sketch's bounds. A bin is named only where the oracle's is that bin."""
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
+    z = far_cluster(offset)
+    inner = dense_distances(z[240:])[np.triu_indices(240, 1)]
+    geometry = distance_matrix(nd(z))
+    for spread in (0.5, 1.0, 2.0):
+        dispersion = float(spread * np.median(inner) ** 2 / (2.0 * math.log(2.0)))
+        fixed = dataclasses.replace(geometry, dispersion=dispersion, slack=0.0)
+        for bins in (2, 10, 30):
+            expect = dense_histogram(z, dispersion, bins)
+            lower, upper = sketch_histograms(fixed, 3, bins)
+            assert (lower <= expect).all() and (expect <= upper).all()
+            named = select_threshold(lower, upper)
+            assert named is None or named == select_threshold(expect)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_estimates_outside_the_window_are_never_decided(monkeypatch, d):
+    """A pair of identical points, whose estimate is rounding noise at most
+    2^-84, and pairs 2^34 apart or more, whose estimates pass 2^64, go to
+    the outside bucket, which bounds no bin from below and every bin from
+    above, at any dispersion; pairs 2^-20 apart land in inner buckets."""
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    z = np.zeros((50, d))
+    z[1:25, 0] = np.ldexp(1.0, -20) * np.arange(1, 25)
+    z[25:, 0] = np.ldexp(1.0, 34) * np.arange(1, 26)
+    z[10] = z[11]
+    sketch = distance_matrix(nd(z)).sketch
+    outside = sketch[-1]
+    assert 0 < outside < sketch.sum()
+    lone = np.zeros_like(sketch)
+    lone[-1] = outside
+    for dispersion in (1e-30, 1.0, 1e30):
+        lower, upper = preprocess._sketch_bounds(lone, 0.0, d, (dispersion, dispersion), 10)
+        assert not lower.any()
+        assert (upper == outside).all()
+
+
+def test_a_bucket_a_band_touches_is_not_decided():
+    """One pair in each inner bucket, at 4 bins and one dispersion: every
+    bucket wholly past each band is decided, and each bucket holding a
+    band's end spans the bins on both sides of it."""
+    sketch = np.ones(preprocess._SKETCH_INNER + 1, dtype=np.int64)
+    sketch[-1] = 0
+    bins, interval, delta = 4, (0.37, 0.38), 1e-3
+    hi, lo = preprocess._bands(2, interval, bins)
+    hi, lo = hi + delta, lo - delta
+    keys = np.arange(preprocess._SKETCH_INNER + 1) + preprocess._SKETCH_FIRST
+    x = (keys << preprocess._SKETCH_SHIFT).view(np.float64)
+    x0, x1 = x[:-1], x[1:]
+    first = 1 + (lo[None, :] >= x1[:, None]).sum(axis=1)
+    last = bins - (hi[None, :] <= x0[:, None]).sum(axis=1)
+    lower, upper = preprocess._sketch_bounds(sketch, delta, 2, interval, bins)
+    for m in range(1, bins + 1):
+        assert lower[m - 1] == ((first == m) & (last == m)).sum()
+        assert upper[m - 1] == ((first <= m) & (m <= last)).sum()
+    for m in range(1, bins):  # the buckets holding hi_m + delta and lo_m - delta
+        for end in (hi[m - 1], lo[m - 1]):
+            (held,) = np.flatnonzero((x0 < end) & (end < x1))
+            assert first[held] <= m < last[held]
+
+
+# ---------------------------------------------------------------------------
 # histogram
 
 def test_single_self_affinity_lands_in_top_bin():
@@ -812,7 +1050,7 @@ def test_histogram_matches_brute_force_bucketing():
         b = min(bins, max(1, math.ceil(v * bins)))
         expect[b - 1] += 1
     assert affinity_histogram(a, bins).tolist() == expect
-    assert build_affinity_model(norm, geometry, bins).histogram.tolist() == expect
+    assert exact_counts(build_affinity_model(norm, geometry, bins)).tolist() == expect
 
 
 def test_histogram_counts_sum_to_n_squared():
@@ -820,7 +1058,7 @@ def test_histogram_counts_sum_to_n_squared():
     geometry = distance_matrix(norm)
     n = norm.n_points
     for bins in (2, 7, 10, 30):
-        assert build_affinity_model(norm, geometry, bins).histogram.sum() == n * n
+        assert exact_counts(build_affinity_model(norm, geometry, bins)).sum() == n * n
 
 
 def test_histogram_rejects_single_bin():
@@ -852,13 +1090,47 @@ def test_threshold_matches_independent_difference_scan():
         rng.normal(loc=(10, 10), scale=1.0, size=(20, 2)),
     ])
     model = model_of(normalize(ds(pts)), bins=10)
+    histogram = exact_counts(model)
     best_k, best_jump = None, None
     for i in range(1, 10):
-        jump = int(model.histogram[i]) - int(model.histogram[i - 1])
+        jump = int(histogram[i]) - int(histogram[i - 1])
         if best_jump is None or jump > best_jump:
             best_k, best_jump = i, jump
     assert model.threshold_bin == best_k
     assert model.threshold == pytest.approx((best_k - 0.5) / 10)
+
+
+def test_bounds_name_a_bin_only_where_no_rival_can_reach_it():
+    """Later rivals may tie the winner, earlier ones may not: a tie goes to
+    the smallest bin."""
+    # jump 1 is at least 4 and jump 3 at most 4: whatever h is, bin 1 wins
+    assert select_threshold([0, 5, 0, 4], [1, 5, 0, 4]) == (0.125, 1)
+    # jump 3 is 5 and jump 1 may be 5 too, which would take the tie
+    assert select_threshold([0, 4, 0, 5], [0, 5, 0, 5]) is None
+    # jump 1 at most 4 stays below jump 3's 5
+    assert select_threshold([0, 3, 0, 5], [0, 4, 0, 5]) == (0.625, 3)
+    # jump 1 is 4, jump 3 between 4 and 5
+    assert select_threshold([0, 4, 0, 4], [0, 4, 1, 5]) is None
+
+
+def test_bounds_name_only_the_bin_every_histogram_within_them_selects():
+    """Random counts, many tied, and random bounds around them: on equal
+    bounds the bin is the first argmax of the jumps, and a bin named from
+    wider bounds is the one the counts select."""
+    rng = np.random.default_rng(71)
+    named = 0
+    for _ in range(3000):
+        bins = int(rng.integers(2, 8))
+        h = rng.integers(0, 6, size=bins)
+        k = int(np.argmax(np.diff(h))) + 1
+        assert select_threshold(h) == select_threshold(h, h) == ((k - 0.5) / bins, k)
+        lower = h - rng.integers(0, 2, size=bins) * rng.integers(0, 3, size=bins)
+        upper = h + rng.integers(0, 2, size=bins) * rng.integers(0, 3, size=bins)
+        got = select_threshold(lower, upper)
+        if got is not None:
+            assert got == select_threshold(h)
+            named += lower.tolist() != upper.tolist()
+    assert named > 100
 
 
 def test_all_negative_jumps_still_pick_a_bin():
@@ -873,9 +1145,10 @@ def test_model_composition_is_consistent():
     model = build_affinity_model(norm, geometry, bins=10)
     bar = preprocess._affinity_bar(geometry.dispersion, model.threshold)
     assert model.bar == (bar, bar)
-    assert model.histogram.size == 10
-    assert model.histogram.sum() == norm.n_points**2
-    assert model.threshold == (model.threshold_bin - 0.5) / model.histogram.size
+    histogram = exact_counts(model)
+    assert histogram.size == 10
+    assert histogram.sum() == norm.n_points**2
+    assert model.threshold == (model.threshold_bin - 0.5) / histogram.size
     assert 1 <= model.threshold_bin <= 9
 
 
@@ -964,6 +1237,6 @@ def test_affinity_model_invariants_hold_on_random_data(seed):
     assert ((a > 0) & (a <= 1)).all()
     assert np.array_equal(np.diag(a), np.ones(n))
     assert np.array_equal(a, a.T)
-    assert np.array_equal(model.histogram, affinity_histogram(a, 10))
-    assert model.histogram.sum() == n * n
+    assert np.array_equal(exact_counts(model), affinity_histogram(a, 10))
+    assert exact_counts(model).sum() == n * n
     assert 0.0 < model.threshold < 1.0
