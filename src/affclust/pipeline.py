@@ -31,9 +31,10 @@ class RunResult:
     is None when the final count exceeded sqrt(n) and was withheld.
     timings_ms is informational only and excluded from deterministic output;
     it holds a "screen" entry, the part of "affinity" the screen took, only
-    when the sketch left the threshold bin open, and an "exact" entry, the
-    rerun from the exact geometry, only when the product geometry left a
-    decision uncertain.
+    when the sketch left the threshold bin open, and, only when the product
+    geometry left a decision uncertain, an "exact" entry, the rerun from the
+    exact geometry, and the rerun's own stages under "exact_distances",
+    "exact_affinity" and "exact_detect".
     """
 
     name: str
@@ -107,9 +108,10 @@ def run_pipeline(dataset: Dataset, bins: int = 10) -> RunResult:
     try:
         model, cleaned = _detect(norm, bins, False, timings)
     except Uncertain:
-        t0 = time.perf_counter()
-        model, cleaned = _detect(norm, bins, True, {})
+        t0, rerun = time.perf_counter(), {}
+        model, cleaned = _detect(norm, bins, True, rerun)
         timings["exact"] = time.perf_counter() - t0
+        timings.update((f"exact_{stage}", seconds) for stage, seconds in rerun.items())
 
     merged = cleaned.cluster_count > 0  # zero when every detected cluster was a singleton
     if merged:

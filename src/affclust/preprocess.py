@@ -17,36 +17,28 @@ counts.
 The walker hands each visit its block's rectangle over the buffer of the
 worker that takes it. Up to _ONE_PASS_PAIRS pairs the calling thread is the
 one worker. Above that, up to one thread per available core shares the
-blocks (cdist, BLAS and numpy's ufuncs release the GIL), worker t taking
-blocks t, t+W, t+2W, ...; the moments are folded in block order, minima and
-integer counts do not depend on the order, so no result depends on the
-number of workers. The calling thread allocates every array a worker
-writes to, the block buffers and each visit's per-worker folds or masks:
-arrays allocated inside a worker would stay in that thread's malloc arena
-after it exits.
+blocks (BLAS and numpy's ufuncs release the GIL), worker t taking blocks t,
+t+W, t+2W, ...; the moments are folded in block order, minima and integer
+counts do not depend on the order, so no result depends on the number of
+workers. The calling thread allocates every array a worker writes to, the
+block buffers and each visit's per-worker folds, scratch or masks: arrays
+allocated inside a worker would stay in that thread's malloc arena after it
+exits.
 
-distance_matrix has three visits:
+Every exact distance comes from _kernel, whose bits are cdist's under any
+SIMD dispatch. distance_matrix has two visits:
 
-- Up to _ONE_PASS_PAIRS pairs (n <= 1,448), _kernel computes each distance
-  once, in row tiles of the block, and the visit packs them into the
-  triangle (8 MB at most) returned in the Geometry. The affinity pass bins
-  the packed triangle instead of computing the distances again. _kernel
-  does cdist's operations in cdist's order (the squared differences summed
-  in coordinate order, then one square root), each correctly rounded, so
-  its bits are cdist's under any SIMD dispatch.
-- Above that, the product visit estimates each block's squared distances
+- The exact visit (_exact_block), slack 0, keeps the packed triangle (8 MB
+  at most) for the affinity pass up to _ONE_PASS_PAIRS pairs (n <= 1,448).
+  Above that it runs when a caller asks for the exact geometry, once the
+  product geometry has left a decision uncertain.
+- Above the cap, the product visit estimates each block's squared distances
   by matrix products (_products, the screen's own), and folds the moments
   of their square roots into an estimate of the dispersion, with a
   certified slack: the exact dispersion lies within it (_dispersion_slack).
   Before the square roots it counts each clipped estimate X+ = max(X, 0)
-  into a sketch of fixed buckets (_sketch). The keys are computed a chunk
-  at a time into a small per-worker scratch, not in the block, so the
-  block still holds X+ for the square roots and the dispersion's bits are
-  those of a pass without the sketch; no block-sized array is added.
-- The exact visit, asked for by a caller once the product geometry has
-  left a decision uncertain, computes each block by scipy's cdist, which
-  gives the exact dispersion, the slack 0. It is the only visit that
-  imports scipy, so a run that needs no fallback never loads it.
+  into a sketch of fixed buckets (_sketch), which leaves the block as it
+  is, so the dispersion's bits are those of a pass without the sketch.
 
 Downstream, the product geometry's dispersion is an interval. The bin edges
 and detection's join bar g* are both monotone in the dispersion, so a
@@ -61,9 +53,9 @@ can reach the winner's. Otherwise the histogram comes from a screen
 (_screened_counts) on either streamed geometry: matrix products estimate
 every squared distance of a block, and a pair farther from every squared
 edge than a derived rounding bound is counted as it is. A block holding
-any other pair is computed by cdist and binned exactly on the exact
+any other pair is computed by _exact_block and binned exactly on the exact
 geometry, and raises Uncertain on the product geometry. Either way each
-pair lands in the bin its cdist distance gives at the exact dispersion, so
+pair lands in the bin its exact distance gives at the exact dispersion, so
 the histogram is the dense one's.
 """
 
@@ -83,16 +75,19 @@ from .errors import DegenerateDataError
 
 # Distance entries per block (2 MB of float64), or one row of n entries when
 # n exceeds it. The row partition fixes the dispersion's bits. Each worker
-# owns one buffer of rows x n entries, which holds a block's distances or
-# their estimates; no other block-sized array of floats is allocated.
+# owns one buffer of rows x n entries for a block's distances or their
+# estimates (and, in the exact pass above _ONE_PASS_PAIRS, one for scratch).
 _BLOCK_ENTRIES = 1 << 18
 # Inputs with at most this many pairs (8 MB of packed float64) compute each
 # distance once, by _kernel, on the calling thread, and keep the packed
 # triangle until the threshold is known.
 _ONE_PASS_PAIRS = 1 << 20
-# Entries in each of _kernel's tiles (256 KB of float64): its output, at the
-# start of the block buffer, and one scratch tile.
+# Entries in each of _exact_block's tiles and its scratch. Up to
+# _ONE_PASS_PAIRS pairs, 256 KB: both stay in a core's L2 cache. Above it,
+# a whole block: two workers on tiles of a few rows went little faster than
+# one, and at d = 2 the fewer the tiles the faster (CHANGES.md).
 _TILE_ENTRIES = 1 << 15
+_STREAMED_TILE_ENTRIES = _BLOCK_ENTRIES
 # Multiply-adds in each of the screen's matrix products. OpenBLAS runs a
 # product this small on the thread that calls it (on 2 cores it threads from
 # about twice this), so the workers are the only threads at work. A product
@@ -200,10 +195,10 @@ def _kernel(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> N
     is correctly rounded, so out holds cdist's bits under any SIMD dispatch.
     """
     np.subtract.outer(a[0], b[0], out=out)
-    np.multiply(out, out, out=out)
+    np.square(out, out=out)
     for k in range(1, a.shape[0]):
         np.subtract.outer(a[k], b[k], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
+        np.square(tmp, out=tmp)
         np.add(out, tmp, out=out)
     np.sqrt(out, out=out)
 
@@ -274,15 +269,6 @@ def _row_offset(n: int, i: int) -> int:
     return i * (n - 1) - i * (i - 1) // 2
 
 
-def _packed_block(packed: np.ndarray, rect: np.ndarray, i0: int) -> np.ndarray:
-    """The packed distances of the block rect covers, copied into rect's memory."""
-    n = i0 + rect.shape[1]
-    lo, hi = _row_offset(n, i0), _row_offset(n, i0 + rect.shape[0])
-    block = rect.reshape(-1)[: hi - lo]
-    np.copyto(block, packed[lo:hi])
-    return block
-
-
 def _block_plan(n: int) -> tuple[int, int]:
     """Rows per block, and how many workers share the blocks.
 
@@ -326,6 +312,35 @@ def _map_blocks(n: int, visit: Callable[[np.ndarray, int, int], object]) -> list
             for future in [pool.submit(run, t) for t in range(workers)]:
                 future.result()
     return results
+
+
+def _tile_scratch(n: int, workers: int) -> np.ndarray:
+    """Each worker's _exact_block scratch: a tile of whole rows, at least one."""
+    entries = _TILE_ENTRIES if n * (n - 1) // 2 <= _ONE_PASS_PAIRS else _STREAMED_TILE_ENTRIES
+    return np.empty((workers, min(max(1, entries // n), n) * n))
+
+
+def _exact_block(
+    cols: np.ndarray, rect: np.ndarray, i0: int, tmp: np.ndarray, fold: np.ndarray | None = None
+) -> np.ndarray:
+    """The exact distances of rect's block, packed row-major in rect's memory.
+
+    cols is the (d, n) points, one contiguous run per coordinate; tmp's size
+    sets the rows per tile. _kernel computes a tile at a time, the rectangle
+    right of its first row's diagonal, laid where its rows' packed run starts
+    (earlier rows pack to fewer than m entries each, so it ends within rect),
+    folded into fold, when given, and packed while in cache.
+    """
+    n, i1, written = cols.shape[1], i0 + rect.shape[0], 0
+    rows, flat = tmp.size // n, rect.reshape(-1)
+    for a0 in range(i0, i1, rows):
+        a1 = min(a0 + rows, i1)
+        tile = flat[written : written + (a1 - a0) * (n - a0)].reshape(a1 - a0, n - a0)
+        _kernel(cols[:, a0:a1], cols[:, a0:], tile, tmp[: tile.size].reshape(tile.shape))
+        if fold is not None:
+            _fold_nearest(tile, a0, fold)
+        written += _pack_upper(tile, flat[written:])
+    return flat[:written]
 
 
 def _block_moments(block: np.ndarray) -> tuple[float, float, float]:
@@ -407,14 +422,14 @@ def _dispersion_slack(
 ) -> float:
     """A bound on |sigma - dispersion|, where sigma is the exact path's dispersion.
 
-    sigma folds cdist's distances D; dispersion folds the product
+    sigma folds the exact distances D; dispersion folds the product
     estimates D~ = fl(sqrt(max(X, 0))) by the same steps and in the same
     blocks. Both fold count = N = n^2 entries (the zero diagonal and each
     pair twice) in B = `blocks` blocks of at most K = block_pairs pairs.
     The bound has four pieces.
 
     1. The screen's bound. For a pair, |X - S| <= 2 g M + d 2^-1073, and
-    cdist's sum S_c is within g S + d 2^-1074 of S <= 2 M (_screened_counts),
+    _kernel's sum S_c is within g S + d 2^-1074 of S <= 2 M (_screened_counts),
     so |S_c - max(X, 0)| <= E = 2 delta (_products) with room. Hence
     |sqrt(S_c) - sqrt(max(X, 0))| <= min(sqrt(E), E / sqrt(max(X, 0))), whose
     square is at most E^2 / max(E, L), L being the least X of the pair's
@@ -519,35 +534,17 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
         raise ValueError("distance matrix needs at least 2 points")
     _, workers = _block_plan(n)
     folds = np.full((workers, 2, n), np.inf)
+    pairs = n * (n - 1) // 2
     packed = sketches = estimate = None
-    if n * (n - 1) // 2 <= _ONE_PASS_PAIRS:
-        packed = np.empty(n * (n - 1) // 2)
-        cols = np.ascontiguousarray(z.T)  # (d, n): one contiguous run per coordinate
-        tile_rows = max(1, _TILE_ENTRIES // n)
-        scratch = np.empty(min(tile_rows, n) * n)
+    if exact or pairs <= _ONE_PASS_PAIRS:
+        packed = np.empty(pairs) if pairs <= _ONE_PASS_PAIRS else None
+        cols, scratch = np.ascontiguousarray(z.T), _tile_scratch(n, workers)
 
         def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, ...]:
-            """The block's rows in tiles at the start of rect's memory, each the
-            rectangle right of its first row's diagonal, so all but its small
-            lower corner is the triangle's: each is folded and packed while it
-            is in cache. Then the packed block is copied back over the tiles."""
-            i1 = i0 + rect.shape[0]
-            for a0 in range(i0, i1, tile_rows):
-                a1 = min(a0 + tile_rows, i1)
-                tile = rect.reshape(-1)[: (a1 - a0) * (n - a0)].reshape(a1 - a0, n - a0)
-                _kernel(cols[:, a0:a1], cols[:, a0:], tile, scratch[: tile.size].reshape(tile.shape))
-                _fold_nearest(tile, a0, folds[t])
-                _pack_upper(tile, packed[_row_offset(n, a0) :])
-            return *_block_moments(_packed_block(packed, rect, i0)), 0.0, 0.0
-
-    elif exact:
-        from scipy.spatial.distance import cdist  # here, before any worker starts
-
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, ...]:
-            cdist(z[i0 : i0 + rect.shape[0]], z[i0:], out=rect)
-            _fold_nearest(rect, i0, folds[t])
-            flat = rect.reshape(-1)
-            return *_block_moments(flat[: _pack_upper(rect, flat)]), 0.0, 0.0
+            block = _exact_block(cols, rect, i0, scratch[t], folds[t])
+            if packed is not None:  # kept before the moments overwrite the block
+                packed[_row_offset(n, i0) :][: block.size] = block
+            return *_block_moments(block), 0.0, 0.0
 
     else:
         estimate = _products(z)
@@ -730,8 +727,8 @@ def _skip_floor(least2: np.ndarray, d: int) -> np.ndarray:
     non-negative products in any order, fused or not, lands within a
     relative gamma_(d+2) = (d + 2) u / (1 - (d + 2) u) of T (u = 2^-53),
     give or take d 2^-1075 where products underflow. So gap2_j >= T (1 -
-    gamma_(d+2)) - d 2^-1075. The kernel and cdist sum the same kind of
-    terms and round the square root of their sum once, and squaring the
+    gamma_(d+2)) - d 2^-1075. The kernel sums the same kind of terms and
+    rounds the square root of their sum once, and squaring the
     least distance rounds once more, so nearest2[i] <= (T (1 + gamma_(d+2))
     + d 2^-1075) (1 + u)^3 + 2^-1075. On the product path least2[i] <= T
     (1 + u): X - delta <= T for every pair, and the subtraction rounds
@@ -798,7 +795,7 @@ def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int)
     """The bin counts of the strict upper triangle, each pair counted once.
 
     dispersions is the geometry's interval (low, high), a single point when
-    the geometry is exact. With E = edges[m - 1], C_m pairs have a cdist
+    the geometry is exact. With E = edges[m - 1], C_m pairs have an exact
     distance D >= E, that is a bin of m or below; bin 1 holds C_1 pairs,
     bin m C_m - C_(m-1), and the top bin the rest. A visit of _map_blocks
     estimates its block's squared distances by _products, counts C_m on
@@ -807,10 +804,10 @@ def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int)
 
     Let a and b be two rows of z, S the exact sum of the squares of a - b,
     M = |a|^2 + |b|^2 exactly, u = 2^-53 and g = gamma_(d+2) =
-    (d + 2) u / (1 - (d + 2) u). cdist rounds each difference and its
-    square once (or fuses the square into the sum) and adds d non-negative
-    terms in some order, so its sum lies within g S + d 2^-1074 of S, the
-    absolute term for squares that underflow. D, the correctly rounded
+    (d + 2) u / (1 - (d + 2) u). _kernel rounds each difference and its
+    square once and adds the d non-negative terms (in any order, fused or
+    not, the bound is the same), so its sum lies within g S + d 2^-1074 of
+    S, the absolute term for squares that underflow. D, the correctly rounded
     square root of that sum, is then at least E when the sum is at least
     E^2, and at most P, the float below E, when the sum is at most P^2. So
 
@@ -847,17 +844,14 @@ def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int)
     pair counted either way is counted as at every dispersion in the
     interval, the exact one among them.
 
-    A block with a pair in some [lo_m, hi_m) is computed by cdist and binned
-    by _affinity_bins on an exact geometry, and raises Uncertain on an
-    interval; so do all blocks where _products cannot estimate. scipy is
-    imported only for an exact geometry. Each worker has a mask of as many
-    booleans as its block buffer, allocated here.
+    A block with a pair in some [lo_m, hi_m) is computed by _exact_block and
+    binned by _affinity_bins on an exact geometry, and raises Uncertain on
+    an interval; so do all blocks where _products cannot estimate. Each
+    worker has a mask of as many booleans as its block buffer and, on an
+    exact geometry, a _tile_scratch, both allocated here.
     """
     low, high = dispersions
     exact = low == high
-    if exact:
-        from scipy.spatial.distance import cdist  # here, before any worker starts
-
     n, d = z.shape
     estimate = _products(z)
     if estimate is None and not exact:
@@ -866,6 +860,8 @@ def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int)
     rows, workers = _block_plan(n)
     masks = np.empty((workers, min(rows, n) * n), dtype=bool)
     lower = np.tri(min(rows, n), dtype=bool)
+    if exact:
+        cols, scratch = np.ascontiguousarray(z.T), _tile_scratch(n, workers)
 
     def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
         r, m = rect.shape
@@ -884,9 +880,7 @@ def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int)
                 return np.diff(at_least, prepend=0)
             if not exact:
                 raise Uncertain("a pair lies within its bin edge's band")
-        cdist(z[i0 : i0 + r], z[i0:], out=rect)
-        flat = rect.reshape(-1)
-        return _bin_counts(flat[: _pack_upper(rect, flat)], low, bins)
+        return _bin_counts(_exact_block(cols, rect, i0, scratch[t]), low, bins)
 
     return sum(_map_blocks(n, visit))
 
@@ -944,7 +938,10 @@ def build_affinity_model(
         else:
 
             def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
-                return _bin_counts(_packed_block(geometry.packed, rect, i0), dispersion, bins)
+                lo, hi = _row_offset(n, i0), _row_offset(n, i0 + rect.shape[0])
+                block = rect.reshape(-1)[: hi - lo]  # a copy: the binning overwrites it
+                np.copyto(block, geometry.packed[lo:hi])
+                return _bin_counts(block, dispersion, bins)
 
             counts = sum(_map_blocks(n, visit))
         lower = upper = histogram(counts)

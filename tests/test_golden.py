@@ -11,9 +11,9 @@ report. Every report is checked three times: with the distances computed
 once by the numpy kernel (every input here is below the one-pass cap);
 streamed, with the cap forced to 0, from the product geometry, which must
 decide every count and join on these inputs; and with the product geometry
-forced to fall back (its slack made infinite), from the exact cdist
-geometry. Any change to the reports shows up here; a deliberate one is made
-by rewriting the files with `write_goldens()` from the repository root and
+forced to fall back (its slack made infinite), from the exact geometry.
+Any change to the reports shows up here; a deliberate one is made by
+rewriting the files with `write_goldens()` from the repository root and
 recording why in CHANGES.md:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \

@@ -65,16 +65,38 @@ def test_kernel_matches_cdist_on_identical_rows_and_constant_columns():
 @pytest.mark.parametrize(("n", "d"), [(2, 1), (5, 3), (90, 2), (300, 17), (700, 64)])
 def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, tile_entries, n, d):
     """Tiles of one row, several rows, and one tile wider than a whole block
-    all pack cdist's upper triangle and fold the same nearest distances into
-    the skip floor."""
+    all give cdist's distances. On the one-pass path they pack cdist's upper
+    triangle. Above the cap, in blocks of a few rows on one worker and on
+    two, the exact geometry packs each block in place: its dispersion is
+    the fold of cdist's blocks, and so is the screen's histogram when every
+    block is computed exactly (_products estimating none). Every path folds
+    the same nearest distances into the skip floor."""
+    from test_preprocess import serial_blocks, serial_dispersion, serial_histogram
+
     monkeypatch.setattr(preprocess, "_TILE_ENTRIES", tile_entries)
+    monkeypatch.setattr(preprocess, "_STREAMED_TILE_ENTRIES", tile_entries)
+    monkeypatch.setattr(preprocess, "_products", lambda z: None)
     z = np.random.default_rng(n * d).normal(size=(n, d))
-    geometry = distance_matrix(NormalizedData(z, z.mean(0), z.std(0)))
+    norm = NormalizedData(z, z.mean(0), z.std(0))
     dense = cdist(z, z)
-    assert same_bits(geometry.packed, upper(dense))
+    packed = upper(dense)
     np.fill_diagonal(dense, np.inf)
     nearest = dense.min(axis=1)
-    assert same_bits(geometry.floor, preprocess._skip_floor(nearest * nearest, d))
+    for workers in (None, 1, 2):  # None: the one-pass path
+        if workers is not None:
+            monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+            monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
+            monkeypatch.setattr(preprocess, "_available_cores", lambda: workers)
+        geometry = distance_matrix(norm, exact=workers is not None)
+        assert (geometry.packed is None) == (workers is not None)
+        if workers is None:
+            assert same_bits(geometry.packed, packed)
+        sigma = serial_dispersion(n, serial_blocks(z))
+        assert geometry.dispersion == sigma and geometry.slack == 0.0, workers
+        assert same_bits(geometry.floor, preprocess._skip_floor(nearest * nearest, d))
+        histogram = 2 * preprocess._screened_counts(z, (sigma, sigma), 10)
+        histogram[-1] += n  # the self-affinities
+        assert np.array_equal(histogram, serial_histogram(n, serial_blocks(z), sigma, 10))
 
 
 def test_merge_centroid_distances_match_cdist(monkeypatch):

@@ -9,9 +9,10 @@ and where those bounds cannot name the threshold bin counts the histogram
 with a screen that raises Uncertain where the slack leaves a count open.
 A model's histogram is a (lower, upper) pair, one array twice where the
 counts are exact (`exact_counts`); on the product path the oracle must lie
-between them (`assert_bounds_hold`). On the exact path, the
-fallback, it computes the distances by cdist and bins only the screen's
-uncertain blocks exactly. `each_path` runs a test body on all three paths.
+between them (`assert_bounds_hold`). On the exact path, the fallback, it
+computes the distances by its kernel, block by block, and bins only the
+screen's uncertain blocks exactly. `each_path` runs a test body on all
+three paths.
 The dense matrices these tests compare against are built here, by
 `dense_distances` and `dense_affinities`, and so is the serial
 one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
@@ -141,7 +142,7 @@ ONE_PASS_PAIRS = preprocess._ONE_PASS_PAIRS
 def each_path(monkeypatch):
     """Yield "one-pass" with the distances computed in one pass by the kernel
     (the default cap), then, with the cap at 0, "exact" for them streamed by
-    cdist and "product" for the product estimates."""
+    the kernel and "product" for the product estimates."""
     for path, cap in (("one-pass", ONE_PASS_PAIRS), ("exact", 0), ("product", 0)):
         monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", cap)
         yield path
@@ -554,6 +555,21 @@ def test_workers_allocate_no_block_sized_array(monkeypatch):
     norm = five_thousand_points()
     peak = traced_peak(lambda: model_of(norm))
     budget = (workers + 0.5) * preprocess._BLOCK_ENTRIES * 8
+    assert peak < budget, f"peak {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
+
+
+def test_exact_geometry_memory_is_the_buffers_and_the_tile_scratch(monkeypatch):
+    """Above the cap the exact geometry packs each block in place: with W
+    workers it peaks below the W block buffers, each worker's tile of kernel
+    scratch and O(n d) more, so no other block-sized array is allocated."""
+    workers = 2
+    monkeypatch.setattr(preprocess, "_available_cores", lambda: workers)
+    norm = five_thousand_points()
+    n, d = norm.values.shape
+    rows, _ = preprocess._block_plan(n)
+    tile = max(1, preprocess._STREAMED_TILE_ENTRIES // n) * n
+    peak = traced_peak(lambda: distance_matrix(norm, exact=True))
+    budget = (workers * (rows * n + tile) + 16 * n * d) * 8
     assert peak < budget, f"peak {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
 
 

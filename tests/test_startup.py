@@ -1,7 +1,7 @@
-"""Start-up: scipy stays unloaded unless a run falls back to the exact geometry.
+"""Start-up: no run loads scipy, not even one that falls back to the exact geometry.
 
-Each check runs in a fresh interpreter, since this test process has long
-imported scipy itself.
+scipy is only the tests' distance oracle. Each check runs in a fresh
+interpreter, since this test process has long imported scipy itself.
 """
 
 import json
@@ -63,23 +63,28 @@ same = all(
     np.array_equal(getattr(one_pass, f), getattr(streamed, f))
     for f in vars(one_pass) if f != "timings_ms"
 )
-print(json.dumps([n * (n - 1) // 2 > cap, loaded(), "exact" in streamed.timings_ms, same]))
+print(json.dumps([n * (n - 1) // 2 > cap, loaded(), streamed.timings_ms, same]))
 """
 
 
 def test_a_run_above_the_cap_loads_no_scipy_with_the_same_result():
     """The product geometry decides every count and join on this input."""
-    above, scipy, fell_back, same = json.loads(python("-c", RUN_ABOVE_THE_CAP, "product").stdout)
+    above, scipy, timings, same = json.loads(python("-c", RUN_ABOVE_THE_CAP, "product").stdout)
     assert above
     assert not scipy
-    assert not fell_back
+    assert list(timings) == ["normalize", "distances", "affinity", "detect", "merge"]
     assert same
 
 
-def test_a_forced_fallback_loads_scipy_with_the_same_result():
-    """With the slack forced wide, the run reruns from the exact cdist geometry."""
-    above, scipy, fell_back, same = json.loads(python("-c", RUN_ABOVE_THE_CAP, "wide").stdout)
+def test_a_forced_fallback_loads_no_scipy_with_the_same_result():
+    """With the slack forced wide, the run reruns from the exact geometry,
+    whose distances _kernel computes. The product geometry raised before
+    its distances stage ended; the rerun's stages are timed under their own
+    keys, within "exact"."""
+    above, scipy, timings, same = json.loads(python("-c", RUN_ABOVE_THE_CAP, "wide").stdout)
     assert above
-    assert scipy
-    assert fell_back
+    assert not scipy
+    rerun = ["exact_distances", "exact_affinity", "exact_detect"]
+    assert list(timings) == ["normalize", "exact", *rerun, "merge"]
+    assert sum(timings[stage] for stage in rerun) <= timings["exact"]
     assert same
