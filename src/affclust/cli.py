@@ -10,6 +10,7 @@ embeds them. Exit codes: 0 success, 2 input or configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -311,16 +312,15 @@ def cmd_histogram(args) -> int:
     def model_of(exact: bool):
         """The affinity model with exact counts, or None for identical
         points, which have no affinity histogram: null counts and threshold
-        are reported, and the exit code is 3. Where the sketch bounded the
-        counts, the screen counts them: a geometry without a sketch."""
+        are reported, and the exit code is 3. A geometry without a sketch
+        gives exact counts, so a product geometry is counted by the screen
+        with its sketch set aside."""
         geometry = distance_matrix(normalized, exact=exact)
         if geometry.dispersion <= 0.0:
             return None
-        model = build_affinity_model(normalized, geometry, bins=args.bins)
-        if not np.array_equal(*model.histogram):
-            geometry.sketch = None
-            model = build_affinity_model(normalized, geometry, bins=args.bins)
-        return model
+        if geometry.sketch is not None:
+            geometry = dataclasses.replace(geometry, sketch=None)
+        return build_affinity_model(normalized, geometry, bins=args.bins)
 
     try:
         model = model_of(False)

@@ -224,10 +224,6 @@ class CorpusManifest:
     path: Path | None = None
 
     @property
-    def available(self) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.available]
-
-    @property
     def skipped(self) -> list[str]:
         return [e.name for e in self.entries if not e.available]
 

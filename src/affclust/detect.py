@@ -46,12 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import AffinityModel, NormalizedData, Uncertain
+from .preprocess import _U, AffinityModel, NormalizedData, Uncertain
 
 # Width of the first window a sweep tests.
 _FIRST_WINDOW = 32
-# float64's unit roundoff: a correctly rounded result is within a relative _U.
-_U = 2.0**-53
 # The drift budget of a window, as a share of the join radius sqrt(g*).
 _BUDGET = 0.5
 # Absolute slack of the drift bound, for squares and coordinates that underflow.

@@ -11,8 +11,7 @@ strict upper triangle in row blocks of about _BLOCK_ENTRIES entries, and
 every pass over the distances is a visit it makes to each block: the
 dispersion folds the blocks' moments in block order, the skip floor comes
 from the minima of the blocks' rows and columns (detection uses it to skip
-provably idle sweeps), and the histogram sums the blocks' integer bin
-counts.
+provably idle sweeps), and the screen sums the blocks' integer counts.
 
 The walker hands each visit its block's rectangle over the buffer of the
 worker that takes it. Up to _ONE_PASS_PAIRS pairs the calling thread is the
@@ -40,23 +39,29 @@ SIMD dispatch. distance_matrix has two visits:
   into a sketch of fixed buckets (_sketch), which leaves the block as it
   is, so the dispersion's bits are those of a pass without the sketch.
 
-Downstream, the product geometry's dispersion is an interval. The bin edges
-and detection's join bar g* are both monotone in the dispersion, so a
-pair's bin and a join are decided wherever the interval's two ends agree;
-where they do not, Uncertain is raised and the caller reruns from the exact
-geometry. Only the bin below the steepest jump reaches the clustering, and
-on the product geometry the sketch usually names it: a bucket wholly past
-a bin edge's rounding band (_bands) at both ends of the interval is
-decided, so the sketch gives a lower and an upper count for each bin
+Affinity falls as distance grows, so every affinity decision compares a
+distance with a cut. affinity_cuts finds every cut at one dispersion in one
+bisection, the only place exp is applied: the bin edges, and detection's
+join bar g* for each threshold a histogram can pick. Every histogram counts
+C_m, the pairs at or beyond edge m (_at_least), one compare per edge on
+exact distances, and a bin's count is the difference of adjacent C_m.
+
+The product geometry's dispersion is an interval. The cuts are monotone in
+the dispersion, so a pair's bin and a join are decided wherever the cuts at
+the interval's two ends agree; where they do not, Uncertain is raised and
+the caller reruns from the exact geometry. Only the bin below the steepest
+jump reaches the clustering, and on the product geometry the sketch usually
+names it: a bucket wholly past a bin edge's rounding band (_bands) at both
+ends of the interval is decided, so the sketch bounds each bin's count
 (_sketch_bounds), and select_threshold names the bin where no rival jump
-can reach the winner's. Otherwise the histogram comes from a screen
-(_screened_counts) on either streamed geometry: matrix products estimate
-every squared distance of a block, and a pair farther from every squared
-edge than a derived rounding bound is counted as it is. A block holding
-any other pair is computed by _exact_block and binned exactly on the exact
-geometry, and raises Uncertain on the product geometry. Either way each
-pair lands in the bin its exact distance gives at the exact dispersion, so
-the histogram is the dense one's.
+can reach the winner's. Otherwise the counts come from the packed triangle
+or from a screen (_screened_counts) on either streamed geometry: matrix
+products estimate every squared distance of a block, and a pair outside
+every band is counted as it is. A block holding any other pair is computed
+by _exact_block and counted against the edges on the exact geometry, and
+raises Uncertain on the product geometry. Either way each pair lands in the
+bin its exact distance gives at the exact dispersion, so the histogram is
+the dense one's.
 """
 
 from __future__ import annotations
@@ -659,61 +664,46 @@ def bisect_floats(holds: Callable[[np.ndarray], np.ndarray], guess: np.ndarray) 
 
 
 def _affinities(gap2: np.ndarray, dispersion: float) -> np.ndarray:
-    """exp(gap2 / (-2 * dispersion)) in place: every affinity production tests."""
+    """exp(gap2 / (-2 * dispersion)) in place: the only exp, which affinity_cuts applies."""
     np.divide(gap2, -2.0 * dispersion, out=gap2)
     return np.exp(gap2, out=gap2)
 
 
-def _affinity_bins(block: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
-    """Bin each distance d in a 1-D block by its affinity, in place.
+def affinity_cuts(dispersion: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every cut an affinity model compares with at this dispersion, by one bisect_floats.
 
-    The affinity v of d * d goes to bin clip(ceil(v * bins), 1, bins), so
-    an affinity of exactly 1 lands in the top bin; the indices are returned
-    in block's own memory, viewed as int64.
+    With A = _affinities, each cut is the least float probe p >= 0 at
+    which fl(A(p) * s) <= c:
+
+    - edges[m - 1], m = 1..bins-1, is the least distance of bin m or
+      below: p is a distance, squared before A, s = bins and c = m. A
+      pair's bin is clip(ceil(fl(A * bins)), 1, bins), so affinities of
+      exactly 1 land in the top bin, and for 1 <= m < bins it is at most
+      m exactly when fl(A * bins) <= m. So a distance's bin is at most m
+      exactly when the distance is at least edges[m - 1].
+    - bars[k], k = 0..bins-1, is detection's join bar g* for the threshold
+      t = (k + 0.5) / bins, the float select_threshold returns for bin
+      k + 1: p is a gap2, s = 1.0 (exact) and c = t. So gap2 < g* is the
+      affinity test A(gap2) > t itself.
+
+    Each step is monotone, given an exp that is, so each test changes once;
+    every test fails at 0.0 and holds at inf, so every cut is positive and
+    at most the largest float. The edges do not rise with m, and no cut
+    falls as the dispersion grows (a correctly rounded quotient is monotone
+    in its divisor).
     """
-    np.multiply(block, block, out=block)
-    _affinities(block, dispersion)
-    np.multiply(block, float(bins), out=block)
-    np.ceil(block, out=block)
-    np.clip(block, 1.0, float(bins), out=block)
-    # numpy casts a 1-D array onto itself element by element, with no copy
-    idx = block.view(np.int64)
-    np.copyto(idx, block, casting="unsafe")
-    return idx
+    m, t, two_sigma = np.arange(1.0, bins), (np.arange(bins) + 0.5) / bins, 2.0 * dispersion
+    scale, cuts = np.repeat([float(bins), 1.0], [bins - 1, bins]), np.concatenate([m, t])
+    # where exp(-d^2 / 2 sigma) * bins = m, and where exp(-gap2 / 2 sigma) = t
+    guess = np.concatenate([np.sqrt(two_sigma * np.log(bins / m)), two_sigma * -np.log(t)])
 
+    def holds(probes: np.ndarray) -> np.ndarray:
+        distances = probes[: bins - 1]
+        np.multiply(distances, distances, out=distances)
+        return _affinities(probes, dispersion) * scale <= cuts
 
-def _bin_counts(block: np.ndarray, dispersion: float, bins: int) -> np.ndarray:
-    """How many of a 1-D block's distances fall in each affinity bin; block is overwritten."""
-    return np.bincount(_affinity_bins(block, dispersion, bins), minlength=bins + 1)[1:]
-
-
-def affinity_edges(dispersion: float, bins: int) -> np.ndarray:
-    """The least distance of bin m or below, for m = 1..bins-1, by bisect_floats.
-
-    edges[m - 1] is the least float distance that _affinity_bins, the
-    binning of every pair, puts in bin m or a lower one. Its steps are
-    monotone, given an exp that is (_affinity_bar assumes the same), so a
-    distance's bin is at most m exactly when the distance is at least
-    edges[m - 1], and the edges do not rise with m. Distance 0.0 has bin
-    bins and inf has bin 1, so every edge is positive and at most the
-    largest float. The steps are monotone in the dispersion too (a
-    correctly rounded quotient is monotone in its divisor), so no edge
-    falls as the dispersion grows.
-    """
-    top = np.arange(1, bins)
-    guess = np.sqrt(2.0 * dispersion * np.log(bins / top))  # where exp(-d^2 / 2 sigma) * bins = m
-    return bisect_floats(lambda d: _affinity_bins(d, dispersion, bins) <= top, guess)
-
-
-def _affinity_bar(dispersion: float, threshold: float) -> float:
-    """g*, the least gap2 >= 0 whose affinity does not clear threshold.
-
-    bisect_floats finds it on an array, as detection's windows hold gap2.
-    The test holds at 0 (threshold < 1), fails at inf and, exp taken to be
-    monotone, turns false once, so gap2 < g* is the test itself. For the
-    reason affinity_edges gives, g* does not fall as the dispersion grows."""
-    guess = np.array([2.0 * dispersion * -math.log(threshold)])  # where the affinity = threshold
-    return float(bisect_floats(lambda gap2: _affinities(gap2, dispersion) <= threshold, guess)[0])
+    found = bisect_floats(holds, guess)
+    return found[: bins - 1], found[bins - 1 :]
 
 
 def _skip_floor(least2: np.ndarray, d: int) -> np.ndarray:
@@ -744,23 +734,23 @@ def _skip_floor(least2: np.ndarray, d: int) -> np.ndarray:
     return least2 * (1.0 - (4 * d + 8) * _U) - (d + 1) * 2.0**-1073
 
 
-def _bands(d: int, dispersions: tuple[float, float], bins: int) -> tuple[np.ndarray, np.ndarray]:
+def _bands(d: int, high_edges: np.ndarray, low_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hi_m and lo_m of _screened_counts for m = 1..bins-1, before delta.
 
-    A pair whose estimate X is at least hi_m + delta has a bin of m or
-    below at every dispersion in the interval, and one whose X is below
-    lo_m - delta a bin above m. Both fall as m grows, as the edges do.
+    high_edges and low_edges are affinity_cuts' edges at the two ends of
+    the dispersion interval, the same array on an exact geometry. A pair
+    whose estimate X is at least hi_m + delta has a bin of m or below at
+    every dispersion in the interval, and one whose X is below lo_m - delta
+    a bin above m. Both fall as m grows, as the edges do.
     """
-    low, high = dispersions
-    g, tiny = _rounding(d)
+    (g, tiny), below = _rounding(d), np.nextafter(low_edges, 0.0)
     with np.errstate(over="ignore"):
-        edges = affinity_edges(high, bins)
-        below = np.nextafter(edges if low == high else affinity_edges(low, bins), 0.0)
-        return (edges * edges + tiny) * (1.0 + 4.0 * g), (below * below - tiny) * (1.0 - 4.0 * g)
+        hi = (high_edges * high_edges + tiny) * (1.0 + 4.0 * g)
+        return hi, (below * below - tiny) * (1.0 - 4.0 * g)
 
 
 def _sketch_bounds(
-    sketch: np.ndarray, delta: float, d: int, dispersions: tuple[float, float], bins: int
+    sketch: np.ndarray, delta: float, bands: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """A lower and an upper bound on each bin count of the upper triangle, from the sketch.
 
@@ -774,7 +764,8 @@ def _sketch_bounds(
     adds its pairs to that bin's lower and upper bound, any other bucket to
     the upper bound of each bin it spans; the exact counts lie between.
     """
-    hi, lo = _bands(d, dispersions, bins)
+    hi, lo = bands
+    bins = hi.size + 1
     hi, lo = (hi + delta)[::-1], (lo - delta)[::-1]  # ascending
     patterns = (np.arange(_SKETCH_INNER + 1, dtype=np.int64) + _SKETCH_FIRST) << _SKETCH_SHIFT
     x = patterns.view(np.float64)
@@ -791,16 +782,38 @@ def _sketch_bounds(
     return lower, np.cumsum(spans[:bins])
 
 
-def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int) -> np.ndarray:
-    """The bin counts of the strict upper triangle, each pair counted once.
+def _at_least(
+    x: np.ndarray, mask: np.ndarray, hi: np.ndarray, lo: np.ndarray | None = None
+) -> np.ndarray | None:
+    """C_m = #(x >= hi[m - 1]) for m = 1..bins-1: the count every histogram takes.
 
-    dispersions is the geometry's interval (low, high), a single point when
-    the geometry is exact. With E = edges[m - 1], C_m pairs have an exact
-    distance D >= E, that is a bin of m or below; bin 1 holds C_1 pairs,
-    bin m C_m - C_(m-1), and the top bin the rest. A visit of _map_blocks
-    estimates its block's squared distances by _products, counts C_m on
-    them where that is certain, and returns the block's bin counts;
-    integer counts, whose sum does not depend on the worker count.
+    On exact distances x, hi is affinity_cuts' edges, one compare per edge,
+    and C_m counts the pairs of bin m or below: bin 1 holds C_1 of them, bin
+    m C_m - C_(m-1) and the top bin the rest. On estimates x, hi and lo are
+    the ends of each edge's band, and None is returned where an x lies in
+    some [lo_m, hi_m). mask is flat boolean scratch of x's size or more.
+    """
+    mask = mask[: x.size].reshape(x.shape)
+    at_least = np.empty(hi.size, dtype=np.int64)
+    for m, edge in enumerate(hi):
+        at_least[m] = np.count_nonzero(np.greater_equal(x, edge, out=mask))
+        if lo is not None and np.count_nonzero(np.greater_equal(x, lo[m], out=mask)) > at_least[m]:
+            return None
+    return at_least
+
+
+def _screened_counts(
+    z: np.ndarray, bands: tuple[np.ndarray, np.ndarray], edges: np.ndarray | None
+) -> np.ndarray:
+    """_at_least's C_m over the strict upper triangle, each pair counted once.
+
+    bands is _bands' (hi, lo) over the geometry's dispersion interval, and
+    edges is affinity_cuts' edges on an exact geometry, None on an interval.
+    With E = edges[m - 1], C_m pairs have an exact distance D >= E, that is
+    a bin of m or below. A visit of _map_blocks estimates its block's
+    squared distances by _products and returns the block's C_m where the
+    estimates decide them; integer counts, whose sum does not depend on the
+    worker count.
 
     Let a and b be two rows of z, S the exact sum of the squares of a - b,
     M = |a|^2 + |b|^2 exactly, u = 2^-53 and g = gamma_(d+2) =
@@ -845,42 +858,33 @@ def _screened_counts(z: np.ndarray, dispersions: tuple[float, float], bins: int)
     interval, the exact one among them.
 
     A block with a pair in some [lo_m, hi_m) is computed by _exact_block and
-    binned by _affinity_bins on an exact geometry, and raises Uncertain on
+    counted against the edges on an exact geometry, and raises Uncertain on
     an interval; so do all blocks where _products cannot estimate. Each
     worker has a mask of as many booleans as its block buffer and, on an
     exact geometry, a _tile_scratch, both allocated here.
     """
-    low, high = dispersions
-    exact = low == high
     n, d = z.shape
     estimate = _products(z)
-    if estimate is None and not exact:
+    if estimate is None and edges is None:
         raise Uncertain("a squared norm is too large for the product estimate")
-    hi, lo = _bands(d, dispersions, bins)
+    hi, lo = bands
     rows, workers = _block_plan(n)
     masks = np.empty((workers, min(rows, n) * n), dtype=bool)
     lower = np.tri(min(rows, n), dtype=bool)
-    if exact:
+    if edges is not None:
         cols, scratch = np.ascontiguousarray(z.T), _tile_scratch(n, workers)
 
     def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
-        r, m = rect.shape
+        r = rect.shape[0]
         if estimate is not None:
             delta = estimate(rect, i0)
             np.copyto(rect[:, :r], -np.inf, where=lower[:r, :r])
-            mask = masks[t, : r * m].reshape(r, m)
-            at_least = []  # C_1..C_(bins-1), then the block's pair count
-            for hi_m, lo_m in zip(hi + delta, lo - delta):
-                above = np.count_nonzero(np.greater_equal(rect, hi_m, out=mask))
-                if np.count_nonzero(np.greater_equal(rect, lo_m, out=mask)) != above:
-                    break
-                at_least.append(above)
-            else:
-                at_least.append(r * m - r * (r + 1) // 2)
-                return np.diff(at_least, prepend=0)
-            if not exact:
+            at_least = _at_least(rect, masks[t], hi + delta, lo - delta)
+            if at_least is not None:
+                return at_least
+            if edges is None:
                 raise Uncertain("a pair lies within its bin edge's band")
-        return _bin_counts(_exact_block(cols, rect, i0, scratch[t]), low, bins)
+        return _at_least(_exact_block(cols, rect, i0, scratch[t]), masks[t], edges)
 
     return sum(_map_blocks(n, visit))
 
@@ -898,16 +902,17 @@ def build_affinity_model(
     for both tight and diffuse data. Each pair of the upper triangle is
     counted twice; the n self-affinities of exactly 1 go to the top bin.
 
-    A geometry with a sketch (the product geometry) first bounds the counts
-    by _sketch_bounds over its dispersion interval; where select_threshold
-    names the bin from those bounds, the model keeps them. Otherwise the
-    counts are exact: a geometry with a packed triangle has its blocks
-    binned by _affinity_bins, and any other is counted by _screened_counts
-    over its dispersion interval, which gives the exact path's counts or
-    raises Uncertain. timings, when given, gets the screen's wall time in
-    seconds under "screen" when a sketch left the bin open. The model keeps
-    detection's bars, g* at both ends of the interval (_affinity_bar), and
-    the geometry's skip floor, not the packed triangle.
+    affinity_cuts runs once at each end of the dispersion interval (once
+    when it is a point) and gives every cut the model compares with: the
+    edges, whose _bands the sketch and the screen share, and the bars. A
+    geometry with a sketch (the product geometry) first bounds the counts by
+    _sketch_bounds; where select_threshold names the bin from those bounds,
+    the model keeps them. Otherwise the counts are exact: _at_least counts
+    a packed triangle against the edges in cache-sized tiles, and
+    _screened_counts any other geometry, or raises Uncertain. timings, when
+    given, gets the screen's wall time in seconds under "screen" when a
+    sketch left the bin open. The model keeps the threshold bin's bar at
+    both ends of the interval and the geometry's skip floor.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
@@ -920,6 +925,9 @@ def build_affinity_model(
     z = normalized.values
     n, d = z.shape
     low, high = _interval(dispersion, geometry.slack)
+    low_edges, low_bars = affinity_cuts(low, bins)
+    high_edges, high_bars = (low_edges, low_bars) if high == low else affinity_cuts(high, bins)
+    bands = _bands(d, high_edges, low_edges)
 
     def histogram(counts: np.ndarray) -> np.ndarray:
         doubled = 2 * counts
@@ -928,32 +936,28 @@ def build_affinity_model(
 
     picked = None
     if geometry.sketch is not None:
-        bounds = _sketch_bounds(geometry.sketch, geometry.delta, d, (low, high), bins)
-        lower, upper = map(histogram, bounds)
+        lower, upper = map(histogram, _sketch_bounds(geometry.sketch, geometry.delta, bands))
         picked = select_threshold(lower, upper)
     if picked is None:
         started = time.perf_counter()
-        if geometry.packed is None:
-            counts = _screened_counts(z, (low, high), bins)
+        packed = geometry.packed
+        if packed is None:
+            at_least = _screened_counts(z, bands, low_edges if high == low else None)
         else:
-
-            def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
-                lo, hi = _row_offset(n, i0), _row_offset(n, i0 + rect.shape[0])
-                block = rect.reshape(-1)[: hi - lo]  # a copy: the binning overwrites it
-                np.copyto(block, geometry.packed[lo:hi])
-                return _bin_counts(block, dispersion, bins)
-
-            counts = sum(_map_blocks(n, visit))
-        lower = upper = histogram(counts)
+            mask = np.empty(min(packed.size, _TILE_ENTRIES), dtype=bool)
+            at_least = sum(
+                _at_least(packed[c : c + mask.size], mask, low_edges)
+                for c in range(0, packed.size, mask.size)
+            )
+        lower = upper = histogram(np.diff(at_least, prepend=0, append=n * (n - 1) // 2))
         picked = select_threshold(lower)
         if geometry.sketch is not None and timings is not None:
             timings["screen"] = time.perf_counter() - started
     threshold, threshold_bin = picked
-    bar = _affinity_bar(low, threshold)
     return AffinityModel(
         histogram=(lower, upper),
         threshold=threshold,
         threshold_bin=threshold_bin,
-        bar=(bar, bar if high == low else _affinity_bar(high, threshold)),
+        bar=(float(low_bars[threshold_bin - 1]), float(high_bars[threshold_bin - 1])),
         floor=geometry.floor,
     )

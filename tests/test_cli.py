@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from affclust import cli, preprocess
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from affclust.evaluate import pair_counts
 from affclust.pipeline import run_pipeline
@@ -294,6 +295,33 @@ def test_histogram_counts_sum_to_n_squared(files):
     assert payload["threshold"] == round(model.threshold, 6)
     assert payload["threshold_bin"] == model.threshold_bin
     assert len(payload["edges"]) == 12
+
+
+def test_histogram_builds_one_model_and_leaves_the_geometry_alone(files, monkeypatch, capsys):
+    """On the product geometry the command builds one model, from a copy of
+    the geometry with its sketch set aside, and reports the exact counts;
+    the geometry distance_matrix returned keeps its sketch."""
+    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    geometries, built = [], []
+
+    def recorded(norm, exact=False):
+        geometries.append(distance_matrix(norm, exact=exact))
+        return geometries[-1]
+
+    def counted(norm, geometry, bins):
+        built.append(geometry)
+        return build_affinity_model(norm, geometry, bins=bins)
+
+    monkeypatch.setattr(cli, "distance_matrix", recorded)
+    monkeypatch.setattr(cli, "build_affinity_model", counted)
+    assert cli.main(["histogram", "-i", files.points]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(geometries) == len(built) == 1
+    assert geometries[0].sketch is not None and built[0].sketch is None
+    norm = normalize(files.dataset)
+    expect = build_affinity_model(norm, distance_matrix(norm, exact=True))
+    assert payload["counts"] == [int(c) for c in expect.histogram[0]]
+    assert payload["threshold_bin"] == expect.threshold_bin
 
 
 def test_histogram_csv_has_one_row_per_bin(files):

@@ -233,7 +233,7 @@ def test_manifest_parses_and_flags_missing_files(tmp_path):
     manifest = load_manifest(path)
     assert [e.name for e in manifest.entries] == ["alpha", "beta", "gone"]
     assert manifest.skipped == ["gone"]
-    assert len(manifest.available) == 2
+    assert [e.available for e in manifest.entries] == [True, True, False]
 
     alpha = manifest.entries[0].load()
     assert alpha.labels.tolist() == [1, 2]
@@ -269,7 +269,7 @@ def test_malformed_manifest_is_an_ingest_error(tmp_path):
 
 def test_empty_manifest_loads_as_empty():
     manifest = CorpusManifest()
-    assert manifest.available == []
+    assert manifest.entries == []
     assert manifest.skipped == []
 
 

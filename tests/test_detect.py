@@ -23,7 +23,7 @@ from affclust.detect import (
 from affclust.preprocess import (
     NormalizedData,
     Uncertain,
-    _affinity_bar,
+    affinity_cuts,
     build_affinity_model,
     distance_matrix,
     normalize,
@@ -294,7 +294,7 @@ def near_tie_models(z, model, target, reach=4):
     found = {}
     for pattern in range(centre - 8 * reach, centre + 8 * reach + 1):
         sigma = float(np.array(pattern).view(np.float64)) / 2.0
-        bar = _affinity_bar(sigma, model.threshold)
+        bar = model_bar(sigma, model.histogram[0].size, model.threshold_bin)
         if abs(offset := ulps(target, bar)) <= reach:
             found.setdefault(offset, (sigma, replace(model, bar=(bar, bar))))
     return found
@@ -653,6 +653,12 @@ def serial_affinity_bar(two_sigma, threshold):
     return float(probe[0])
 
 
+def model_bar(sigma, bins, k):
+    """g* a model of this many bins keeps for threshold bin k: the cut
+    affinity_cuts finds for the threshold (k - 0.5) / bins."""
+    return float(affinity_cuts(sigma, bins)[1][k - 1])
+
+
 def bar_neighbours(bar, reach):
     """The non-negative floats within `reach` bit patterns of bar, in order."""
     centre = int(np.array(bar).view(np.int64))
@@ -661,20 +667,21 @@ def bar_neighbours(bar, reach):
 
 
 @st.composite
-def thresholds(draw):
-    """A threshold the histogram can pick: the midpoint of bin k of bins."""
+def threshold_bins(draw):
+    """A bin count and a threshold bin k the histogram can pick."""
     bins = draw(st.integers(2, 1000))
-    k = draw(st.integers(1, bins))
-    return (k - 0.5) / bins
+    return bins, draw(st.integers(1, bins))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(1e-3, 1e3), thresholds(), st.integers(0, 2**32 - 1))
-def test_affinity_bar_is_the_affinity_test(two_sigma, threshold, seed):
-    """gap2 < bar equals the exp test on every slice length the scan's
-    windows and numpy's vector loops can produce, around the bar and away
-    from it."""
-    bar = _affinity_bar(two_sigma / 2.0, threshold)
+@given(st.floats(1e-3, 1e3), threshold_bins(), st.integers(0, 2**32 - 1))
+def test_affinity_bar_is_the_affinity_test(two_sigma, picked, seed):
+    """gap2 < bar equals the exp test, at the threshold (k - 0.5) / bins, on
+    every slice length the scan's windows and numpy's vector loops can
+    produce, around the bar and away from it."""
+    bins, k = picked
+    threshold = (k - 0.5) / bins
+    bar = model_bar(two_sigma / 2.0, bins, k)
     assert bar == serial_affinity_bar(two_sigma, threshold)
     near = bar_neighbours(bar, 1 << 16)
     for length in (31, 33, 1 << 17):
@@ -690,12 +697,21 @@ def test_affinity_bar_is_the_affinity_test(two_sigma, threshold, seed):
         assert np.array_equal(affinity_test(gaps, two_sigma, threshold, length), gaps < bar)
 
 
-@pytest.mark.parametrize("threshold", [0.5 / 2, 0.5 / 1000, 999.5 / 1000, 1.0 - 2.0**-53])
+@pytest.mark.parametrize(
+    "picked",
+    [
+        pytest.param((bins, k), id=str((k - 0.5) / bins))
+        for bins, k in ((2, 1), (1000, 1), (1000, 1000), (2**20, 2**20))
+    ],
+)
 @pytest.mark.parametrize("two_sigma", [1e-3, 1.0, 2.0 * np.sqrt(2.0), 1e3])
-def test_affinity_bar_at_the_threshold_extremes(two_sigma, threshold):
+def test_affinity_bar_at_the_threshold_extremes(two_sigma, picked):
     """Threshold bin 1 of 2 and of 1,000 bins, the top bin of 1,000, and
-    the largest threshold below 1, where only exp(...) == 1.0 passes."""
-    bar = _affinity_bar(two_sigma / 2.0, threshold)
+    the top bin of 2^20, the threshold 1 - 2^-21, where only affinities
+    within 2^-21 of 1 pass (each id is the threshold)."""
+    bins, k = picked
+    threshold = (k - 0.5) / bins
+    bar = model_bar(two_sigma / 2.0, bins, k)
     assert bar == serial_affinity_bar(two_sigma, threshold)
     assert 0.0 < bar < np.inf
     gaps = bar_neighbours(bar, 1 << 12)

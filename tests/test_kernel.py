@@ -7,6 +7,8 @@ comparison is array_equal on the int64 views, so a 0.0 against a -0.0 or
 one NaN payload against another would fail too.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -94,9 +96,8 @@ def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, tile_entri
         sigma = serial_dispersion(n, serial_blocks(z))
         assert geometry.dispersion == sigma and geometry.slack == 0.0, workers
         assert same_bits(geometry.floor, preprocess._skip_floor(nearest * nearest, d))
-        histogram = 2 * preprocess._screened_counts(z, (sigma, sigma), 10)
-        histogram[-1] += n  # the self-affinities
-        assert np.array_equal(histogram, serial_histogram(n, serial_blocks(z), sigma, 10))
+        screened = build_affinity_model(norm, dataclasses.replace(geometry, packed=None), 10)
+        assert np.array_equal(screened.histogram[0], serial_histogram(n, serial_blocks(z), sigma, 10))
 
 
 def test_merge_centroid_distances_match_cdist(monkeypatch):

@@ -10,7 +10,7 @@ with a screen that raises Uncertain where the slack leaves a count open.
 A model's histogram is a (lower, upper) pair, one array twice where the
 counts are exact (`exact_counts`); on the product path the oracle must lie
 between them (`assert_bounds_hold`). On the exact path, the fallback, it
-computes the distances by its kernel, block by block, and bins only the
+computes the distances by its kernel, block by block, and counts only the
 screen's uncertain blocks exactly. `each_path` runs a test body on all
 three paths.
 The dense matrices these tests compare against are built here, by
@@ -18,7 +18,9 @@ The dense matrices these tests compare against are built here, by
 one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
 `serial_histogram`) whose bits the exact paths must reproduce, and whose
 dispersion the product path's interval must hold. `affinity_histogram`,
-the binning production once used, is the histogram oracle.
+the binning production once used, is the histogram oracle, and
+`affinity_bins` and `affinity_bar` bin a pair and find g* through exp one
+probe set at a time, as production once did: the oracles of the cuts.
 """
 
 import dataclasses
@@ -41,7 +43,7 @@ from affclust.pipeline import run_pipeline
 from affclust.preprocess import (
     NormalizedData,
     Uncertain,
-    affinity_edges,
+    affinity_cuts,
     build_affinity_model,
     distance_matrix,
     normalize,
@@ -114,6 +116,33 @@ def dense_affinities(dist, sigma):
     a = dist * dist
     a /= -2.0 * sigma
     return np.exp(a)
+
+
+def affinity_bins(block, dispersion, bins):
+    """Reference: each distance d in a 1-D block binned by its affinity, in place.
+
+    The affinity v of d * d goes to bin clip(ceil(v * bins), 1, bins), so
+    an affinity of exactly 1 lands in the top bin; the indices are returned
+    in block's own memory, viewed as int64.
+    """
+    np.multiply(block, block, out=block)
+    preprocess._affinities(block, dispersion)
+    np.multiply(block, float(bins), out=block)
+    np.ceil(block, out=block)
+    np.clip(block, 1.0, float(bins), out=block)
+    # numpy casts a 1-D array onto itself element by element, with no copy
+    idx = block.view(np.int64)
+    np.copyto(idx, block, casting="unsafe")
+    return idx
+
+
+def affinity_bar(dispersion, threshold):
+    """Reference g*: the least gap2 >= 0 whose affinity does not clear
+    threshold, bisected for this one threshold."""
+    guess = np.array([2.0 * dispersion * -math.log(threshold)])
+    return float(preprocess.bisect_floats(
+        lambda gap2: preprocess._affinities(gap2, dispersion) <= threshold, guess
+    )[0])
 
 
 def model_of(norm, bins=10):
@@ -650,11 +679,11 @@ def float_of(pattern):
     return float(np.array(pattern).view(np.float64))
 
 
-def production_bins(distances, dispersion, bins, copies):
-    """Each distance's bin by production's binning, computed on `copies`
+def pair_bins(distances, dispersion, bins, copies):
+    """Each distance's bin by the per-pair binning, computed on `copies`
     copies of them in one array, as a block holds them; copies x k."""
     block = np.tile(np.asarray(distances, dtype=np.float64), copies)
-    return preprocess._affinity_bins(block, dispersion, bins).reshape(copies, -1)
+    return affinity_bins(block, dispersion, bins).reshape(copies, -1)
 
 
 @pytest.mark.parametrize("dispersion", [1e-3, 0.37, 1.0, 29.0, 1e3])
@@ -662,14 +691,26 @@ def production_bins(distances, dispersion, bins, copies):
 def test_affinity_edges_are_the_least_distances_of_each_bin(bins, dispersion):
     """bin(E_m) <= m and bin(the float below E_m) > m, alone and inside a
     long array, so on every lane of numpy's vector loops."""
-    edges = affinity_edges(dispersion, bins)
+    edges, _ = affinity_cuts(dispersion, bins)
     top = np.arange(1, bins)
     assert edges.shape == (bins - 1,)
     assert (edges > 0.0).all() and np.isfinite(edges).all()
     assert (np.diff(edges) <= 0.0).all()
     for copies in (1, 257):
-        assert (production_bins(edges, dispersion, bins, copies) <= top).all()
-        assert (production_bins(np.nextafter(edges, 0.0), dispersion, bins, copies) > top).all()
+        assert (pair_bins(edges, dispersion, bins, copies) <= top).all()
+        assert (pair_bins(np.nextafter(edges, 0.0), dispersion, bins, copies) > top).all()
+
+
+@pytest.mark.parametrize("dispersion", [1e-3, 0.37, 29.0, 1e3])
+@pytest.mark.parametrize("bins", [2, 3, 10, 30, 1000])
+def test_affinity_cuts_bars_are_the_bars_of_each_threshold(bins, dispersion):
+    """The bars affinity_cuts finds with the edges, in the same probe set,
+    are g* of every threshold a histogram of this many bins can pick, as
+    each is bisected alone."""
+    _, bars = affinity_cuts(dispersion, bins)
+    assert bars.shape == (bins,)
+    for k in range(bins):
+        assert bars[k] == affinity_bar(dispersion, (k + 0.5) / bins)
 
 
 @pytest.mark.parametrize("bins", [2, 10, 30])
@@ -677,38 +718,38 @@ def test_bisect_floats_answers_do_not_depend_on_the_guess(bins):
     """Guesses that bracket nothing (0, a subnormal, the largest float, inf,
     nan, a negative) cost steps and change no edge."""
     dispersion, top = 0.37, np.arange(1, bins)
-    expect = affinity_edges(dispersion, bins)
+    expect, _ = affinity_cuts(dispersion, bins)
     for bad in (0.0, 5e-324, 1.7e308, np.inf, np.nan, -1.0):
         got = preprocess.bisect_floats(
-            lambda d: preprocess._affinity_bins(d, dispersion, bins) <= top,
+            lambda d: affinity_bins(d, dispersion, bins) <= top,
             np.full(bins - 1, bad),
         )
         assert np.array_equal(got, expect)
 
 
-def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12, slack=0.0):
+def screened_histogram(
+    monkeypatch, z, dispersion, bins, block_entries=1 << 12, slack=0.0, one_pass=False
+):
     """The streamed model's histogram of z at this dispersion, and how many
-    blocks the screen left to the exact binning (a spy on _bin_counts, which
-    on the streamed path only those blocks reach). With a slack, the
-    dispersion is an interval, as on the product path, and the histogram is
-    None where the screen raises Uncertain."""
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
-    monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
-    exact = preprocess._bin_counts
-    fallbacks = []
-
-    def spy(block, dispersion, bins):
-        fallbacks.append(block.size)
-        return exact(block, dispersion, bins)
-
-    monkeypatch.setattr(preprocess, "_bin_counts", spy)
+    blocks the screen left to the exact counting (a spy on _exact_block,
+    which once the geometry is built only those blocks reach). With a
+    slack, the dispersion is an interval, as on the product path, and the
+    histogram is None where the screen raises Uncertain. With one_pass, the
+    model counts the packed triangle, and no block is computed again."""
+    if not one_pass:
+        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+        monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
     geometry = dataclasses.replace(
         distance_matrix(nd(z), exact=True), dispersion=dispersion, slack=slack
     )
-    try:
-        histogram = exact_counts(build_affinity_model(nd(z), geometry, bins))
-    except Uncertain:
-        histogram = None
+    assert (geometry.packed is not None) == one_pass
+    exact, fallbacks = preprocess._exact_block, []
+    with monkeypatch.context() as patch:
+        patch.setattr(preprocess, "_exact_block", lambda *a: fallbacks.append(a[2]) or exact(*a))
+        try:
+            histogram = exact_counts(build_affinity_model(nd(z), geometry, bins))
+        except Uncertain:
+            histogram = None
     return histogram, len(fallbacks)
 
 
@@ -729,33 +770,43 @@ def near_edge_dispersions(distance, bins, m, reach=3):
     found = {}
     for pattern in range(centre - 8 * reach, centre + 8 * reach + 1):
         dispersion = float_of(pattern)
-        offset = bits(affinity_edges(dispersion, bins)[m - 1]) - bits(distance)
+        offset = bits(affinity_cuts(dispersion, bins)[0][m - 1]) - bits(distance)
         if abs(offset) <= reach:
             found.setdefault(offset, dispersion)
     assert min(found) < 0 < max(found)
     return found
 
 
-@pytest.mark.parametrize("d", [1, 3, 16])
-def test_screen_bins_pairs_within_ulps_of_an_edge_exactly(monkeypatch, d):
+@pytest.mark.parametrize(
+    ("d", "one_pass"),
+    [
+        pytest.param(d, one_pass, id=f"{d}-one-pass" if one_pass else str(d))
+        for one_pass in (False, True)
+        for d in (1, 3, 16)
+    ],
+)
+def test_screen_bins_pairs_within_ulps_of_an_edge_exactly(monkeypatch, d, one_pass):
     """A pair whose cdist distance sits a few ulps from edge m, on either side
-    and on it: the screen cannot tell which side, so that block is binned
+    and on it: the screen cannot tell which side, so that block is counted
     exactly, and the histogram is the dense one's. An interval of the
     smallest slack around the same dispersion raises Uncertain wherever a
-    block was binned exactly, and gives the dense histogram elsewhere."""
+    block was counted exactly, and gives the dense histogram elsewhere. On
+    the one-pass path, whose geometry is exact, the packed triangle is
+    counted against the same edges and gives the dense histogram."""
     rng = np.random.default_rng(d)
     z = rng.normal(size=(300, d))
     dist = dense_distances(z)
     fallbacks = 0
     for bins, m, (i, j) in ((10, 4, (0, 1)), (10, 9, (5, 200)), (2, 1, (7, 299)), (30, 17, (150, 151))):
         for dispersion in near_edge_dispersions(dist[i, j], bins, m).values():
-            got, used = screened_histogram(monkeypatch, z, dispersion, bins)
+            got, used = screened_histogram(monkeypatch, z, dispersion, bins, one_pass=one_pass)
             expect = dense_histogram(z, dispersion, bins)
             assert np.array_equal(got, expect)
             fallbacks += used
-            narrow, _ = screened_histogram(monkeypatch, z, dispersion, bins, slack=5e-324)
-            assert narrow is None if used else np.array_equal(narrow, expect)
-    assert fallbacks > 0
+            if not one_pass:
+                narrow, _ = screened_histogram(monkeypatch, z, dispersion, bins, slack=5e-324)
+                assert narrow is None if used else np.array_equal(narrow, expect)
+    assert (fallbacks > 0) != one_pass
 
 
 @pytest.mark.parametrize("width", [1e-9, 1e-6, 1e-4, 1e-2])
@@ -818,6 +869,53 @@ def test_screen_bins_two_identical_clusters_exactly(monkeypatch):
     assert fallbacks > 0
 
 
+@pytest.mark.parametrize(
+    ("case", "seed", "stage", "models"),
+    [
+        ("one-pass", 7, None, [(False, 1)]),
+        ("product", 0, None, [(True, 2)]),
+        ("sketch-open", 7, "screen", [(True, 2)]),
+        ("fallback", 7, "exact", [(False, 1)]),
+    ],
+    ids=["one-pass", "product", "sketch-open", "fallback"],
+)
+def test_exp_sees_only_the_bisection_once_per_dispersion_end(monkeypatch, case, seed, stage, models):
+    """Through run_pipeline, on the one-pass path, the product path with the
+    bin named by the sketch or left open to the screen, and the fallback
+    forced by an infinite slack: exp is applied to at most 2 bins - 1
+    values at a time, affinity_cuts' probes, never to a block of pairs, and
+    each model bisects once per end of its dispersion interval (a model is
+    listed as whether its geometry has a slack, and its bisections)."""
+    from test_detect import interesting_points
+
+    bins = 10
+    if case != "one-pass":
+        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    if case == "fallback":
+        monkeypatch.setattr(preprocess, "_dispersion_slack", lambda *args: math.inf)
+    affinities, bisect, build = (
+        preprocess._affinities, preprocess.bisect_floats, pipeline.build_affinity_model
+    )
+    sizes, calls, built = [], [], []
+    monkeypatch.setattr(
+        preprocess, "_affinities", lambda gap2, sigma: sizes.append(gap2.size) or affinities(gap2, sigma)
+    )
+    monkeypatch.setattr(preprocess, "bisect_floats", lambda *args: calls.append(1) or bisect(*args))
+
+    def counted(norm, geometry, *args, **kwargs):
+        before = len(calls)
+        try:
+            return build(norm, geometry, *args, **kwargs)
+        finally:
+            built.append((geometry.slack > 0.0, len(calls) - before))
+
+    monkeypatch.setattr(pipeline, "build_affinity_model", counted)
+    result = run_pipeline(ds(interesting_points(seed)), bins=bins)
+    assert 0 < max(sizes) <= 2 * bins - 1
+    assert built == models
+    assert {"screen", "exact"} & set(result.timings_ms) == ({stage} if stage else set())
+
+
 @pytest.mark.parametrize("k", [-500, 500])
 def test_screen_gives_the_unscaled_histogram_at_extreme_scales(monkeypatch, k):
     """Scaling z by 2^k and the dispersion by 2^2k leaves every affinity's
@@ -845,11 +943,17 @@ def noisy_64d(seed):
     ))
 
 
+def bands_of(d, interval, bins):
+    """_bands over the interval (low, high), from the edges at its two ends."""
+    low, high = interval
+    return preprocess._bands(d, affinity_cuts(high, bins)[0], affinity_cuts(low, bins)[0])
+
+
 def sketch_histograms(geometry, d, bins):
     """The sketch's lower and upper bounds on each bin of the histogram over
     the geometry's interval: each pair counted twice, n in the top bin."""
     interval = preprocess._interval(geometry.dispersion, geometry.slack)
-    bounds = preprocess._sketch_bounds(geometry.sketch, geometry.delta, d, interval, bins)
+    bounds = preprocess._sketch_bounds(geometry.sketch, geometry.delta, bands_of(d, interval, bins))
     for counts in bounds:
         counts *= 2
         counts[-1] += geometry.floor.size
@@ -1012,7 +1116,7 @@ def test_estimates_outside_the_window_are_never_decided(monkeypatch, d):
     lone = np.zeros_like(sketch)
     lone[-1] = outside
     for dispersion in (1e-30, 1.0, 1e30):
-        lower, upper = preprocess._sketch_bounds(lone, 0.0, d, (dispersion, dispersion), 10)
+        lower, upper = preprocess._sketch_bounds(lone, 0.0, bands_of(d, (dispersion, dispersion), 10))
         assert not lower.any()
         assert (upper == outside).all()
 
@@ -1024,14 +1128,14 @@ def test_a_bucket_a_band_touches_is_not_decided():
     sketch = np.ones(preprocess._SKETCH_INNER + 1, dtype=np.int64)
     sketch[-1] = 0
     bins, interval, delta = 4, (0.37, 0.38), 1e-3
-    hi, lo = preprocess._bands(2, interval, bins)
-    hi, lo = hi + delta, lo - delta
+    bands = bands_of(2, interval, bins)
+    hi, lo = bands[0] + delta, bands[1] - delta
     keys = np.arange(preprocess._SKETCH_INNER + 1) + preprocess._SKETCH_FIRST
     x = (keys << preprocess._SKETCH_SHIFT).view(np.float64)
     x0, x1 = x[:-1], x[1:]
     first = 1 + (lo[None, :] >= x1[:, None]).sum(axis=1)
     last = bins - (hi[None, :] <= x0[:, None]).sum(axis=1)
-    lower, upper = preprocess._sketch_bounds(sketch, delta, 2, interval, bins)
+    lower, upper = preprocess._sketch_bounds(sketch, delta, bands)
     for m in range(1, bins + 1):
         assert lower[m - 1] == ((first == m) & (last == m)).sum()
         assert upper[m - 1] == ((first <= m) & (m <= last)).sum()
@@ -1159,7 +1263,7 @@ def test_model_composition_is_consistent():
     norm = normalize(random_dataset(61))
     geometry = distance_matrix(norm)
     model = build_affinity_model(norm, geometry, bins=10)
-    bar = preprocess._affinity_bar(geometry.dispersion, model.threshold)
+    bar = affinity_bar(geometry.dispersion, model.threshold)
     assert model.bar == (bar, bar)
     histogram = exact_counts(model)
     assert histogram.size == 10
