@@ -9,7 +9,8 @@ module is tunable except the bin count.
 No n x n matrix is materialised. One walker, _map_blocks, goes over the
 strict upper triangle in row blocks of about _BLOCK_ENTRIES entries, and
 every pass over the distances is a visit it makes to each block: the
-dispersion folds the blocks' moments in block order, the skip floor comes
+dispersion folds the blocks' moments (or, on the product path, adds their
+sums) in block order, the skip floor comes
 from the minima of the blocks' rows and columns (detection uses it to skip
 provably idle sweeps), and the screen sums the blocks' integer counts.
 
@@ -17,12 +18,12 @@ The walker hands each visit its block's rectangle over the buffer of the
 worker that takes it. Up to _ONE_PASS_PAIRS pairs the calling thread is the
 one worker. Above that, up to one thread per available core shares the
 blocks (BLAS and numpy's ufuncs release the GIL), worker t taking blocks t,
-t+W, t+2W, ...; the moments are folded in block order, minima and integer
-counts do not depend on the order, so no result depends on the number of
-workers. The calling thread allocates every array a worker writes to, the
-block buffers and each visit's per-worker folds, scratch or masks: arrays
-allocated inside a worker would stay in that thread's malloc arena after it
-exits.
+t+W, t+2W, ...; the moments and sums are folded in block order, minima
+and integer counts do not depend on the order, so no result depends on the
+number of workers. The calling thread allocates every array a worker writes
+to, the block buffers and each visit's per-worker folds, scratch or masks:
+arrays allocated inside a worker would stay in that thread's malloc arena
+after it exits.
 
 Every exact distance comes from _kernel, whose bits are cdist's under any
 SIMD dispatch. distance_matrix has two visits:
@@ -32,12 +33,17 @@ SIMD dispatch. distance_matrix has two visits:
   Above that it runs when a caller asks for the exact geometry, once the
   product geometry has left a decision uncertain.
 - Above the cap, the product visit estimates each block's squared distances
-  by matrix products (_products, the screen's own), and folds the moments
-  of their square roots into an estimate of the dispersion, with a
-  certified slack: the exact dispersion lies within it (_dispersion_slack).
-  Before the square roots it counts each clipped estimate X+ = max(X, 0)
-  into a sketch of fixed buckets (_sketch), which leaves the block as it
-  is, so the dispersion's bits are those of a pass without the sketch.
+  by matrix products (_products, the screen's own): one (d + 2)-wide
+  product per tile, which adds both squared norms as it goes. It counts
+  each estimate into a sketch of fixed buckets (_sketch), which leaves the
+  block as it is, then takes the block's sum of the square roots of X+ =
+  max(X, 0) (_root_sum); the clip runs only on a block with a negative
+  estimate. Those sums give the mean distance, and the mean squared
+  distance needs no distances at all (_second_moment, O(n d)), so the
+  dispersion's estimate is the root of their difference, with a certified
+  slack: the exact dispersion lies within it (_dispersion_slack). Each
+  estimate costs the product, the nearest fold, the pack, the sketch, the
+  square root and the sum.
 
 Affinity falls as distance grows, so every affinity decision compares a
 distance with a cut. affinity_cuts finds every cut at one dispersion in one
@@ -356,15 +362,18 @@ def _block_moments(block: np.ndarray) -> tuple[float, float, float]:
 
 
 def _sketch(block: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> None:
-    """Count each entry of a 1-D block of non-negative floats into its bucket.
+    """Count each estimate X of a 1-D block into the bucket of X+ = max(X, 0).
 
     The bit patterns of non-negative floats order as the floats do. An
     entry's key is its pattern less that of 2^-64, shifted right by
     _SKETCH_SHIFT as an unsigned integer, so an entry below 2^-64 wraps
     round to a key above every inner bucket's, as does one of 2^64 or more;
-    the keys are capped at _SKETCH_INNER, the outside bucket. They go
-    through `keys`, a scratch of _SKETCH_CHUNK int64, so block is left as
-    it is.
+    the keys are capped at _SKETCH_INNER, the outside bucket. A negative
+    entry, -0.0 included, has a negative pattern; less that of 2^-64, with
+    or without wrapping round, it is at least 2^63 less that pattern as an
+    unsigned integer, far above every inner key, so it goes to the outside
+    bucket with X+ = 0. The keys go through `keys`, a scratch of
+    _SKETCH_CHUNK int64, so block is left as it is.
     """
     bits = block.view(np.int64)
     for c0 in range(0, bits.size, keys.size):
@@ -384,114 +393,191 @@ def _rounding(d: int) -> tuple[float, float]:
 def _products(z: np.ndarray) -> Callable[[np.ndarray, int], float] | None:
     """estimate(rect, i0): a block's squared distances estimated by matrix products.
 
-    estimate writes X = (G + n_a) + n_b for rows i0..i0+r-1 against rows
-    i0..n-1 into rect, where G is (-2 a) . b and n_a, n_b are the squared
-    row norms, and returns the block's delta = 4 g Mhat + tiny (_rounding),
-    Mhat being the block's largest computed row norm plus its largest column
-    norm. _screened_counts derives |X - S| <= 2 g M + d 2^-1073 <= delta
-    for every pair, S the exact squared distance and M = |a|^2 + |b|^2,
-    with spare for rounding. Each product covers at most _PRODUCT_VOLUME
+    estimate writes X = [-2 a, n_a, 1] . [b, 1, n_b] for rows i0..i0+r-1
+    against rows i0..n-1 into rect, one (d + 2)-term product per pair, n_a
+    and n_b being the computed squared row norms, and returns the block's
+    delta = 4 g Mhat + tiny (_rounding), Mhat being the block's largest
+    computed row norm plus its largest column norm. _screened_counts
+    derives |X - S| <= g (3 + g) M + (d + 1) 2^-1073 < delta for every
+    pair, S the exact squared distance and M = |a|^2 + |b|^2, with spare
+    for rounding. The column operand [z^T; 1; norms] is built once, one
+    contiguous run per row; each product covers at most _PRODUCT_VOLUME
     multiply-adds.
 
     None when a squared norm reaches 2^1000: X could overflow. normalize
     keeps them below d n.
     """
     n, d = z.shape
-    norms = np.einsum("ij,ij->i", z, z)
+    width = d + 2
+    cols = np.empty((width, n))
+    norms = np.einsum("ij,ij->i", z, z, out=cols[d + 1])
     if not norms.max() < 2.0**1000:
         return None
+    cols[:d] = z.T
+    cols[d] = 1.0
     col_max = np.maximum.accumulate(norms[::-1])[::-1]  # largest norm of rows i..n-1
     g, tiny = _rounding(d)
     rows, _ = _block_plan(n)
-    tile_rows = max(1, min(rows, math.isqrt(_PRODUCT_VOLUME // d)))
-    tile_cols = max(1, _PRODUCT_VOLUME // (tile_rows * d))
-    cols = z.T
+    tile_rows = max(1, min(rows, math.isqrt(_PRODUCT_VOLUME // width)))
+    tile_cols = max(1, _PRODUCT_VOLUME // (tile_rows * width))
 
     def estimate(rect: np.ndarray, i0: int) -> float:
         i1 = i0 + rect.shape[0]
         for a0 in range(i0, i1, tile_rows):
             a1 = min(a0 + tile_rows, i1)
-            a = np.multiply(z[a0:a1], -2.0)
+            a = np.empty((a1 - a0, width))
+            np.multiply(z[a0:a1], -2.0, out=a[:, :d])
+            a[:, d] = norms[a0:a1]
+            a[:, d + 1] = 1.0
             for b0 in range(i0, n, tile_cols):
                 b1 = min(b0 + tile_cols, n)
                 np.matmul(a, cols[:, b0:b1], out=rect[a0 - i0 : a1 - i0, b0 - i0 : b1 - i0])
-        rect += norms[i0:i1, None]
-        rect += norms[i0:]
         return 4.0 * g * (norms[i0:i1].max() + col_max[i0]) + tiny
 
     return estimate
 
 
+def _second_moment(z: np.ndarray) -> tuple[float, float]:
+    """The mean squared distance over all n^2 ordered pairs, in O(n d), and
+    a bound on its distance from the mean of D^2, D the exact distances.
+
+    In reals, sum_ij |z_i - z_j|^2 = 2 n A - 2 |T|^2 for any c, with A =
+    sum_i |z_i - c|^2 and T = sum_i (z_i - c). c is the computed column
+    mean, so A has no cancellation and |T| is rounding noise; the estimate
+    is 2 A^ / n, A^ the computed A, and 2 |T|^2 / n^2 goes to the bound.
+
+    A^ squares the n d rounded differences and adds them, within
+    gamma_(n d + 2) A plus n d 2^-1074 for squares that underflow; dividing
+    by n rounds once more. Each of T's d sums is within gamma_n of
+    sum_i |z_ik - c_k|, so |T| <= |T^| + gamma_n sqrt(n A) by Cauchy and
+    Schwarz. And D^2 is within (g + 4 u) S + d 2^-1073 of S (g = gamma_(d+2),
+    _screened_counts): _kernel's sum errs by g S + d 2^-1074, and its
+    rounded square root, squared, by 3 u more. The bound adds the three,
+    with a factor 1 + 2^-20 for the roundings of its own evaluation.
+    """
+    n, d = z.shape
+    y = z - z.mean(axis=0)
+    t = y.sum(axis=0)
+    lean = math.sqrt(float(t @ t)) / n  # |T^| / n
+    with np.errstate(over="ignore"):  # only where a norm passes 2^1000, and _products declines
+        second = 2.0 * float(np.square(y, out=y).sum()) / n
+    gamma = _gamma(n * d + 3)
+    most = (second + d * 2.0**-1073) / (1.0 - gamma)  # at least 2 A / n
+    drift = 2.0 * (lean + _gamma(n) * math.sqrt(most / 2.0)) ** 2  # at least 2 |T|^2 / n^2
+    err = (gamma + _gamma(d + 2) + 4.0 * _U) * most + drift + d * 2.0**-1072
+    return second, err * (1.0 + 2.0**-20)
+
+
+def _root_sum(block: np.ndarray, clip: bool) -> float:
+    """The sum of sqrt(max(x, 0)) over a 1-D block of estimates, the roots left in block.
+
+    clip is False when no entry is negative, and the max pass is skipped.
+    """
+    if clip:
+        np.maximum(block, 0.0, out=block)
+    return float(np.sqrt(block, out=block).sum())
+
+
 def _dispersion_slack(
-    dispersion: float, top: float, spread: float, count: float, block_pairs: int, blocks: int
+    variance: float,
+    mean: float,
+    second: tuple[float, float],
+    top: float,
+    spread: float,
+    count: float,
+    block_pairs: int,
+    blocks: int,
 ) -> float:
     """A bound on |sigma - dispersion|, where sigma is the exact path's dispersion.
 
-    sigma folds the exact distances D; dispersion folds the product
-    estimates D~ = fl(sqrt(max(X, 0))) by the same steps and in the same
-    blocks. Both fold count = N = n^2 entries (the zero diagonal and each
-    pair twice) in B = `blocks` blocks of at most K = block_pairs pairs.
-    The bound has four pieces.
+    sigma folds the exact distances D. The product path estimates them by
+    D~ = fl(sqrt(max(X, 0))), in the same blocks, and its dispersion is
+    sqrt(variance), variance = second - mean^2 as computed: `mean` is the
+    mean of D~, 2 sum_b (sum of block b) / N, and `second` = (second, e2)
+    is _second_moment's estimate of the mean of D^2 and its error. Both
+    take count = N = n^2 entries (the zero diagonal and each pair twice) in
+    B = `blocks` blocks of at most K = block_pairs pairs. The bound has
+    four pieces.
 
-    1. The screen's bound. For a pair, |X - S| <= 2 g M + d 2^-1073, and
-    _kernel's sum S_c is within g S + d 2^-1074 of S <= 2 M (_screened_counts),
-    so |S_c - max(X, 0)| <= E = 2 delta (_products) with room. Hence
-    |sqrt(S_c) - sqrt(max(X, 0))| <= min(sqrt(E), E / sqrt(max(X, 0))), whose
-    square is at most E^2 / max(E, L), L being the least X of the pair's
-    row in the block. `spread` sums that over every pair, twice. The two
-    rounded square roots add at most u (D + D~) (1 + u) to |D - D~|.
+    1. The screen's bound. For a pair, |X - S| <= 3.01 g Mhat + (d + 1)
+    2^-1073, and _kernel's sum S_c is within g S + d 2^-1074 of S <= 2 M
+    (_screened_counts), so |S_c - max(X, 0)| <= E = 2 delta (_products)
+    with room. Hence |sqrt(S_c) - sqrt(max(X, 0))| <= min(sqrt(E), E /
+    sqrt(max(X, 0))), whose square is at most E^2 / max(E, L), L being the
+    least X of the pair's row in the block. `spread` sums that over every
+    pair, twice. The two rounded square roots add at most u (D + D~)
+    (1 + u) to |D - D~|.
 
-    2. A standard deviation is 1-Lipschitz in RMS: std(x) = |P x| / sqrt(N)
-    with P the centring projection, so |std(x) - std(y)| <= |x - y| /
-    sqrt(N). With R bounding the RMS of D~, the exact standard deviations
-    of D and D~ differ by at most
+    2. The means. With R bounding the RMS of D and of D~, the RMS of
+    D - D~, and so the mean of |D - D~|, is at most
 
         rho = sqrt(spread / N) + 3 u R.
 
-    3. An any-order bound on numpy's sums. A sum of k terms in any order,
-    pairwise or not, errs by at most gamma_(k-1) times the sum of their
-    magnitudes. So a block's computed mean mu^ is within gamma_k mu of its
+    R = (sqrt(second + e2) + sqrt(spread / N)) (1 + 2^-20) does: D's RMS
+    is the root of its mean square, and D~'s is within rho of it. A sum of
+    k terms in any order, pairwise or not, errs by at most gamma_(k-1)
+    times the sum of their magnitudes, so `mean` is within gamma_C mean
+    (below) of the mean of D~, and within e1 = rho + gamma_C mean of the
+    mean of D.
+
+    3. The cancellation term. s, the standard deviation of D, has s^2 =
+    E[D^2] - E[D]^2, and variance rounds twice, so |variance - s^2| is at
+    most
+
+        Delta = e2 + e1 (2 mean + e1) + 2 u (|variance| + mean^2).
+
+    With v = max(variance, 0), s then lies within
+
+        cancel = Delta / (sqrt(v) + sqrt(max(v - Delta, 0)))
+
+    of sqrt(v), or within sqrt(Delta) when v = 0. The moments' errors are
+    relative to E[D^2] and E[D]^2, and their difference is s^2, so cancel
+    grows with E[D^2] / s^2: about e1 E[D] / s + e2 / (2 s).
+
+    4. The Chan fold of the exact path. The fold adds, for each block, its
+    within-block sum W and a between term w (mu^ - m^)^2, m^ the running
+    mean, each rounded by gamma_6 or less and then by at most `blocks` + 1
+    additions of non-negative terms; exactly, sigma^2 N is the sum of the W
+    and the between terms w (mu - m)^2 with exact means (Chan, Golub and
+    LeVeque 1983). A block's computed mean mu^ is within gamma_k mu of its
     mean mu (the entries are non-negative), and its squared-deviation sum
     is sum (x - mu^)^2 (1 + phi), |phi| <= gamma_(k+2), where sum (x -
-    mu^)^2 is the exact within-block sum W plus k (mu - mu^)^2.
-
-    4. The Chan fold. The fold adds, for each block, its W and a between
-    term w (mu^ - m^)^2, m^ the running mean, each rounded by gamma_6 or
-    less and then by at most `blocks` + 1 additions of non-negative terms;
-    exactly, sigma^2 N is the sum of the W and the between terms
-    w (mu - m)^2 with exact means (Chan, Golub and LeVeque 1983). The
-    between terms' root sum of squares moves by at most the root sum of
-    w (e - eta)^2, e = mu^ - mu and eta = m^ - m, and w never exceeds the
-    block's count c. c mu^2 is at most the block's sum of squares, so the
-    e part is at most gamma_K sqrt(N) r, r the RMS of the data; the
-    k (mu - mu^)^2 terms add as much again. Each step of the running mean
-    shrinks eta towards the block's e and rounds by at most 5 u times the
-    largest mean, so |eta| <= gamma_(K + 5 B) U, U bounding every block
-    mean. With the final square root and division,
-    a fold of any non-negative data gives its standard deviation s to
-    within
+    mu^)^2 is W plus k (mu - mu^)^2. The between terms' root sum of
+    squares moves by at most the root sum of w (e - eta)^2, e = mu^ - mu
+    and eta = m^ - m, and w never exceeds the block's count c. c mu^2 is
+    at most the block's sum of squares, so the e part is at most gamma_K
+    sqrt(N) r, r the RMS of D; the k (mu - mu^)^2 terms add as much again.
+    Each step of the running mean shrinks eta towards the block's e and
+    rounds by at most 5 u times the largest mean, so |eta| <= gamma_(K +
+    5 B) U, U bounding every block mean of D. With the final square root
+    and division, the fold gives s to within
 
         F = gamma_C (s + 3 max(r, U)),  gamma_C = gamma_(K + 5 B + 16).
 
-    `top` is the largest over the blocks of mu^ + sqrt(spread_b / c), so
-    U = top (1 + 2^-20) bounds the block means of both D and D~: a block
-    mean of D is within (1 + u) sqrt(spread_b / c) + 3 u mu of D~'s. R =
-    (dispersion + U) (1 + 2^-20) bounds r and U for D~, and R + rho for D,
-    since F is below 2^-21 R while K + 5 B < 2^28. So sigma and dispersion,
-    each within F of its data's exact deviation, and those within rho of
-    each other, give
+    `top` is the largest over the blocks of mu~ + sqrt(spread_b / c), mu~
+    the block's computed mean of D~, so U = top (1 + 2^-20) bounds the block
+    means of D: one is within (1 + u) sqrt(spread_b / c) + 3 u mu of D~'s.
+    s is at most sqrt(v) (1 + u) + cancel and r at most R. The rounded
+    square root puts dispersion within u sqrt(v) of sqrt(v), so
 
-        |sigma - dispersion| <= rho + gamma_C (2 dispersion + 6 R + 4 rho),
+        |sigma - dispersion| <= cancel + F + u dispersion,
 
-    returned with a factor 1 + 2^-20 for the roundings of its own
-    evaluation and of the sums of positive terms in `spread`, and 2^-535
-    more for squares that underflow, in the fold and in `spread`.
+    returned with a factor (1 + 2^-20)^2 for the roundings of its own
+    evaluation and of the sums of positive terms in `spread`, 2^-1070 more
+    in Delta for products that underflow, and 2^-535 more for squares that
+    underflow, in the fold and in `spread`.
     """
     up = 1.0 + 2.0**-20
-    scale = (dispersion + top * up) * up  # R
+    second, e2 = second
+    gamma = _gamma(block_pairs + 5 * blocks + 16)  # gamma_C
+    scale = (math.sqrt(second + e2) + math.sqrt(spread / count)) * up  # R
     rho = (math.sqrt(spread / count) + 3.0 * _U * scale) * up
-    gamma = _gamma(block_pairs + 5 * blocks + 16)
-    return (rho + gamma * (2.0 * dispersion + 6.0 * scale + 4.0 * rho)) * up * up + 2.0**-535
+    e1 = (rho + gamma * mean) * up
+    err = (e2 + e1 * (2.0 * mean + e1) + 2.0 * _U * (abs(variance) + mean * mean)) * up + 2.0**-1070
+    root = math.sqrt(max(variance, 0.0))
+    cancel = err / (root + math.sqrt(max(variance - err, 0.0))) if root > 0.0 else math.sqrt(err)
+    fold = gamma * (root + cancel + 3.0 * max(scale, top * up))
+    return (cancel + fold + _U * root) * up * up + 2.0**-535
 
 
 def _interval(sigma: float, slack: float) -> tuple[float, float]:
@@ -511,24 +597,25 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
 
     The dispersion is the population standard deviation of all n*n pairwise
     distances. The spread is taken over the whole matrix, zero diagonal
-    included; it doubles as the affinity bandwidth. The moments of the
-    upper-triangle blocks are folded in block order, whatever the worker
-    count or the way the distances were computed, with the pairwise
-    (Chan-Golub-LeVeque) update of count, mean and sum of squared
-    deviations; each off-diagonal distance counts twice, and the n diagonal
-    zeros seed the running moments. Each worker folds its blocks' row and
-    column minima into its own n floats (plus n of scratch), and those are
+    included; it doubles as the affinity bandwidth. Each off-diagonal
+    distance counts twice. Each worker folds its blocks' row and column
+    minima into its own n floats (plus n of scratch), and those are
     min-folded once all blocks are done.
 
     Up to _ONE_PASS_PAIRS pairs, and above it when exact is set, the
-    distances are exact and so is the dispersion (slack 0.0); the floor is
-    _skip_floor of the squared nearest distances. Above it otherwise, the
-    blocks are _products' estimates X: the dispersion folds their clipped
-    square roots, the slack is _dispersion_slack's, and the floor is
-    _skip_floor of the least X - delta of each point, which bounds every
-    exact squared distance from below; the geometry also carries the
-    sketch of the clipped estimates and the largest block's delta, for
-    _sketch_bounds. That raises Uncertain where the
+    distances are exact and so is the dispersion (slack 0.0): the moments
+    of the upper-triangle blocks are folded in block order, whatever the
+    worker count, with the pairwise (Chan-Golub-LeVeque) update of count,
+    mean and sum of squared deviations, the n diagonal zeros seeding the
+    running moments. The floor is _skip_floor of the squared nearest
+    distances. Above it otherwise, the blocks are _products' estimates X:
+    their sums of clipped square roots, added in block order, give the mean
+    distance, _second_moment the mean squared distance, and the dispersion
+    is the root of the mean square less the squared mean. The slack is
+    _dispersion_slack's, and the floor is _skip_floor of the least X - delta
+    of each point, which bounds every exact squared distance from below;
+    the geometry also carries the sketch of the estimates and the largest
+    block's delta, for _sketch_bounds. That raises Uncertain where the
     interval reaches 0 but the points are not all zero (the exact
     dispersion could be 0 or not), or where a squared norm is too large
     to estimate.
@@ -549,9 +636,11 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
             block = _exact_block(cols, rect, i0, scratch[t], folds[t])
             if packed is not None:  # kept before the moments overwrite the block
                 packed[_row_offset(n, i0) :][: block.size] = block
-            return *_block_moments(block), 0.0, 0.0
+            return _block_moments(block)
 
     else:
+        # First, so that _products' operand can take the pages its temporary frees.
+        second = _second_moment(z)
         estimate = _products(z)
         if estimate is None:
             raise Uncertain("a squared norm is too large for the product estimate")
@@ -567,40 +656,46 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
             spread = 2.0 * float(pairs @ (e * (e / np.maximum(least, e))))
             flat = rect.reshape(-1)
             block = flat[: _pack_upper(rect, flat)]
-            np.maximum(block, 0.0, out=block)
             _sketch(block, keys[t], sketches[t])
-            return *_block_moments(np.sqrt(block, out=block)), spread, delta
+            return block.size, _root_sum(block, least.min() < 0.0), spread, delta
 
-    count, mean, m2 = float(n), 0.0, 0.0
-    top = spread = 0.0
     blocks = _map_blocks(n, visit)
-    for b_count, b_mean, b_m2, b_spread, _ in blocks:
-        total = count + b_count
-        delta = b_mean - mean
-        mean += delta * (b_count / total)
-        m2 += b_m2 + delta * delta * (count * b_count / total)
-        count = total
-        top = max(top, b_mean + math.sqrt(b_spread / b_count))
-        spread += b_spread
-    dispersion = math.sqrt(m2 / count)
     least = np.min(folds[:, 0], axis=0)
     if estimate is None:
-        slack = 0.0
+        count, mean, m2 = float(n), 0.0, 0.0
+        for b_count, b_mean, b_m2 in blocks:
+            total = count + b_count
+            delta = b_mean - mean
+            mean += delta * (b_count / total)
+            m2 += b_m2 + delta * delta * (count * b_count / total)
+            count = total
+        dispersion, slack = math.sqrt(m2 / count), 0.0
         np.multiply(least, least, out=least)  # nearest2: the squared nearest distances
-    elif not z.any():
-        slack = 0.0  # every estimate is exactly 0, and so is every distance
     else:
-        block_pairs = int(max(b[0] for b in blocks)) // 2
-        slack = _dispersion_slack(dispersion, top, spread, count, block_pairs, len(blocks))
-        if not _interval(dispersion, slack)[0] > 0.0:
-            raise Uncertain("the dispersion interval reaches 0")
+        count, total, top, spread = float(n) * n, 0.0, 0.0, 0.0
+        for b_pairs, b_sum, b_spread, _ in blocks:
+            total += b_sum
+            top = max(top, b_sum / b_pairs + math.sqrt(b_spread / (2.0 * b_pairs)))
+            spread += b_spread
+        mean = 2.0 * total / count
+        variance = second[0] - mean * mean
+        dispersion = math.sqrt(max(variance, 0.0))
+        if not z.any():
+            slack = 0.0  # every estimate is exactly 0, and so is every distance
+        else:
+            block_pairs = max(b[0] for b in blocks)
+            slack = _dispersion_slack(
+                variance, mean, second, top, spread, count, block_pairs, len(blocks)
+            )
+            if not _interval(dispersion, slack)[0] > 0.0:
+                raise Uncertain("the dispersion interval reaches 0")
     return Geometry(
         dispersion=dispersion,
         slack=slack,
         floor=_skip_floor(least, d),
         packed=packed,
         sketch=None if sketches is None else sketches.sum(axis=0),
-        delta=max(b[4] for b in blocks),
+        delta=0.0 if estimate is None else max(b[3] for b in blocks),
     )
 
 
@@ -827,13 +922,20 @@ def _screened_counts(
         D >= E  once  S >= (E^2 + d 2^-1074) / (1 - g),
         D < E   once  S <= (P^2 - d 2^-1074) / (1 + g).
 
-    The estimate is X = (G + n_a) + n_b: G is (-2 a) . b, and n_a and n_b
-    are |a|^2 and |b|^2, each a sum of d products in any order, fused or
-    not, however BLAS blocks it. Doubling a is exact. Each sum is within
-    gamma_d of its terms' absolute sum (M for G) plus d 2^-1075, and the two
-    rounded additions err by at most 4 u (1 + u) (1 + gamma_d) M. In all
+    The estimate X is one sum of the d + 2 products of [-2 a, n_a, 1] and
+    [b, 1, n_b] (_products), in any order, fused or not, however BLAS
+    blocks it; n_a and n_b are |a|^2 and |b|^2 computed once, each a sum of
+    d products. Doubling a is exact, and so are the products with 1. With
+    eta = 2^-1075 for each product that underflows, a sum of k products is
+    within gamma_k of their absolute sum plus k eta, give or take a factor
+    1 + gamma_k on the eta. So each computed norm is within gamma_d of its
+    value plus d eta, the d + 2 terms add up exactly to within gamma_d M +
+    2 d eta of S, and their absolute sum, 2 |a| |b| <= M for the first d
+    and the two norms, is at most (2 + gamma_d) M + 2 d eta. The rounded
+    sum errs by gamma_(d+2) of that plus (d + 2) eta more. As gamma_d < g,
+    in all
 
-        |X - S| <= 2 g M + d 2^-1073.
+        |X - S| <= g (3 + g) M + (d + 1) 2^-1073.
 
     A pair is then counted at or below bin m when X >= hi_m and above it
     when X < lo_m, with
@@ -844,10 +946,13 @@ def _screened_counts(
 
     where Mhat is the block's largest computed row norm plus its largest
     column norm. 1 + 4 g exceeds 1 / (1 - g), and 1 - 4 g falls below
-    1 / (1 + g), by more than 2.9 g >= 8.7 u; Mhat bounds M up to gamma_d;
-    and tiny is at least twice each absolute term. The spare 2.9 g, half of
-    4 g Mhat and the rest of tiny cover the at most six roundings in
-    evaluating each of hi_m, lo_m and delta. An edge whose square overflows
+    1 / (1 + g), by more than 2.9 g >= 8.7 u; Mhat bounds M up to a factor
+    1 / ((1 - u) (1 - gamma_d)) and 2 d eta, so g (3 + g) M is below
+    3.01 g Mhat for any d below 10^12; and tiny is at least twice each
+    absolute term. The spare
+    2.9 g, the 0.99 g Mhat left of delta's 4 g Mhat and the rest of tiny
+    cover the at most six roundings in evaluating each of hi_m, lo_m and
+    delta. An edge whose square overflows
     lies beyond every X. The lower r x r corner of a block's rectangle, its
     pairs below the diagonal and each point with itself, is set to -inf,
     below every lo_m.

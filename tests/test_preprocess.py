@@ -29,6 +29,7 @@ import math
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,12 +185,14 @@ def holds(geometry, sigma):
 
 
 def folded_blocks(z, exact=False):
-    """z's geometry and the row blocks its distance pass folds, in block order.
+    """z's geometry and the row blocks its distance pass reduces, in block order.
 
-    A spy on _block_moments copies each block it is given. Under 2 or 3
-    workers the blocks arrive out of order, so each is keyed by its first
-    row i0, which its size gives: a block of r rows from row i0 holds
-    r (n - i0) - r (r + 1) / 2 pairs, a count that falls as i0 grows.
+    A spy copies each block the pass reduces: the distances _block_moments
+    is given on the exact paths, and the square roots _root_sum leaves on
+    the product path. Under 2 or 3 workers the blocks arrive out of order,
+    so each is keyed by its first row i0, which its size gives: a block of
+    r rows from row i0 holds r (n - i0) - r (r + 1) / 2 pairs, a count that
+    falls as i0 grows.
     """
     n = z.shape[0]
     rows = max(1, preprocess._BLOCK_ENTRIES // n)
@@ -197,14 +200,20 @@ def folded_blocks(z, exact=False):
     for i0 in range(0, n - 1, rows):
         r = min(rows, n - i0)
         first_row[r * (n - i0) - r * (r + 1) // 2] = i0
-    moments, blocks = preprocess._block_moments, {}
+    moments, roots, blocks = preprocess._block_moments, preprocess._root_sum, {}
 
-    def spy(block):
+    def moments_spy(block):
         blocks[first_row[block.size]] = block.copy()
         return moments(block)
 
+    def roots_spy(block, clip):
+        total = roots(block, clip)
+        blocks[first_row[block.size]] = block.copy()
+        return total
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(preprocess, "_block_moments", spy)
+        patch.setattr(preprocess, "_block_moments", moments_spy)
+        patch.setattr(preprocess, "_root_sum", roots_spy)
         geometry = distance_matrix(nd(z), exact=exact)
     assert sorted(blocks) == sorted(first_row.values())
     return geometry, [blocks[i0] for i0 in sorted(blocks)]
@@ -475,8 +484,8 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
     and a short switch interval interleaves them often: a lost or misplaced
     block result would break the comparison. The one-pass path runs on the
     calling thread; it must cut the triangle into the same blocks. The
-    product path must give the bits, the sketch and the delta it gives on
-    one worker.
+    product path must give each block's square roots, and the dispersion,
+    slack, floor, sketch and delta bits, that it gives on one worker.
     """
     monkeypatch.setattr(preprocess, "_available_cores", lambda: cores)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
@@ -496,7 +505,9 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
                     assert holds(geometry, sigma)
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(preprocess, "_available_cores", lambda: 1)
-                        serial = distance_matrix(nd(z))
+                        serial, roots = folded_blocks(z)
+                    for g, e in zip(got, roots):
+                        assert np.array_equal(g.view(np.int64), e.view(np.int64))
                     assert geometry.dispersion.hex() == serial.dispersion.hex()
                     assert geometry.slack.hex() == serial.slack.hex()
                     assert np.array_equal(geometry.floor, serial.floor)
@@ -541,31 +552,120 @@ def test_nearest2_is_the_dense_minimum_squared(monkeypatch, n):
 def estimate_misses():
     """Sets where the product estimate of some squared distances is far off
     in relative terms: a tight cluster a thousand units out, whose |a|^2 is
-    about 10^12 times its squared distances, and near-duplicate pairs 10^-9
-    apart, whose squared distances are below the estimate's rounding."""
+    about 10^12 times its squared distances; near-duplicate pairs 10^-9
+    apart, whose squared distances are below the estimate's rounding; and a
+    thin shell, 600 points on a sphere of radius 10^-2 in 64 dimensions, 800
+    units out. The shell's distances are concentrated, E[D^2] / sigma^2 =
+    178, so the estimate's error in the mean distance moves the dispersion
+    about E[D] / sigma = 13 times as much."""
     rng = np.random.default_rng(17)
     cluster = np.array([1e3, -1e3, 5e2]) + 1e-3 * rng.normal(size=(240, 3))
     pairs = rng.normal(size=(300, 4))
     pairs[150:] = pairs[:150] + 1e-9 * rng.normal(size=(150, 4))
-    return {
-        "far-tight-cluster": np.vstack([rng.normal(size=(240, 3)), cluster]),
-        "near-duplicates": pairs,
-    }
+    far = np.vstack([rng.normal(size=(240, 3)), cluster])
+    sphere = rng.normal(size=(600, 64))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    shell = 1e2 * rng.choice([-1.0, 1.0], size=64) + 1e-2 * sphere
+    return {"far-tight-cluster": far, "near-duplicates": pairs, "thin-shell": shell}
 
 
-@pytest.mark.parametrize("case", ["far-tight-cluster", "near-duplicates"])
+@pytest.mark.parametrize("case", ["far-tight-cluster", "near-duplicates", "thin-shell"])
 def test_the_interval_holds_the_dispersion_where_the_estimate_misses_it(monkeypatch, case):
     """The product estimate's bits differ from the serial stream's
     dispersion here, so only its slack makes the interval hold it; the
-    floor still stays below every gap2."""
+    floor still stays below every gap2. On the thin shell the slack's
+    cancellation term carries it: without it the interval would miss."""
     z = estimate_misses()[case]
     monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
     sigma = serial_dispersion(z.shape[0], serial_blocks(z))
+    if case == "thin-shell":
+        assert np.mean(np.square(dense_distances(z))) >= 100.0 * sigma**2
     geometry = distance_matrix(nd(z))
     assert geometry.dispersion != sigma
     assert holds(geometry, sigma)
     assert (geometry.floor <= least_gap2(z)).all()
+
+
+def root_sums(z, clip=None):
+    """z's product geometry, and the clip flag and least entry of each block
+    _root_sum reduces; `clip`, when given, overrides the flag."""
+    roots, seen = preprocess._root_sum, []
+
+    def spy(block, flag):
+        seen.append((flag, float(block.min())))
+        return roots(block, flag if clip is None else clip)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+        patch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
+        patch.setattr(preprocess, "_root_sum", spy)
+        geometry = distance_matrix(nd(z))
+    return geometry, seen
+
+
+def test_the_clip_pass_runs_only_where_an_estimate_is_negative():
+    """Near-duplicates give negative estimates, and each block holding one
+    is clipped; where no estimate is negative no block is, and the
+    geometry's bits are those of a pass that clips every block."""
+    _, near = root_sums(estimate_misses()["near-duplicates"])
+    assert any(least < 0.0 for _, least in near)
+    assert all(flag for flag, least in near if least < 0.0)
+    z = np.random.default_rng(5).normal(size=(600, 3))
+    geometry, seen = root_sums(z)
+    assert seen and not any(flag for flag, _ in seen)
+    assert min(least for _, least in seen) >= 0.0
+    clipped, _ = root_sums(z, clip=True)
+    assert geometry.dispersion.hex() == clipped.dispersion.hex()
+    assert geometry.slack.hex() == clipped.slack.hex()
+    assert np.array_equal(geometry.sketch, clipped.sketch)
+
+
+def product_points(case, d):
+    """120 points in d dimensions for the product estimate's bound: half of
+    them a tight cluster a thousand units out (M far above S), half
+    near-duplicates of the other half (estimates below 0), or points and
+    near-duplicates scaled by 2^-500 (squares near 2^-1000, and squared
+    differences that underflow)."""
+    rng = np.random.default_rng(d)
+    z = rng.normal(size=(120, d))
+    if case == "far-tight-cluster":
+        z[60:] = 1e3 * rng.choice([-1.0, 1.0], size=d) + 1e-3 * z[60:]
+    else:
+        z[60:] = z[:60] * (1.0 + 1e-12 * rng.normal(size=(60, d)))
+    return np.ldexp(z, -500) if case == "tiny-scale" else z
+
+
+@pytest.mark.parametrize("d", [1, 2, 64, 257])
+@pytest.mark.parametrize("case", ["far-tight-cluster", "near-duplicates", "tiny-scale"])
+def test_product_estimates_stay_within_the_derived_bound(monkeypatch, case, d):
+    """Every estimate X of two blocks' rows, against the exact squared
+    distance S of the float inputs (in fractions): |X - S| <= g (3 + g) M +
+    (d + 1) 2^-1073, the bound _screened_counts derives, and that bound is
+    below the block's delta. A product volume of 2^10 multiply-adds cuts
+    each block into tiles of 1 to 18 rows and 3 to 18 columns, so the
+    blocks' pairs straddle many tile boundaries."""
+    monkeypatch.setattr(preprocess, "_PRODUCT_VOLUME", 1 << 10)
+    z = product_points(case, d)
+    n = z.shape[0]
+    exact = [[Fraction(v) for v in row] for row in z.tolist()]
+    norms = [sum(v * v for v in row) for row in exact]
+    u = Fraction(1, 2**53)
+    g = (d + 2) * u / (1 - (d + 2) * u)
+    estimate = preprocess._products(z)
+    tile_rows = max(1, math.isqrt((1 << 10) // (d + 2)))
+    negative = False
+    for i0 in (0, 37):
+        rect = np.empty((min(2 * tile_rows + 1, n - i0), n - i0))
+        delta = Fraction(estimate(rect, i0))
+        negative |= bool((rect < 0.0).any())
+        for a in range(rect.shape[0]):
+            for b in range(rect.shape[1]):
+                i, j = i0 + a, i0 + b
+                s = sum((x - y) ** 2 for x, y in zip(exact[i], exact[j]))
+                bound = g * (3 + g) * (norms[i] + norms[j]) + (d + 1) * Fraction(1, 2**1073)
+                assert abs(Fraction(rect[a, b]) - s) <= bound <= delta, (i, j)
+    assert negative or case != "near-duplicates"
 
 
 def test_affinity_model_memory_stays_far_below_one_dense_matrix():
@@ -1119,6 +1219,25 @@ def test_estimates_outside_the_window_are_never_decided(monkeypatch, d):
         lower, upper = preprocess._sketch_bounds(lone, 0.0, bands_of(d, (dispersion, dispersion), 10))
         assert not lower.any()
         assert (upper == outside).all()
+
+
+def test_the_sketch_counts_a_negative_estimate_as_its_clip():
+    """The product pass sketches estimates before any clip: every negative
+    one, -0.0 and -inf's neighbour included, lands in the bucket its clip
+    X+ = max(X, 0) lands in, the outside one."""
+    rng = np.random.default_rng(9)
+    tiny, huge = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+    block = np.concatenate([
+        [-0.0, 0.0, -tiny, tiny, -huge, huge, -1e-300, 2.0**-64, -(2.0**-64)],
+        rng.normal(size=5000) * np.exp(rng.uniform(-60.0, 60.0, size=5000)),
+    ])
+    keys = np.empty(preprocess._SKETCH_CHUNK // 8, dtype=np.int64)  # several chunks
+    raw = np.zeros(preprocess._SKETCH_INNER + 1, dtype=np.int64)
+    clipped = np.zeros_like(raw)
+    preprocess._sketch(block, keys, raw)
+    preprocess._sketch(np.maximum(block, 0.0), keys, clipped)
+    assert np.array_equal(raw, clipped)
+    assert raw[-1] >= np.count_nonzero(block <= 0.0)
 
 
 def test_a_bucket_a_band_touches_is_not_decided():
