@@ -9,8 +9,7 @@ module is tunable except the bin count.
 No n x n matrix is materialised. One walker, _map_blocks, goes over the
 strict upper triangle in row blocks of about _BLOCK_ENTRIES entries, and
 every pass over the distances is a visit it makes to each block: the
-dispersion folds the blocks' moments (or, on the product path, adds their
-sums) in block order, the skip floor comes
+dispersion adds the blocks' sums in block order, the skip floor comes
 from the minima of the blocks' rows and columns (detection uses it to skip
 provably idle sweeps), and the screen sums the blocks' integer counts.
 
@@ -18,32 +17,36 @@ The walker hands each visit its block's rectangle over the buffer of the
 worker that takes it. Up to _ONE_PASS_PAIRS pairs the calling thread is the
 one worker. Above that, up to one thread per available core shares the
 blocks (BLAS and numpy's ufuncs release the GIL), worker t taking blocks t,
-t+W, t+2W, ...; the moments and sums are folded in block order, minima
-and integer counts do not depend on the order, so no result depends on the
+t+W, t+2W, ...; the sums are added in block order, minima and integer
+counts do not depend on the order, so no result depends on the
 number of workers. The calling thread allocates every array a worker writes
 to, the block buffers and each visit's per-worker folds, scratch or masks:
 arrays allocated inside a worker would stay in that thread's malloc arena
 after it exits.
 
 Every exact distance comes from _kernel, whose bits are cdist's under any
-SIMD dispatch. distance_matrix has two visits:
+SIMD dispatch. The dispersion has one rule on every path: the mean squared
+distance needs no distances at all (_second_moment, O(n d)), the blocks'
+sums give the mean distance, and the dispersion is the root of the mean
+square less the squared mean. distance_matrix has two visits, and each
+returns its block's sum:
 
-- The exact visit (_exact_block), slack 0, keeps the packed triangle (8 MB
-  at most) for the affinity pass up to _ONE_PASS_PAIRS pairs (n <= 1,448).
-  Above that it runs when a caller asks for the exact geometry, once the
-  product geometry has left a decision uncertain.
+- The exact visit (_exact_block), slack 0, sums the exact distances. It
+  keeps the packed triangle (8 MB at most) for the affinity pass up to
+  _ONE_PASS_PAIRS pairs (n <= 1,448). Above that it runs when a caller
+  asks for the exact geometry, once the product geometry has left a
+  decision uncertain.
 - Above the cap, the product visit estimates each block's squared distances
   by matrix products (_products, the screen's own): one (d + 2)-wide
   product per tile, which adds both squared norms as it goes. It counts
   each estimate into a sketch of fixed buckets (_sketch), which leaves the
   block as it is, then takes the block's sum of the square roots of X+ =
   max(X, 0) (_root_sum); the clip runs only on a block with a negative
-  estimate. Those sums give the mean distance, and the mean squared
-  distance needs no distances at all (_second_moment, O(n d)), so the
-  dispersion's estimate is the root of their difference, with a certified
-  slack: the exact dispersion lies within it (_dispersion_slack). Each
-  estimate costs the product, the nearest fold, the pack, the sketch, the
-  square root and the sum.
+  estimate. The mean square is the exact path's own, so the dispersion's
+  estimate has a certified slack from the two means alone: the exact
+  dispersion lies within it (_dispersion_slack). Each estimate costs the
+  product, the nearest fold, the pack, the sketch, the square root and the
+  sum.
 
 Affinity falls as distance grows, so every affinity decision compares a
 distance with a cut. affinity_cuts finds every cut at one dispersion in one
@@ -354,13 +357,6 @@ def _exact_block(
     return flat[:written]
 
 
-def _block_moments(block: np.ndarray) -> tuple[float, float, float]:
-    """Count, mean and squared-deviation sum of a block's distances, each counted twice."""
-    b_mean = float(block.mean())
-    block -= b_mean
-    return 2.0 * block.size, b_mean, 2.0 * float(np.square(block, out=block).sum())
-
-
 def _sketch(block: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> None:
     """Count each estimate X of a 1-D block into the bucket of X+ = max(X, 0).
 
@@ -437,35 +433,18 @@ def _products(z: np.ndarray) -> Callable[[np.ndarray, int], float] | None:
     return estimate
 
 
-def _second_moment(z: np.ndarray) -> tuple[float, float]:
-    """The mean squared distance over all n^2 ordered pairs, in O(n d), and
-    a bound on its distance from the mean of D^2, D the exact distances.
+def _second_moment(z: np.ndarray) -> float:
+    """The mean squared distance over all n^2 ordered pairs, in O(n d).
 
     In reals, sum_ij |z_i - z_j|^2 = 2 n A - 2 |T|^2 for any c, with A =
     sum_i |z_i - c|^2 and T = sum_i (z_i - c). c is the computed column
-    mean, so A has no cancellation and |T| is rounding noise; the estimate
-    is 2 A^ / n, A^ the computed A, and 2 |T|^2 / n^2 goes to the bound.
-
-    A^ squares the n d rounded differences and adds them, within
-    gamma_(n d + 2) A plus n d 2^-1074 for squares that underflow; dividing
-    by n rounds once more. Each of T's d sums is within gamma_n of
-    sum_i |z_ik - c_k|, so |T| <= |T^| + gamma_n sqrt(n A) by Cauchy and
-    Schwarz. And D^2 is within (g + 4 u) S + d 2^-1073 of S (g = gamma_(d+2),
-    _screened_counts): _kernel's sum errs by g S + d 2^-1074, and its
-    rounded square root, squared, by 3 u more. The bound adds the three,
-    with a factor 1 + 2^-20 for the roundings of its own evaluation.
+    mean, so A has no cancellation and |T| is rounding noise; the result
+    is 2 A^ / n, A^ the computed A. Every path takes it from this call on
+    the same z, so its bits are the same on each.
     """
-    n, d = z.shape
     y = z - z.mean(axis=0)
-    t = y.sum(axis=0)
-    lean = math.sqrt(float(t @ t)) / n  # |T^| / n
-    with np.errstate(over="ignore"):  # only where a norm passes 2^1000, and _products declines
-        second = 2.0 * float(np.square(y, out=y).sum()) / n
-    gamma = _gamma(n * d + 3)
-    most = (second + d * 2.0**-1073) / (1.0 - gamma)  # at least 2 A / n
-    drift = 2.0 * (lean + _gamma(n) * math.sqrt(most / 2.0)) ** 2  # at least 2 |T|^2 / n^2
-    err = (gamma + _gamma(d + 2) + 4.0 * _U) * most + drift + d * 2.0**-1072
-    return second, err * (1.0 + 2.0**-20)
+    with np.errstate(over="ignore"):  # only where a norm passes 2^1000
+        return 2.0 * float(np.square(y, out=y).sum()) / z.shape[0]
 
 
 def _root_sum(block: np.ndarray, clip: bool) -> float:
@@ -478,106 +457,69 @@ def _root_sum(block: np.ndarray, clip: bool) -> float:
     return float(np.sqrt(block, out=block).sum())
 
 
-def _dispersion_slack(
-    variance: float,
-    mean: float,
-    second: tuple[float, float],
-    top: float,
-    spread: float,
-    count: float,
-    block_pairs: int,
-    blocks: int,
-) -> float:
+def _dispersion_slack(variance: float, mean: float, spread: float, count: float, terms: int) -> float:
     """A bound on |sigma - dispersion|, where sigma is the exact path's dispersion.
 
-    sigma folds the exact distances D. The product path estimates them by
-    D~ = fl(sqrt(max(X, 0))), in the same blocks, and its dispersion is
-    sqrt(variance), variance = second - mean^2 as computed: `mean` is the
-    mean of D~, 2 sum_b (sum of block b) / N, and `second` = (second, e2)
-    is _second_moment's estimate of the mean of D^2 and its error. Both
-    take count = N = n^2 entries (the zero diagonal and each pair twice) in
-    B = `blocks` blocks of at most K = block_pairs pairs. The bound has
-    four pieces.
+    Both paths take count = N = n^2 entries, the zero diagonal and each
+    pair twice, in the same B blocks of at most K pairs, with terms = K + B,
+    and share S2, _second_moment's bits. Each computes its mean m = 2 sum_b
+    (sum of block b) / N, the variance S2 - m^2 and the dispersion, its
+    root; sigma is 0 where the sum is. The exact path sums the distances D,
+    the product path their estimates D~ = fl(sqrt(max(X, 0))), and `mean`
+    and `variance` are the product path's m~ and v~. S2 cancels in the
+    difference of the variances, so the bound has three pieces, all from
+    the difference of the means.
 
-    1. The screen's bound. For a pair, |X - S| <= 3.01 g Mhat + (d + 1)
-    2^-1073, and _kernel's sum S_c is within g S + d 2^-1074 of S <= 2 M
-    (_screened_counts), so |S_c - max(X, 0)| <= E = 2 delta (_products)
-    with room. Hence |sqrt(S_c) - sqrt(max(X, 0))| <= min(sqrt(E), E /
-    sqrt(max(X, 0))), whose square is at most E^2 / max(E, L), L being the
-    least X of the pair's row in the block. `spread` sums that over every
-    pair, twice. The two rounded square roots add at most u (D + D~)
-    (1 + u) to |D - D~|.
+    1. One pair. |X - S| <= 3.01 g Mhat + (d + 1) 2^-1073, and _kernel's
+    sum S_c is within g S + d 2^-1074 of S <= 2 M (_screened_counts), so
+    |S_c - max(X, 0)| <= E = 2 delta (_products) with room. Hence
+    |sqrt(S_c) - sqrt(max(X, 0))| <= min(sqrt(E), E / sqrt(max(X, 0))),
+    whose square is at most E^2 / max(E, L), L being the least X of the
+    pair's row in the block. `spread` sums that over every pair, twice.
 
-    2. The means. With R bounding the RMS of D and of D~, the RMS of
-    D - D~, and so the mean of |D - D~|, is at most
+    2. The means. By Cauchy and Schwarz, the mean over the N entries of
+    |sqrt(S_c) - sqrt(max(X, 0))| is at most r = sqrt(spread / N), and the
+    two rounded square roots add at most u (D + D~) / (1 - u) to each
+    |D - D~|. A sum of k non-negative terms in any order, pairwise or not,
+    errs by at most gamma_(k-1) times their sum, so each path's m, a block
+    sum of at most K terms, B block sums added and one division, is within
+    gamma = gamma_(K+B) of its exact mean, mu or mu~. Eliminating mu and
+    mu~, for n below 2^30,
 
-        rho = sqrt(spread / N) + 3 u R.
+        |m - m~| <= e1 = (r + 2 (gamma + u) m~) (1 + 2^-20),
 
-    R = (sqrt(second + e2) + sqrt(spread / N)) (1 + 2^-20) does: D's RMS
-    is the root of its mean square, and D~'s is within rho of it. A sum of
-    k terms in any order, pairwise or not, errs by at most gamma_(k-1)
-    times the sum of their magnitudes, so `mean` is within gamma_C mean
-    (below) of the mean of D~, and within e1 = rho + gamma_C mean of the
-    mean of D.
+    and mu >= m~ - e1. Where m~ <= e1 every D may be 0, and sigma with
+    them whatever the variances; the bound is then inf.
 
-    3. The cancellation term. s, the standard deviation of D, has s^2 =
-    E[D^2] - E[D]^2, and variance rounds twice, so |variance - s^2| is at
-    most
+    3. The cancellation term. v = (S2 - m^2 (1 + a)) (1 + b) with |a|,
+    |b| <= u, and the same for v~, so
 
-        Delta = e2 + e1 (2 mean + e1) + 2 u (|variance| + mean^2).
+        |v - v~| <= Delta = (e1 (2 m~ + e1) + 2 u ((m~ + e1)^2 + |v~|)) (1 + 2^-20).
 
-    With v = max(variance, 0), s then lies within
+    With w = max(v~, 0), sqrt(max(v, 0)) lies within
 
-        cancel = Delta / (sqrt(v) + sqrt(max(v - Delta, 0)))
+        cancel = Delta / (sqrt(w) + sqrt(max(w - Delta, 0)))
 
-    of sqrt(v), or within sqrt(Delta) when v = 0. The moments' errors are
-    relative to E[D^2] and E[D]^2, and their difference is s^2, so cancel
-    grows with E[D^2] / s^2: about e1 E[D] / s + e2 / (2 s).
+    of sqrt(w), or within sqrt(Delta) when w = 0. The means' error is
+    relative to m^2, and their difference is v, so cancel grows with m /
+    sigma: about e1 m / sigma. The two rounded square roots add at most
+    u (2 sqrt(w) + cancel), so
 
-    4. The Chan fold of the exact path. The fold adds, for each block, its
-    within-block sum W and a between term w (mu^ - m^)^2, m^ the running
-    mean, each rounded by gamma_6 or less and then by at most `blocks` + 1
-    additions of non-negative terms; exactly, sigma^2 N is the sum of the W
-    and the between terms w (mu - m)^2 with exact means (Chan, Golub and
-    LeVeque 1983). A block's computed mean mu^ is within gamma_k mu of its
-    mean mu (the entries are non-negative), and its squared-deviation sum
-    is sum (x - mu^)^2 (1 + phi), |phi| <= gamma_(k+2), where sum (x -
-    mu^)^2 is W plus k (mu - mu^)^2. The between terms' root sum of
-    squares moves by at most the root sum of w (e - eta)^2, e = mu^ - mu
-    and eta = m^ - m, and w never exceeds the block's count c. c mu^2 is
-    at most the block's sum of squares, so the e part is at most gamma_K
-    sqrt(N) r, r the RMS of D; the k (mu - mu^)^2 terms add as much again.
-    Each step of the running mean shrinks eta towards the block's e and
-    rounds by at most 5 u times the largest mean, so |eta| <= gamma_(K +
-    5 B) U, U bounding every block mean of D. With the final square root
-    and division, the fold gives s to within
-
-        F = gamma_C (s + 3 max(r, U)),  gamma_C = gamma_(K + 5 B + 16).
-
-    `top` is the largest over the blocks of mu~ + sqrt(spread_b / c), mu~
-    the block's computed mean of D~, so U = top (1 + 2^-20) bounds the block
-    means of D: one is within (1 + u) sqrt(spread_b / c) + 3 u mu of D~'s.
-    s is at most sqrt(v) (1 + u) + cancel and r at most R. The rounded
-    square root puts dispersion within u sqrt(v) of sqrt(v), so
-
-        |sigma - dispersion| <= cancel + F + u dispersion,
+        |sigma - dispersion| <= cancel + u (2 sqrt(w) + cancel),
 
     returned with a factor (1 + 2^-20)^2 for the roundings of its own
-    evaluation and of the sums of positive terms in `spread`, 2^-1070 more
-    in Delta for products that underflow, and 2^-535 more for squares that
-    underflow, in the fold and in `spread`.
+    evaluation and of the sums of positive terms in `spread`, 2^-536 more
+    in r for squares that underflow in `spread`, and 2^-1070 more in Delta
+    for products that underflow.
     """
     up = 1.0 + 2.0**-20
-    second, e2 = second
-    gamma = _gamma(block_pairs + 5 * blocks + 16)  # gamma_C
-    scale = (math.sqrt(second + e2) + math.sqrt(spread / count)) * up  # R
-    rho = (math.sqrt(spread / count) + 3.0 * _U * scale) * up
-    e1 = (rho + gamma * mean) * up
-    err = (e2 + e1 * (2.0 * mean + e1) + 2.0 * _U * (abs(variance) + mean * mean)) * up + 2.0**-1070
+    e1 = (math.sqrt(spread / count) + 2.0**-536 + 2.0 * (_gamma(terms) + _U) * mean) * up
+    if not mean > e1:
+        return math.inf
+    err = (e1 * (2.0 * mean + e1) + 2.0 * _U * ((mean + e1) ** 2 + abs(variance))) * up + 2.0**-1070
     root = math.sqrt(max(variance, 0.0))
     cancel = err / (root + math.sqrt(max(variance - err, 0.0))) if root > 0.0 else math.sqrt(err)
-    fold = gamma * (root + cancel + 3.0 * max(scale, top * up))
-    return (cancel + fold + _U * root) * up * up + 2.0**-535
+    return (cancel + _U * (2.0 * root + cancel)) * up * up
 
 
 def _interval(sigma: float, slack: float) -> tuple[float, float]:
@@ -598,56 +540,55 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
     The dispersion is the population standard deviation of all n*n pairwise
     distances. The spread is taken over the whole matrix, zero diagonal
     included; it doubles as the affinity bandwidth. Each off-diagonal
-    distance counts twice. Each worker folds its blocks' row and column
-    minima into its own n floats (plus n of scratch), and those are
-    min-folded once all blocks are done.
+    distance counts twice. On every path it is sqrt(max(S2 - m^2, 0)): S2
+    is _second_moment's mean squared distance, taken before any block
+    buffer or packed triangle is allocated, so that those can take the
+    pages its temporary frees, and m = 2 sum_b (sum of block b) / n^2, the
+    blocks' sums added in block order, whatever the worker count. It is
+    0.0 where that sum is 0, every distance being 0. Each worker folds its
+    blocks' row and column minima into its own n floats (plus n of
+    scratch), and those are min-folded once all blocks are done.
 
     Up to _ONE_PASS_PAIRS pairs, and above it when exact is set, the
-    distances are exact and so is the dispersion (slack 0.0): the moments
-    of the upper-triangle blocks are folded in block order, whatever the
-    worker count, with the pairwise (Chan-Golub-LeVeque) update of count,
-    mean and sum of squared deviations, the n diagonal zeros seeding the
-    running moments. The floor is _skip_floor of the squared nearest
-    distances. Above it otherwise, the blocks are _products' estimates X:
-    their sums of clipped square roots, added in block order, give the mean
-    distance, _second_moment the mean squared distance, and the dispersion
-    is the root of the mean square less the squared mean. The slack is
-    _dispersion_slack's, and the floor is _skip_floor of the least X - delta
-    of each point, which bounds every exact squared distance from below;
-    the geometry also carries the sketch of the estimates and the largest
-    block's delta, for _sketch_bounds. That raises Uncertain where the
-    interval reaches 0 but the points are not all zero (the exact
-    dispersion could be 0 or not), or where a squared norm is too large
-    to estimate.
+    blocks hold the exact distances, and the dispersion is exact (slack
+    0.0): the exact geometry's dispersion is by definition this one. The
+    floor is _skip_floor of the squared nearest distances. Above it
+    otherwise, the blocks are _products' estimates X, and their sums are of
+    the clipped square roots. The slack is _dispersion_slack's, and the
+    floor is _skip_floor of the least X - delta of each point, which bounds
+    every exact squared distance from below; the geometry also carries the
+    sketch of the estimates and the largest block's delta, for
+    _sketch_bounds. That raises Uncertain where the interval reaches 0 but
+    the points are not all zero (the exact dispersion could be 0 or not),
+    or where a squared norm is too large to estimate.
     """
     z = normalized.values
     n, d = z.shape
     if n < 2:
         raise ValueError("distance matrix needs at least 2 points")
-    _, workers = _block_plan(n)
+    rows, workers = _block_plan(n)
     folds = np.full((workers, 2, n), np.inf)
+    second = _second_moment(z)
     pairs = n * (n - 1) // 2
     packed = sketches = estimate = None
     if exact or pairs <= _ONE_PASS_PAIRS:
         packed = np.empty(pairs) if pairs <= _ONE_PASS_PAIRS else None
         cols, scratch = np.ascontiguousarray(z.T), _tile_scratch(n, workers)
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, ...]:
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
             block = _exact_block(cols, rect, i0, scratch[t], folds[t])
-            if packed is not None:  # kept before the moments overwrite the block
+            if packed is not None:
                 packed[_row_offset(n, i0) :][: block.size] = block
-            return _block_moments(block)
+            return float(block.sum()), 0.0, 0.0
 
     else:
-        # First, so that _products' operand can take the pages its temporary frees.
-        second = _second_moment(z)
         estimate = _products(z)
         if estimate is None:
             raise Uncertain("a squared norm is too large for the product estimate")
         sketches = np.zeros((workers, _SKETCH_INNER + 1), dtype=np.int64)
         keys = np.empty((workers, _SKETCH_CHUNK), dtype=np.int64)
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, ...]:
+        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
             r, m = rect.shape
             delta = estimate(rect, i0)
             least = _fold_nearest(rect, i0, folds[t], delta)
@@ -657,45 +598,34 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
             flat = rect.reshape(-1)
             block = flat[: _pack_upper(rect, flat)]
             _sketch(block, keys[t], sketches[t])
-            return block.size, _root_sum(block, least.min() < 0.0), spread, delta
+            return _root_sum(block, least.min() < 0.0), spread, delta
 
-    blocks = _map_blocks(n, visit)
+    blocks = _map_blocks(n, visit)  # each block's (sum, spread, delta)
     least = np.min(folds[:, 0], axis=0)
+    count, total = float(n) * n, 0.0
+    for b_sum, _, _ in blocks:
+        total += b_sum
+    mean = 2.0 * total / count
+    variance = second - mean * mean
+    dispersion = math.sqrt(max(variance, 0.0)) if total else 0.0
+    slack = 0.0
     if estimate is None:
-        count, mean, m2 = float(n), 0.0, 0.0
-        for b_count, b_mean, b_m2 in blocks:
-            total = count + b_count
-            delta = b_mean - mean
-            mean += delta * (b_count / total)
-            m2 += b_m2 + delta * delta * (count * b_count / total)
-            count = total
-        dispersion, slack = math.sqrt(m2 / count), 0.0
         np.multiply(least, least, out=least)  # nearest2: the squared nearest distances
-    else:
-        count, total, top, spread = float(n) * n, 0.0, 0.0, 0.0
-        for b_pairs, b_sum, b_spread, _ in blocks:
-            total += b_sum
-            top = max(top, b_sum / b_pairs + math.sqrt(b_spread / (2.0 * b_pairs)))
+    elif z.any():  # else every estimate is exactly 0, and so is every distance
+        spread = 0.0
+        for _, b_spread, _ in blocks:
             spread += b_spread
-        mean = 2.0 * total / count
-        variance = second[0] - mean * mean
-        dispersion = math.sqrt(max(variance, 0.0))
-        if not z.any():
-            slack = 0.0  # every estimate is exactly 0, and so is every distance
-        else:
-            block_pairs = max(b[0] for b in blocks)
-            slack = _dispersion_slack(
-                variance, mean, second, top, spread, count, block_pairs, len(blocks)
-            )
-            if not _interval(dispersion, slack)[0] > 0.0:
-                raise Uncertain("the dispersion interval reaches 0")
+        terms = min(rows * (n - 1), pairs) + len(blocks)  # K + B
+        slack = _dispersion_slack(variance, mean, spread, count, terms)
+        if not _interval(dispersion, slack)[0] > 0.0:
+            raise Uncertain("the dispersion interval reaches 0")
     return Geometry(
         dispersion=dispersion,
         slack=slack,
         floor=_skip_floor(least, d),
         packed=packed,
         sketch=None if sketches is None else sketches.sum(axis=0),
-        delta=0.0 if estimate is None else max(b[3] for b in blocks),
+        delta=0.0 if estimate is None else max(b[2] for b in blocks),
     )
 
 

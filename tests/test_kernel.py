@@ -93,7 +93,7 @@ def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, tile_entri
         assert (geometry.packed is None) == (workers is not None)
         if workers is None:
             assert same_bits(geometry.packed, packed)
-        sigma = serial_dispersion(n, serial_blocks(z))
+        sigma = serial_dispersion(z, serial_blocks(z))
         assert geometry.dispersion == sigma and geometry.slack == 0.0, workers
         assert same_bits(geometry.floor, preprocess._skip_floor(nearest * nearest, d))
         screened = build_affinity_model(norm, dataclasses.replace(geometry, packed=None), 10)

@@ -187,12 +187,12 @@ def holds(geometry, sigma):
 def folded_blocks(z, exact=False):
     """z's geometry and the row blocks its distance pass reduces, in block order.
 
-    A spy copies each block the pass reduces: the distances _block_moments
-    is given on the exact paths, and the square roots _root_sum leaves on
-    the product path. Under 2 or 3 workers the blocks arrive out of order,
-    so each is keyed by its first row i0, which its size gives: a block of
-    r rows from row i0 holds r (n - i0) - r (r + 1) / 2 pairs, a count that
-    falls as i0 grows.
+    A spy copies each block the pass reduces: the packed distances the
+    exact visit takes from _exact_block on the exact paths, and the square
+    roots _root_sum leaves on the product path. Under 2 or 3 workers the
+    blocks arrive out of order, so each is keyed by its first row i0, which
+    its size gives: a block of r rows from row i0 holds r (n - i0) - r (r +
+    1) / 2 pairs, a count that falls as i0 grows.
     """
     n = z.shape[0]
     rows = max(1, preprocess._BLOCK_ENTRIES // n)
@@ -200,11 +200,12 @@ def folded_blocks(z, exact=False):
     for i0 in range(0, n - 1, rows):
         r = min(rows, n - i0)
         first_row[r * (n - i0) - r * (r + 1) // 2] = i0
-    moments, roots, blocks = preprocess._block_moments, preprocess._root_sum, {}
+    distances, roots, blocks = preprocess._exact_block, preprocess._root_sum, {}
 
-    def moments_spy(block):
+    def exact_spy(*args):
+        block = distances(*args)
         blocks[first_row[block.size]] = block.copy()
-        return moments(block)
+        return block
 
     def roots_spy(block, clip):
         total = roots(block, clip)
@@ -212,7 +213,7 @@ def folded_blocks(z, exact=False):
         return total
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(preprocess, "_block_moments", moments_spy)
+        patch.setattr(preprocess, "_exact_block", exact_spy)
         patch.setattr(preprocess, "_root_sum", roots_spy)
         geometry = distance_matrix(nd(z), exact=exact)
     assert sorted(blocks) == sorted(first_row.values())
@@ -237,20 +238,18 @@ def serial_blocks(z):
         yield cdist(z[i0:i1], z[i0:])[upper]
 
 
-def serial_dispersion(n, blocks):
-    """Reference: the serial stream's blocks folded in order with the Chan update."""
-    count, mean, m2 = float(n), 0.0, 0.0
-    for block in map(np.copy, blocks):
-        b_count = 2.0 * block.size
-        b_mean = float(block.mean())
-        block -= b_mean
-        b_m2 = 2.0 * float(np.square(block, out=block).sum())
-        total = count + b_count
-        delta = b_mean - mean
-        mean += delta * (b_count / total)
-        m2 += b_m2 + delta * delta * (count * b_count / total)
-        count = total
-    return math.sqrt(m2 / count)
+def serial_dispersion(z, blocks):
+    """Reference: the dispersion of z from the serial stream's blocks, by the
+    closed form sqrt(max(S2 - m^2, 0)). S2 = 2 sum_i |z_i - c|^2 / n, c the
+    column mean, and m = 2 sum_b (sum of block b) / n^2, the block sums
+    added in order; 0.0 where that sum is 0."""
+    n, total = z.shape[0], 0.0
+    for block in blocks:
+        total += float(block.sum())
+    y = z - z.mean(axis=0)
+    second = 2.0 * float(np.square(y).sum()) / n
+    mean = 2.0 * total / (float(n) * n)
+    return math.sqrt(max(second - mean * mean, 0.0)) if total else 0.0
 
 
 def serial_histogram(n, blocks, dispersion, bins):
@@ -371,6 +370,76 @@ def test_dispersion_is_population_std_over_all_entries():
     assert distance_matrix(nd(z)).dispersion == pytest.approx(math.sqrt(var), abs=1e-12)
 
 
+def exact_moments(values):
+    """Reference: the mean and the mean square of float64 values, as exact
+    fractions. Each value is an integer k times 2^e, e the least exponent
+    among them, so their sum is sum(k) 2^e and their sum of squares
+    sum(k^2) 2^2e, in Python integers."""
+    mantissas, exponents = np.frexp(values.ravel())
+    exponents -= 53  # each value is its 53-bit integer mantissa times 2^exponent
+    least = int(exponents.min())
+    k = np.left_shift(np.ldexp(mantissas, 53).astype(np.int64).astype(object), exponents - least)
+    scale = Fraction(2) ** least
+    return Fraction(int(k.sum()), k.size) * scale, Fraction(int((k * k).sum()), k.size) * scale**2
+
+
+@pytest.mark.parametrize("case", ["eye-1000", "thin-shell", "uniform-500d"])
+def test_exact_dispersion_is_within_the_closed_forms_bound_of_the_exact_sd(monkeypatch, case):
+    """The exact geometry's dispersion against the population SD s of the
+    dense cdist matrix D, in exact fractions, one-pass and streamed.
+
+    The dispersion is fl(sqrt(max(v, 0))), v = fl(S2 - fl(m^2)), with S2
+    from _second_moment and m twice the blocks' sums over N = n^2. Let
+    mu = E[D] and q = E[D^2] over the N entries, so s^2 = q - mu^2, and
+    u = 2^-53.
+
+    - m sums the P = n (n - 1) / 2 non-negative pairs in blocks and divides
+      once, so it is within g1 mu of mu, g1 = gamma_(P+n).
+    - S2 = 2 A^ / n, A^ the computed sum of the n d squares of y = z - c,
+      c the computed column means: within gamma_(nd+3) of 2 A / n. In
+      reals 2 A / n = E[S] + 2 |T|^2 / n^2, S the exact squared
+      distances and T = sum_i (z_i - c). T_k is n times the rounding of
+      c_k, which is at most gamma_n mean_i |z_ik|, so T adds at most
+      t = 2 gamma_n^2 sum_k (mean_i |z_ik|)^2. cdist rounds d
+      differences, their squares, d - 1 sums and a root, so D^2 is within
+      gamma_(d+5) S of S. So |S2 - q| <= e2 = gamma_(nd+d+9) (q + t) + t,
+      no square here underflowing.
+    - v rounds twice: |v - (S2 - m^2)| <= u m^2 + 2 u |v|.
+
+    So |v - s^2| <= e2 + g1 (2 + g1) mu^2 + u m^2 + 2 u |v|, and squaring
+    the rounded root adds 3 u sigma^2 more to |sigma^2 - s^2|: the closed
+    form's cancellation bound. It is relative to q and mu^2, and |sigma -
+    s| = |sigma^2 - s^2| / (sigma + s), so as a share of s it grows with
+    q / s^2: 178 on the thin shell, about n on np.eye(n). Each set keeps
+    it below 1e-6 of s^2, and the dispersion lies within it.
+    """
+    rng = np.random.default_rng(500)
+    z = {
+        "eye-1000": lambda: np.eye(1000),
+        "thin-shell": lambda: estimate_misses()["thin-shell"],
+        "uniform-500d": lambda: rng.uniform(size=(400, 500)),
+    }[case]()
+    n, d = z.shape
+    mu, q = exact_moments(dense_distances(z))
+    s2 = q - mu * mu
+    u = Fraction(1, 2**53)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    t = 2 * gamma(n) ** 2 * sum(Fraction(float(v)) ** 2 for v in np.abs(z).mean(axis=0))
+    e2 = gamma(n * d + d + 9) * (q + t) + t
+    g1 = gamma(n * (n - 1) // 2 + n)
+    for cap in (ONE_PASS_PAIRS, 0):
+        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", cap)
+        sigma = Fraction(distance_matrix(nd(z), exact=True).dispersion)
+        assert sigma > 0  # so |v| is at most sigma^2 (1 + 3 u)
+        m = mu * (1 + g1)  # at least m
+        bound = e2 + g1 * (2 + g1) * mu * mu + u * m * m + (2 * (1 + 3 * u) + 3) * u * sigma * sigma
+        assert bound < s2 / 10**6
+        assert abs(sigma * sigma - s2) <= bound, float(abs(sigma * sigma - s2) / s2)
+
+
 def test_distance_matrix_rejects_single_point():
     with pytest.raises(ValueError):
         distance_matrix(nd([[1.0, 2.0]]))
@@ -451,7 +520,7 @@ def test_streamed_model_matches_dense_reference(monkeypatch, n):
     rng = np.random.default_rng(n)
     for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
         dist = dense_distances(z)
-        sigma = serial_dispersion(n, serial_blocks(z))
+        sigma = serial_dispersion(z, serial_blocks(z))
         for path in each_path(monkeypatch):
             geometry, blocks = folded_blocks(z, exact=path == "exact")
             if path == "product":
@@ -495,7 +564,7 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
     try:
         for z in (rng.normal(size=(n, 3)), np.eye(n)):
             expect = list(serial_blocks(z))
-            sigma = serial_dispersion(n, expect)
+            sigma = serial_dispersion(z, expect)
             floor = preprocess._skip_floor(dense_nearest2(z), z.shape[1])
             histograms = {bins: serial_histogram(n, expect, sigma, bins) for bins in (2, 10, 30)}
             for path in each_path(monkeypatch):
@@ -578,13 +647,40 @@ def test_the_interval_holds_the_dispersion_where_the_estimate_misses_it(monkeypa
     z = estimate_misses()[case]
     monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
-    sigma = serial_dispersion(z.shape[0], serial_blocks(z))
+    sigma = serial_dispersion(z, serial_blocks(z))
     if case == "thin-shell":
         assert np.mean(np.square(dense_distances(z))) >= 100.0 * sigma**2
     geometry = distance_matrix(nd(z))
     assert geometry.dispersion != sigma
     assert holds(geometry, sigma)
     assert (geometry.floor <= least_gap2(z)).all()
+
+
+@pytest.mark.parametrize("case", ["noisy-64d", "thin-shell"])
+def test_the_slack_covers_every_mean_its_derivation_allows(monkeypatch, case):
+    """_dispersion_slack's piece 2 puts the exact path's mean m within
+    r + 2 (gamma + u) m~ of the product path's m~: the estimates' error,
+    r = sqrt(spread / N), and each sum's rounding, gamma = gamma_(K+B).
+    A mean at either end of that range, just inside it, through the closed
+    form with the shared S2, gives a dispersion the interval holds. The
+    rounding term is most of the range on noisy-64d's own size, and the
+    estimates' error on the thin shell, where the cancellation is steep."""
+    if case == "thin-shell":
+        z = estimate_misses()[case]
+        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+        monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
+    else:
+        z = normalize(noisy_64d(1)).values
+    slack, seen = preprocess._dispersion_slack, []
+    monkeypatch.setattr(preprocess, "_dispersion_slack", lambda *args: seen.append(args) or slack(*args))
+    geometry = distance_matrix(nd(z))
+    (variance, mean, spread, count, terms), = seen
+    reach = math.sqrt(spread / count) + 2.0 * (preprocess._gamma(terms) + preprocess._U) * mean
+    second = preprocess._second_moment(z)
+    assert variance == second - mean * mean
+    for end in (mean - reach, mean + reach):
+        m = float(np.nextafter(end, mean))
+        assert holds(geometry, math.sqrt(max(second - m * m, 0.0)))
 
 
 def root_sums(z, clip=None):
