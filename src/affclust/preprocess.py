@@ -19,10 +19,10 @@ one worker. Above that, up to one thread per available core shares the
 blocks (BLAS and numpy's ufuncs release the GIL), worker t taking blocks t,
 t+W, t+2W, ...; the sums are added in block order, minima and integer
 counts do not depend on the order, so no result depends on the
-number of workers. The calling thread allocates every array a worker writes
-to, the block buffers and each visit's per-worker folds, scratch or masks:
-arrays allocated inside a worker would stay in that thread's malloc arena
-after it exits.
+number of workers. The calling thread allocates every block-sized array a
+worker writes to, the block buffers and each visit's folds, scratch or
+masks, as those would stay in a worker's malloc arena after it exits; a
+worker allocates only a tile's product operand and the sketch's counts.
 
 Every exact distance comes from _kernel, whose bits are cdist's under any
 SIMD dispatch. The dispersion has one rule on every path: the mean squared
@@ -38,15 +38,13 @@ returns its block's sum:
   decision uncertain.
 - Above the cap, the product visit estimates each block's squared distances
   by matrix products (_products, the screen's own): one (d + 2)-wide
-  product per tile, which adds both squared norms as it goes. It counts
-  each estimate into a sketch of fixed buckets (_sketch), which leaves the
-  block as it is, then takes the block's sum of the square roots of X+ =
-  max(X, 0) (_root_sum); the clip runs only on a block with a negative
-  estimate. The mean square is the exact path's own, so the dispersion's
-  estimate has a certified slack from the two means alone: the exact
-  dispersion lies within it (_dispersion_slack). Each estimate costs the
-  product, the nearest fold, the pack, the sketch, the square root and the
-  sum.
+  product per tile, which adds both squared norms as it goes. It zeroes the
+  rectangle's lower corner, which repeats pairs, sums the roots of X+ =
+  max(X, 0) over the whole rectangle (_root_sum; the clip runs only on a
+  block with a negative estimate) and counts them, in place, into a sketch
+  of fixed buckets (_sketch). The mean square is the exact path's own, so
+  the dispersion's estimate has a certified slack from the two means
+  alone: the exact dispersion lies within it (_dispersion_slack).
 
 Affinity falls as distance grows, so every affinity decision compares a
 distance with a cut. affinity_cuts finds every cut at one dispersion in one
@@ -109,17 +107,15 @@ _STREAMED_TILE_ENTRIES = _BLOCK_ENTRIES
 _PRODUCT_VOLUME = 1 << 18
 # float64's unit roundoff: a correctly rounded result is within a relative _U.
 _U = 2.0**-53
-# The sketch's buckets. An estimate X+ >= 0 is keyed by the top bits of its
-# pattern, the exponent and _SKETCH_BITS mantissa bits, so an inner bucket
-# spans a relative 2^-6 of X+. The inner buckets 0.._SKETCH_INNER - 1 cover
-# the window [2^-64, 2^64) in order; bucket _SKETCH_INNER takes everything
-# below and above it, and is never decided.
-_SKETCH_BITS = 6
+# The sketch's buckets. A root D~ = fl(sqrt(X+)) >= 0 is keyed by its
+# pattern's exponent and top _SKETCH_BITS mantissa bits, so an inner bucket
+# spans a relative 2^-7 of D~, about 2^-6 of X+. The inner buckets
+# 0.._SKETCH_INNER - 1 cover the window [2^-32, 2^32) in order; bucket
+# _SKETCH_INNER takes everything below and above it, and is never decided.
+_SKETCH_BITS = 7
 _SKETCH_SHIFT = 52 - _SKETCH_BITS
-_SKETCH_FIRST = (1023 - 64) << _SKETCH_BITS  # the key of 2^-64
-_SKETCH_INNER = 128 << _SKETCH_BITS
-# Keys computed at a time into each worker's scratch (128 KB of int64).
-_SKETCH_CHUNK = 1 << 14
+_SKETCH_FIRST = (1023 - 32) << _SKETCH_BITS  # the key of 2^-32
+_SKETCH_INNER = 64 << _SKETCH_BITS
 
 
 class Uncertain(Exception):
@@ -150,9 +146,9 @@ class Geometry:
     slack: float             # the exact dispersion is within slack of it; 0.0 when exact
     floor: np.ndarray        # (n,) a lower bound on every gap2 of a sweep opened at point i
     packed: np.ndarray | None  # the strict upper triangle, row-major; None above _ONE_PASS_PAIRS
-    # On the product geometry, the upper triangle's estimates X+ counted into
-    # the _SKETCH_INNER + 1 buckets (_sketch), and the largest block's delta
-    # (_products); None and 0.0 on the exact geometries
+    # On the product geometry, the roots of the upper triangle's estimates
+    # counted into the _SKETCH_INNER + 1 buckets (_sketch), and the largest
+    # block's delta (_products); None and 0.0 on the exact geometries
     sketch: np.ndarray | None = None
     delta: float = 0.0
 
@@ -261,7 +257,7 @@ def _fold_nearest(rect: np.ndarray, i0: int, fold: np.ndarray, less: float = 0.0
 
 
 def _pack_upper(rect: np.ndarray, dst: np.ndarray) -> int:
-    """Move the strict upper triangle of the C-contiguous rectangle rect into dst.
+    """Move the strict upper triangle of _exact_block's C-contiguous tile rect into dst.
 
     Row a's entries right of the diagonal (a, a) go, in row order, into one
     row-major run at the start of dst, one memmove per row (cheaper than
@@ -357,28 +353,21 @@ def _exact_block(
     return flat[:written]
 
 
-def _sketch(block: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> None:
-    """Count each estimate X of a 1-D block into the bucket of X+ = max(X, 0).
+def _sketch(block: np.ndarray) -> np.ndarray:
+    """Each bucket's count of the roots D~ >= 0 in a 1-D block, keyed in the block's own memory.
 
-    The bit patterns of non-negative floats order as the floats do. An
-    entry's key is its pattern less that of 2^-64, shifted right by
-    _SKETCH_SHIFT as an unsigned integer, so an entry below 2^-64 wraps
-    round to a key above every inner bucket's, as does one of 2^64 or more;
-    the keys are capped at _SKETCH_INNER, the outside bucket. A negative
-    entry, -0.0 included, has a negative pattern; less that of 2^-64, with
-    or without wrapping round, it is at least 2^63 less that pattern as an
-    unsigned integer, far above every inner key, so it goes to the outside
-    bucket with X+ = 0. The keys go through `keys`, a scratch of
-    _SKETCH_CHUNK int64, so block is left as it is.
+    Non-negative floats' bit patterns order as the floats do. A root's key
+    is its pattern less that of 2^-32, shifted right by _SKETCH_SHIFT as an
+    unsigned integer. A root below 2^-32 wraps round to a key above every
+    inner bucket's, and -0.0 (pattern 2^63) and a root of 2^32 or more land
+    there too; the keys are capped at _SKETCH_INNER, the outside bucket.
     """
-    bits = block.view(np.int64)
-    for c0 in range(0, bits.size, keys.size):
-        chunk = keys[: min(keys.size, bits.size - c0)]
-        np.subtract(bits[c0 : c0 + chunk.size], _SKETCH_FIRST << _SKETCH_SHIFT, out=chunk)
-        wrapped = chunk.view(np.uint64)
-        np.right_shift(wrapped, np.uint64(_SKETCH_SHIFT), out=wrapped)
-        np.minimum(wrapped, np.uint64(_SKETCH_INNER), out=wrapped)
-        counts += np.bincount(chunk, minlength=counts.size)
+    keys = block.view(np.int64)
+    np.subtract(keys, _SKETCH_FIRST << _SKETCH_SHIFT, out=keys)
+    wrapped = keys.view(np.uint64)
+    np.right_shift(wrapped, np.uint64(_SKETCH_SHIFT), out=wrapped)
+    np.minimum(wrapped, np.uint64(_SKETCH_INNER), out=wrapped)
+    return np.bincount(keys, minlength=_SKETCH_INNER + 1)
 
 
 def _rounding(d: int) -> tuple[float, float]:
@@ -461,14 +450,15 @@ def _dispersion_slack(variance: float, mean: float, spread: float, count: float,
     """A bound on |sigma - dispersion|, where sigma is the exact path's dispersion.
 
     Both paths take count = N = n^2 entries, the zero diagonal and each
-    pair twice, in the same B blocks of at most K pairs, with terms = K + B,
-    and share S2, _second_moment's bits. Each computes its mean m = 2 sum_b
-    (sum of block b) / N, the variance S2 - m^2 and the dispersion, its
-    root; sigma is 0 where the sum is. The exact path sums the distances D,
-    the product path their estimates D~ = fl(sqrt(max(X, 0))), and `mean`
-    and `variance` are the product path's m~ and v~. S2 cancels in the
-    difference of the variances, so the bound has three pieces, all from
-    the difference of the means.
+    pair twice, in the same B blocks, each a sum of at most K = min(rows, n)
+    n terms (a product block sums its whole rectangle, the corner's zeros
+    included), with terms = K + B, and share S2, _second_moment's bits.
+    Each computes its mean m = 2 sum_b (sum of block b) / N, the variance
+    S2 - m^2 and the dispersion, its root; sigma is 0 where the sum is. The
+    exact path sums the distances D, the product path their estimates D~ =
+    fl(sqrt(max(X, 0))), and `mean` and `variance` are the product path's
+    m~ and v~. S2 cancels in the difference of the variances, so the bound
+    has three pieces, all from the difference of the means.
 
     1. One pair. |X - S| <= 3.01 g Mhat + (d + 1) 2^-1073, and _kernel's
     sum S_c is within g S + d 2^-1074 of S <= 2 M (_screened_counts), so
@@ -557,10 +547,11 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
     the clipped square roots. The slack is _dispersion_slack's, and the
     floor is _skip_floor of the least X - delta of each point, which bounds
     every exact squared distance from below; the geometry also carries the
-    sketch of the estimates and the largest block's delta, for
-    _sketch_bounds. That raises Uncertain where the interval reaches 0 but
-    the points are not all zero (the exact dispersion could be 0 or not),
-    or where a squared norm is too large to estimate.
+    sketch of the roots, less the r (r + 1) / 2 zeros of each rectangle's
+    lower corner, and the largest block's delta, for _sketch_bounds. That
+    raises Uncertain where the interval reaches 0 but the points are not
+    all zero (the exact dispersion could be 0 or not), or where a squared
+    norm is too large to estimate.
     """
     z = normalized.values
     n, d = z.shape
@@ -586,7 +577,7 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
         if estimate is None:
             raise Uncertain("a squared norm is too large for the product estimate")
         sketches = np.zeros((workers, _SKETCH_INNER + 1), dtype=np.int64)
-        keys = np.empty((workers, _SKETCH_CHUNK), dtype=np.int64)
+        corner = np.tri(min(rows, n), dtype=bool)
 
         def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
             r, m = rect.shape
@@ -595,10 +586,11 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
             e = 2.0 * delta
             pairs = np.arange(m - 1, m - 1 - r, -1, dtype=np.float64)  # each row's, right of (a, a)
             spread = 2.0 * float(pairs @ (e * (e / np.maximum(least, e))))
-            flat = rect.reshape(-1)
-            block = flat[: _pack_upper(rect, flat)]
-            _sketch(block, keys[t], sketches[t])
-            return _root_sum(block, least.min() < 0.0), spread, delta
+            np.copyto(rect[:, :r], 0.0, where=corner[:r, :r])  # repeated pairs and the diagonal
+            total = _root_sum(rect.reshape(-1), least.min() < 0.0)
+            sketches[t] += _sketch(rect.reshape(-1))
+            sketches[t, -1] -= r * (r + 1) // 2  # the corner's zeros
+            return total, spread, delta
 
     blocks = _map_blocks(n, visit)  # each block's (sum, spread, delta)
     least = np.min(folds[:, 0], axis=0)
@@ -615,7 +607,7 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
         spread = 0.0
         for _, b_spread, _ in blocks:
             spread += b_spread
-        terms = min(rows * (n - 1), pairs) + len(blocks)  # K + B
+        terms = min(rows, n) * n + len(blocks)  # K + B
         slack = _dispersion_slack(variance, mean, spread, count, terms)
         if not _interval(dispersion, slack)[0] > 0.0:
             raise Uncertain("the dispersion interval reaches 0")
@@ -774,30 +766,38 @@ def _bands(d: int, high_edges: np.ndarray, low_edges: np.ndarray) -> tuple[np.nd
         return hi, (below * below - tiny) * (1.0 - 4.0 * g)
 
 
+def _sketch_ends() -> tuple[np.ndarray, np.ndarray]:
+    """_sketch_bounds' x0 and x1 of each inner bucket: its pairs have x0 <= X+ < x1."""
+    y = ((np.arange(_SKETCH_INNER + 1) + _SKETCH_FIRST) << _SKETCH_SHIFT).view(np.float64)
+    x = y * y  # exact: y has 8 significant bits
+    return np.nextafter(np.nextafter(x[:-1], 0.0), 0.0), x[1:]
+
+
 def _sketch_bounds(
     sketch: np.ndarray, delta: float, bands: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """A lower and an upper bound on each bin count of the upper triangle, from the sketch.
 
-    An inner bucket holds the pairs whose X+ = max(X, 0) lies in [x0, x1),
-    its two ends' patterns. Against _bands widened by delta, the largest
+    An inner bucket holds the pairs whose root D~ = fl(sqrt(X+)), X+ =
+    max(X, 0), lies in [y0, y1), its ends' patterns, of 8 significant bits
+    each. Rounded to nearest, D~ < y1 gives X+ < x1 = y1^2, exact, and D~
+    >= y0 gives X+ >= y0^2 (1 - u)^2 >= x0, two floats below y0^2 (a step
+    there is at least u y0^2). Against _bands widened by delta, the largest
     block's, a bucket with x0 >= hi_m + delta holds pairs of bin m or
     below, and one with x1 <= lo_m - delta pairs above bin m (X <= X+ <
-    x1). So its pairs' bins lie in [1 + #{m: lo_m - delta >= x1},
-    bins - #{m: hi_m + delta <= x0}], and a bucket a band touches spans two
-    bins or more. The outside bucket spans every bin. A bucket of one bin
-    adds its pairs to that bin's lower and upper bound, any other bucket to
-    the upper bound of each bin it spans; the exact counts lie between.
+    x1). So its pairs' bins lie in [1 + #{m: lo_m - delta >= x1}, bins -
+    #{m: hi_m + delta <= x0}], and a bucket a band touches spans two bins
+    or more. The outside bucket spans every bin. A bucket of one bin adds
+    its pairs to that bin's lower and upper bound, any other bucket to the
+    upper bound of each bin it spans; the exact counts lie between.
     """
-    hi, lo = bands
-    bins = hi.size + 1
-    hi, lo = (hi + delta)[::-1], (lo - delta)[::-1]  # ascending
-    patterns = (np.arange(_SKETCH_INNER + 1, dtype=np.int64) + _SKETCH_FIRST) << _SKETCH_SHIFT
-    x = patterns.view(np.float64)
+    bins = bands[0].size + 1
+    hi, lo = (bands[0] + delta)[::-1], (bands[1] - delta)[::-1]  # ascending
+    x0, x1 = _sketch_ends()
     first = np.ones(sketch.size, dtype=np.int64)  # the least bin each bucket may hold
     last = np.full(sketch.size, bins, dtype=np.int64)  # and the largest
-    first[:-1] += bins - 1 - np.searchsorted(lo, x[1:], side="left")
-    last[:-1] -= np.searchsorted(hi, x[:-1], side="right")
+    first[:-1] += bins - 1 - np.searchsorted(lo, x1, side="left")
+    last[:-1] -= np.searchsorted(hi, x0, side="right")
     one = first == last
     lower = np.zeros(bins, dtype=np.int64)
     np.add.at(lower, first[one] - 1, sketch[one])

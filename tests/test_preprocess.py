@@ -184,15 +184,31 @@ def holds(geometry, sigma):
     return low <= sigma <= high
 
 
+def rectangles(n):
+    """Each row block's first row i0, keyed by its rectangle's size r (n -
+    i0), a count that falls as i0 grows."""
+    rows = max(1, preprocess._BLOCK_ENTRIES // n)
+    return {min(rows, n - i0) * (n - i0): i0 for i0 in range(0, n - 1, rows)}
+
+
+def strict_upper(flat, n):
+    """The strict upper triangle, row-major, of a block's rectangle over
+    points i0..n-1, handed over flat, and its first row i0."""
+    i0 = rectangles(n)[flat.size]
+    r, m = flat.size // (n - i0), n - i0
+    return flat.reshape(r, m)[np.arange(r)[:, None] < np.arange(m)], i0
+
+
 def folded_blocks(z, exact=False):
     """z's geometry and the row blocks its distance pass reduces, in block order.
 
     A spy copies each block the pass reduces: the packed distances the
-    exact visit takes from _exact_block on the exact paths, and the square
-    roots _root_sum leaves on the product path. Under 2 or 3 workers the
-    blocks arrive out of order, so each is keyed by its first row i0, which
-    its size gives: a block of r rows from row i0 holds r (n - i0) - r (r +
-    1) / 2 pairs, a count that falls as i0 grows.
+    exact visit takes from _exact_block on the exact paths, and the strict
+    upper triangle of the square roots _root_sum leaves in the product
+    path's rectangle. Under 2 or 3 workers the blocks arrive out of order,
+    so each is keyed by its first row i0, which its size gives: a packed
+    block of r rows from row i0 holds r (n - i0) - r (r + 1) / 2 pairs, and
+    a rectangle r (n - i0) entries, counts that fall as i0 grows.
     """
     n = z.shape[0]
     rows = max(1, preprocess._BLOCK_ENTRIES // n)
@@ -209,7 +225,8 @@ def folded_blocks(z, exact=False):
 
     def roots_spy(block, clip):
         total = roots(block, clip)
-        blocks[first_row[block.size]] = block.copy()
+        upper, i0 = strict_upper(block, n)
+        blocks[i0] = upper
         return total
 
     with pytest.MonkeyPatch.context() as patch:
@@ -581,6 +598,7 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
                     assert geometry.slack.hex() == serial.slack.hex()
                     assert np.array_equal(geometry.floor, serial.floor)
                     assert np.array_equal(geometry.sketch, serial.sketch)
+                    assert geometry.sketch.sum() == n * (n - 1) // 2
                     assert geometry.delta.hex() == serial.delta.hex()
                 else:
                     assert all(np.array_equal(g, e) for g, e in zip(got, expect))
@@ -684,12 +702,13 @@ def test_the_slack_covers_every_mean_its_derivation_allows(monkeypatch, case):
 
 
 def root_sums(z, clip=None):
-    """z's product geometry, and the clip flag and least entry of each block
-    _root_sum reduces; `clip`, when given, overrides the flag."""
+    """z's product geometry, and the clip flag and least estimate of the
+    strict upper triangle of each block _root_sum reduces; `clip`, when
+    given, overrides the flag."""
     roots, seen = preprocess._root_sum, []
 
     def spy(block, flag):
-        seen.append((flag, float(block.min())))
+        seen.append((flag, float(strict_upper(block, z.shape[0])[0].min())))
         return roots(block, flag if clip is None else clip)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1300,13 +1319,15 @@ def test_estimates_outside_the_window_are_never_decided(monkeypatch, d):
     """A pair of identical points, whose estimate is rounding noise at most
     2^-84, and pairs 2^34 apart or more, whose estimates pass 2^64, go to
     the outside bucket, which bounds no bin from below and every bin from
-    above, at any dispersion; pairs 2^-20 apart land in inner buckets."""
+    above, at any dispersion; pairs 2^-20 apart land in inner buckets. The
+    sketch counts each pair once, and none of the rectangles' corners."""
     monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     z = np.zeros((50, d))
     z[1:25, 0] = np.ldexp(1.0, -20) * np.arange(1, 25)
     z[25:, 0] = np.ldexp(1.0, 34) * np.arange(1, 26)
     z[10] = z[11]
     sketch = distance_matrix(nd(z)).sketch
+    assert sketch.sum() == 50 * 49 // 2
     outside = sketch[-1]
     assert 0 < outside < sketch.sum()
     lone = np.zeros_like(sketch)
@@ -1317,37 +1338,79 @@ def test_estimates_outside_the_window_are_never_decided(monkeypatch, d):
         assert (upper == outside).all()
 
 
+def root_keys(roots):
+    """Reference: each root's bucket, from its exponent E and its first 7
+    mantissa bits, (E + 32) 128 + those bits inside [2^-32, 2^32), and the
+    outside bucket elsewhere."""
+    inside = (roots >= 2.0**-32) & (roots < 2.0**32)
+    fraction, exponent = np.frexp(np.where(inside, roots, 1.0))  # fraction in [0.5, 1)
+    keys = (exponent - 1 + 32) * 128 + np.floor((2.0 * fraction - 1.0) * 128).astype(np.int64)
+    return np.where(inside, keys, preprocess._SKETCH_INNER)
+
+
 def test_the_sketch_counts_a_negative_estimate_as_its_clip():
-    """The product pass sketches estimates before any clip: every negative
-    one, -0.0 and -inf's neighbour included, lands in the bucket its clip
-    X+ = max(X, 0) lands in, the outside one."""
-    rng = np.random.default_rng(9)
+    """The product pass sketches the roots fl(sqrt(X+)) in place. A
+    negative estimate, clipped to 0.0, and -0.0, which no clip changes and
+    whose root is -0.0, land in the outside bucket, as do subnormal roots,
+    roots below 2^-32 and roots of 2^32 or more; 2^-32 is bucket 0's least
+    root and the float below 2^32 the last inner bucket's largest. Every
+    root is counted once, in the bucket of its exponent and first 7
+    mantissa bits."""
+    inner = preprocess._SKETCH_INNER
     tiny, huge = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
-    block = np.concatenate([
-        [-0.0, 0.0, -tiny, tiny, -huge, huge, -1e-300, 2.0**-64, -(2.0**-64)],
-        rng.normal(size=5000) * np.exp(rng.uniform(-60.0, 60.0, size=5000)),
-    ])
-    keys = np.empty(preprocess._SKETCH_CHUNK // 8, dtype=np.int64)  # several chunks
-    raw = np.zeros(preprocess._SKETCH_INNER + 1, dtype=np.int64)
-    clipped = np.zeros_like(raw)
-    preprocess._sketch(block, keys, raw)
-    preprocess._sketch(np.maximum(block, 0.0), keys, clipped)
-    assert np.array_equal(raw, clipped)
-    assert raw[-1] >= np.count_nonzero(block <= 0.0)
+    clipped = np.array([-0.0, 0.0, -tiny, -huge, -1e-300, -(2.0**-64)])
+    preprocess._root_sum(clipped, True)
+    unclipped = np.array([-0.0])
+    preprocess._root_sum(unclipped, False)
+    assert math.copysign(1.0, unclipped[0]) == -1.0
+    below = float(np.nextafter(2.0**-32, 0.0))
+    outside = np.concatenate([clipped, unclipped, [tiny, 2.0**-1030, 1e-300, below, 2.0**32, huge, np.inf]])
+    assert preprocess._sketch(outside.copy())[-1] == outside.size
+    ends = np.array([2.0**-32, np.nextafter(2.0**32, 0.0)])
+    assert np.flatnonzero(preprocess._sketch(ends)).tolist() == [0, inner - 1]
+    roots = np.exp(np.random.default_rng(9).uniform(-25.0, 25.0, size=5000))  # both sides of the window
+    counts = preprocess._sketch(roots.copy())
+    assert np.array_equal(counts, np.bincount(root_keys(roots), minlength=inner + 1))
+    assert counts.sum() == roots.size
+
+
+def test_each_estimate_lies_within_the_ends_of_its_roots_bucket():
+    """For X at, and up to three floats either side of, the square of every
+    inner bucket end y, the bucket of D~ = fl(sqrt(X)) has x0 <= X < x1
+    (_sketch_ends). In exact fractions y^2 is exact, and x0 is at most y0^2
+    (1 - u)^2, below every X whose root rounds to y0 or above. x0 needs
+    that margin: below some y0^2 a float's root still rounds to y0."""
+    inner = preprocess._SKETCH_INNER
+    y = ((np.arange(inner + 1) + preprocess._SKETCH_FIRST) << preprocess._SKETCH_SHIFT).view(np.float64)
+    x0, x1 = preprocess._sketch_ends()
+    u = Fraction(1, 2**53)
+    squares = y * y
+    assert all(Fraction(s) == Fraction(v) ** 2 for s, v in zip(squares.tolist(), y.tolist()))
+    assert all(Fraction(a) <= Fraction(v) ** 2 * (1 - u) ** 2 for a, v in zip(x0.tolist(), y.tolist()))
+    assert np.array_equal(x1, squares[1:])
+    x = (squares.view(np.int64)[:, None] + np.arange(-3, 4)).view(np.float64).ravel()
+    roots = np.sqrt(x)
+    keys = root_keys(roots)
+    assert np.array_equal(preprocess._sketch(roots.copy()), np.bincount(keys, minlength=inner + 1))
+    held = keys < inner
+    assert (x0[keys[held]] <= x[held]).all() and (x[held] < x1[keys[held]]).all()
+    assert ((x < squares[keys.clip(max=inner - 1)]) & held).any()
 
 
 def test_a_bucket_a_band_touches_is_not_decided():
     """One pair in each inner bucket, at 4 bins and one dispersion: every
     bucket wholly past each band is decided, and each bucket holding a
-    band's end spans the bins on both sides of it."""
+    band's end spans the bins on both sides of it. A bucket's estimates lie
+    in [x0, x1): x1 the square of its upper root end, x0 two floats below
+    the square of its lower one."""
     sketch = np.ones(preprocess._SKETCH_INNER + 1, dtype=np.int64)
     sketch[-1] = 0
     bins, interval, delta = 4, (0.37, 0.38), 1e-3
     bands = bands_of(2, interval, bins)
     hi, lo = bands[0] + delta, bands[1] - delta
     keys = np.arange(preprocess._SKETCH_INNER + 1) + preprocess._SKETCH_FIRST
-    x = (keys << preprocess._SKETCH_SHIFT).view(np.float64)
-    x0, x1 = x[:-1], x[1:]
+    y = (keys << preprocess._SKETCH_SHIFT).view(np.float64)
+    x0, x1 = np.nextafter(np.nextafter(y[:-1] ** 2, 0.0), 0.0), y[1:] ** 2
     first = 1 + (lo[None, :] >= x1[:, None]).sum(axis=1)
     last = bins - (hi[None, :] <= x0[:, None]).sum(axis=1)
     lower, upper = preprocess._sketch_bounds(sketch, delta, bands)
@@ -1356,8 +1419,9 @@ def test_a_bucket_a_band_touches_is_not_decided():
         assert upper[m - 1] == ((first <= m) & (m <= last)).sum()
     for m in range(1, bins):  # the buckets holding hi_m + delta and lo_m - delta
         for end in (hi[m - 1], lo[m - 1]):
-            (held,) = np.flatnonzero((x0 < end) & (end < x1))
-            assert first[held] <= m < last[held]
+            held = np.flatnonzero((x0 < end) & (end < x1))
+            assert held.size
+            assert all(first[k] <= m < last[k] for k in held)
 
 
 # ---------------------------------------------------------------------------
