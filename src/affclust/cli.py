@@ -318,9 +318,8 @@ def cmd_histogram(args) -> int:
         geometry = distance_matrix(normalized, exact=exact)
         if geometry.dispersion <= 0.0:
             return None
-        if geometry.sketch is not None:
-            geometry = dataclasses.replace(geometry, sketch=None)
-        return build_affinity_model(normalized, geometry, bins=args.bins)
+        sketchless = dataclasses.replace(geometry, sketch=None)
+        return build_affinity_model(normalized, sketchless, bins=args.bins)
 
     try:
         model = model_of(False)

@@ -29,12 +29,13 @@ class RunResult:
     assignment holds final 1-based cluster ids with 0 for outliers;
     outlier_points are 0-based indices into the input order. reported_count
     is None when the final count exceeded sqrt(n) and was withheld.
-    timings_ms is informational only and excluded from deterministic output;
-    it holds a "screen" entry, the part of "affinity" the screen took, only
-    when the sketch left the threshold bin open, and, only when the product
-    geometry left a decision uncertain, an "exact" entry, the rerun from the
-    exact geometry, and the rerun's own stages under "exact_distances",
-    "exact_affinity" and "exact_detect".
+    timings_ms is informational only and excluded from deterministic output.
+    Every run starts from the product geometry, whatever its size, and
+    timings_ms holds a "screen" entry, the part of "affinity" the screen
+    took, only when the sketch left the threshold bin open, and, only when
+    the product geometry left a decision uncertain, an "exact" entry, the
+    rerun from the exact geometry, and the rerun's own stages under
+    "exact_distances", "exact_affinity" and "exact_detect".
     """
 
     name: str
@@ -67,7 +68,8 @@ def _detect(
 ) -> tuple[AffinityModel | None, Clustering]:
     """The affinity model and the clustering detection leaves once the
     outliers are out, from the product geometry or, when exact is set, the
-    exact one; timings gets each stage's wall time.
+    exact one; timings gets each stage's wall time. The geometry holds no
+    array longer than n beyond the sketch, which the model does not keep.
 
     Zero dispersion means every point coincides: there is no affinity model,
     and detection returns one all-points cluster whose merge is trivial.
@@ -81,7 +83,6 @@ def _detect(
         t0 = time.perf_counter()
         model = build_affinity_model(norm, geometry, bins=bins, timings=timings)
         timings["affinity"] = time.perf_counter() - t0
-    del geometry  # its packed distances are not needed once the threshold is known
 
     t0 = time.perf_counter()
     cleaned = extract_outliers(find_clusters(norm, model))

@@ -14,44 +14,45 @@ from the minima of the blocks' rows and columns (detection uses it to skip
 provably idle sweeps), and the screen sums the blocks' integer counts.
 
 The walker hands each visit its block's rectangle over the buffer of the
-worker that takes it. Up to _ONE_PASS_PAIRS pairs the calling thread is the
-one worker. Above that, up to one thread per available core shares the
+worker that takes it. Up to one thread per available core shares the
 blocks (BLAS and numpy's ufuncs release the GIL), worker t taking blocks t,
-t+W, t+2W, ...; the sums are added in block order, minima and integer
-counts do not depend on the order, so no result depends on the
-number of workers. The calling thread allocates every block-sized array a
-worker writes to, the block buffers and each visit's folds, scratch or
-masks, as those would stay in a worker's malloc arena after it exits; a
-worker allocates only a tile's product operand and the sketch's counts.
+t+W, t+2W, ..., and an input of at most _BLOCK_ENTRIES pairs has the
+calling thread as its one worker. The sums are added in block order;
+minima and integer counts do not depend on the order, so no result
+depends on the number of workers. The calling thread allocates every
+block-sized array a worker writes to, the block buffers and each visit's
+folds, scratch or masks, as those would stay in a worker's malloc arena
+after it exits; a worker allocates only a tile's product operand and the
+sketch's counts.
 
 Every exact distance comes from _kernel, whose bits are cdist's under any
 SIMD dispatch. The dispersion has one rule on every path: the mean squared
 distance needs no distances at all (_second_moment, O(n d)), the blocks'
 sums give the mean distance, and the dispersion is the root of the mean
-square less the squared mean. distance_matrix has two visits, and each
-returns its block's sum:
+square less the squared mean. distance_matrix has two visits, which differ
+only in their distance engine. Each fills its block's whole rectangle,
+folds it into the skip floor (_fold_nearest), sets the rectangle's lower
+corner, which repeats pairs, to 0 and returns the sum of the rectangle as
+it is:
 
-- The exact visit (_exact_block), slack 0, sums the exact distances. It
-  keeps the packed triangle (8 MB at most) for the affinity pass up to
-  _ONE_PASS_PAIRS pairs (n <= 1,448). Above that it runs when a caller
-  asks for the exact geometry, once the product geometry has left a
-  decision uncertain.
-- Above the cap, the product visit estimates each block's squared distances
-  by matrix products (_products, the screen's own): one (d + 2)-wide
-  product per tile, which adds both squared norms as it goes. It zeroes the
-  rectangle's lower corner, which repeats pairs, sums the roots of X+ =
-  max(X, 0) over the whole rectangle (_root_sum; the clip runs only on a
+- The product visit, which every run takes first, estimates each block's
+  squared distances by matrix products (_products, the screen's own): one
+  (d + 2)-wide product per tile, which adds both squared norms as it goes.
+  It sums the roots of X+ = max(X, 0) (_root_sum; the clip runs only on a
   block with a negative estimate) and counts them, in place, into a sketch
-  of fixed buckets (_sketch). The mean square is the exact path's own, so
+  of fixed buckets (_sketch). The mean square is the exact visit's own, so
   the dispersion's estimate has a certified slack from the two means
   alone: the exact dispersion lies within it (_dispersion_slack).
+- The exact visit, slack 0, sums _exact_block's exact distances. A caller
+  asks for it once the product geometry has left a decision uncertain.
 
 Affinity falls as distance grows, so every affinity decision compares a
-distance with a cut. affinity_cuts finds every cut at one dispersion in one
-bisection, the only place exp is applied: the bin edges, and detection's
-join bar g* for each threshold a histogram can pick. Every histogram counts
-C_m, the pairs at or beyond edge m (_at_least), one compare per edge on
-exact distances, and a bin's count is the difference of adjacent C_m.
+distance with a cut. affinity_cuts finds every cut at both ends of a
+dispersion interval in one bisection, the only place exp is applied: the
+bin edges, and detection's join bar g* for each threshold a histogram can
+pick. Every histogram counts C_m, the pairs at or beyond edge m
+(_at_least), one compare per edge on exact distances, and a bin's count is
+the difference of adjacent C_m.
 
 The product geometry's dispersion is an interval. The cuts are monotone in
 the dispersion, so a pair's bin and a join are decided wherever the cuts at
@@ -61,14 +62,14 @@ jump reaches the clustering, and on the product geometry the sketch usually
 names it: a bucket wholly past a bin edge's rounding band (_bands) at both
 ends of the interval is decided, so the sketch bounds each bin's count
 (_sketch_bounds), and select_threshold names the bin where no rival jump
-can reach the winner's. Otherwise the counts come from the packed triangle
-or from a screen (_screened_counts) on either streamed geometry: matrix
-products estimate every squared distance of a block, and a pair outside
-every band is counted as it is. A block holding any other pair is computed
-by _exact_block and counted against the edges on the exact geometry, and
-raises Uncertain on the product geometry. Either way each pair lands in the
-bin its exact distance gives at the exact dispersion, so the histogram is
-the dense one's.
+can reach the winner's. Otherwise the counts come from a screen
+(_screened_counts) on either geometry: matrix products estimate every
+squared distance of a block, and a pair outside every band is counted as
+it is. A block holding any other pair is computed by _exact_block and
+counted against the edges on the exact geometry, and raises Uncertain on
+the product geometry. Either way each pair lands in the bin its exact
+distance gives at the exact dispersion, so the histogram is the dense
+one's.
 """
 
 from __future__ import annotations
@@ -88,18 +89,8 @@ from .errors import DegenerateDataError
 # Distance entries per block (2 MB of float64), or one row of n entries when
 # n exceeds it. The row partition fixes the dispersion's bits. Each worker
 # owns one buffer of rows x n entries for a block's distances or their
-# estimates (and, in the exact pass above _ONE_PASS_PAIRS, one for scratch).
+# estimates (and, in the exact visit, one for the kernel's scratch).
 _BLOCK_ENTRIES = 1 << 18
-# Inputs with at most this many pairs (8 MB of packed float64) compute each
-# distance once, by _kernel, on the calling thread, and keep the packed
-# triangle until the threshold is known.
-_ONE_PASS_PAIRS = 1 << 20
-# Entries in each of _exact_block's tiles and its scratch. Up to
-# _ONE_PASS_PAIRS pairs, 256 KB: both stay in a core's L2 cache. Above it,
-# a whole block: two workers on tiles of a few rows went little faster than
-# one, and at d = 2 the fewer the tiles the faster (CHANGES.md).
-_TILE_ENTRIES = 1 << 15
-_STREAMED_TILE_ENTRIES = _BLOCK_ENTRIES
 # Multiply-adds in each of the screen's matrix products. OpenBLAS runs a
 # product this small on the thread that calls it (on 2 cores it threads from
 # about twice this), so the workers are the only threads at work. A product
@@ -116,6 +107,13 @@ _SKETCH_BITS = 7
 _SKETCH_SHIFT = 52 - _SKETCH_BITS
 _SKETCH_FIRST = (1023 - 32) << _SKETCH_BITS  # the key of 2^-32
 _SKETCH_INNER = 64 << _SKETCH_BITS
+# The square of each inner bucket's least root, and of the last one's bound:
+# exact, each root having 8 significant bits.
+_SKETCH_SQUARES = np.square(
+    ((np.arange(_SKETCH_INNER + 1) + _SKETCH_FIRST) << _SKETCH_SHIFT).view(np.float64)
+)
+# _sketch_bounds' x0 and x1 of each inner bucket: its pairs have x0 <= X+ < x1.
+_SKETCH_ENDS = (np.nextafter(np.nextafter(_SKETCH_SQUARES[:-1], 0.0), 0.0), _SKETCH_SQUARES[1:])
 
 
 class Uncertain(Exception):
@@ -145,10 +143,9 @@ class Geometry:
     dispersion: float        # population SD of all n*n distances, or the product estimate of it
     slack: float             # the exact dispersion is within slack of it; 0.0 when exact
     floor: np.ndarray        # (n,) a lower bound on every gap2 of a sweep opened at point i
-    packed: np.ndarray | None  # the strict upper triangle, row-major; None above _ONE_PASS_PAIRS
     # On the product geometry, the roots of the upper triangle's estimates
     # counted into the _SKETCH_INNER + 1 buckets (_sketch), and the largest
-    # block's delta (_products); None and 0.0 on the exact geometries
+    # block's delta (_products); None and 0.0 on the exact geometry
     sketch: np.ndarray | None = None
     delta: float = 0.0
 
@@ -256,39 +253,15 @@ def _fold_nearest(rect: np.ndarray, i0: int, fold: np.ndarray, less: float = 0.0
     return least
 
 
-def _pack_upper(rect: np.ndarray, dst: np.ndarray) -> int:
-    """Move the strict upper triangle of _exact_block's C-contiguous tile rect into dst.
-
-    Row a's entries right of the diagonal (a, a) go, in row order, into one
-    row-major run at the start of dst, one memmove per row (cheaper than
-    numpy); dst may share rect's memory, since a row's destination never
-    passes its source. Returns the number of entries written.
-    """
-    r, m = rect.shape
-    src, out = memoryview(rect.reshape(-1)), memoryview(dst)
-    written, start = 0, 1
-    for length in range(m - 1, m - 1 - min(r, m - 1), -1):
-        out[written : written + length] = src[start : start + length]
-        written += length
-        start += m + 1
-    return written
-
-
-def _row_offset(n: int, i: int) -> int:
-    """Where row i starts in the packed strict upper triangle of n points."""
-    return i * (n - 1) - i * (i - 1) // 2
-
-
 def _block_plan(n: int) -> tuple[int, int]:
     """Rows per block, and how many workers share the blocks.
 
-    A block is rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n).
-    Up to _ONE_PASS_PAIRS pairs the calling thread is the one worker; above
-    that, W = min(cores, ceil(pairs / _BLOCK_ENTRIES)).
+    A block is rows i0..i0+rows-1 with rows = max(1, _BLOCK_ENTRIES // n),
+    and W = min(cores, ceil(pairs / _BLOCK_ENTRIES)): an input of at most
+    _BLOCK_ENTRIES pairs has one worker, the calling thread.
     """
     rows, pairs = max(1, _BLOCK_ENTRIES // n), n * (n - 1) // 2
-    workers = 1 if pairs <= _ONE_PASS_PAIRS else min(_available_cores(), -(-pairs // _BLOCK_ENTRIES))
-    return rows, workers
+    return rows, min(_available_cores(), -(-pairs // _BLOCK_ENTRIES))
 
 
 def _map_blocks(n: int, visit: Callable[[np.ndarray, int, int], object]) -> list:
@@ -324,33 +297,16 @@ def _map_blocks(n: int, visit: Callable[[np.ndarray, int, int], object]) -> list
     return results
 
 
-def _tile_scratch(n: int, workers: int) -> np.ndarray:
-    """Each worker's _exact_block scratch: a tile of whole rows, at least one."""
-    entries = _TILE_ENTRIES if n * (n - 1) // 2 <= _ONE_PASS_PAIRS else _STREAMED_TILE_ENTRIES
-    return np.empty((workers, min(max(1, entries // n), n) * n))
+def _exact_block(cols: np.ndarray, rect: np.ndarray, i0: int, tmp: np.ndarray) -> None:
+    """Write rect's block of exact distances into rect, by _kernel.
 
-
-def _exact_block(
-    cols: np.ndarray, rect: np.ndarray, i0: int, tmp: np.ndarray, fold: np.ndarray | None = None
-) -> np.ndarray:
-    """The exact distances of rect's block, packed row-major in rect's memory.
-
-    cols is the (d, n) points, one contiguous run per coordinate; tmp's size
-    sets the rows per tile. _kernel computes a tile at a time, the rectangle
-    right of its first row's diagonal, laid where its rows' packed run starts
-    (earlier rows pack to fewer than m entries each, so it ends within rect),
-    folded into fold, when given, and packed while in cache.
+    cols is the (d, n) points, one contiguous run per coordinate, and tmp
+    is flat scratch of rect's size or more. rect[a, b] becomes the distance
+    between points i0 + a and i0 + b, the whole rectangle, its lower corner
+    of repeated pairs and the zero diagonal included.
     """
-    n, i1, written = cols.shape[1], i0 + rect.shape[0], 0
-    rows, flat = tmp.size // n, rect.reshape(-1)
-    for a0 in range(i0, i1, rows):
-        a1 = min(a0 + rows, i1)
-        tile = flat[written : written + (a1 - a0) * (n - a0)].reshape(a1 - a0, n - a0)
-        _kernel(cols[:, a0:a1], cols[:, a0:], tile, tmp[: tile.size].reshape(tile.shape))
-        if fold is not None:
-            _fold_nearest(tile, a0, fold)
-        written += _pack_upper(tile, flat[written:])
-    return flat[:written]
+    r = rect.shape[0]
+    _kernel(cols[:, i0 : i0 + r], cols[:, i0:], rect, tmp[: rect.size].reshape(rect.shape))
 
 
 def _sketch(block: np.ndarray) -> np.ndarray:
@@ -451,7 +407,7 @@ def _dispersion_slack(variance: float, mean: float, spread: float, count: float,
 
     Both paths take count = N = n^2 entries, the zero diagonal and each
     pair twice, in the same B blocks, each a sum of at most K = min(rows, n)
-    n terms (a product block sums its whole rectangle, the corner's zeros
+    n terms (each path sums a block's whole rectangle, the corner's zeros
     included), with terms = K + B, and share S2, _second_moment's bits.
     Each computes its mean m = 2 sum_b (sum of block b) / N, the variance
     S2 - m^2 and the dispersion, its root; sigma is 0 where the sum is. The
@@ -524,26 +480,22 @@ def _interval(sigma: float, slack: float) -> tuple[float, float]:
 
 
 def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry:
-    """Return the dispersion, its slack, the skip floor and, for a small
-    input, the packed distances.
+    """Return the dispersion, its slack and the skip floor, and on the product
+    geometry the sketch.
 
     The dispersion is the population standard deviation of all n*n pairwise
     distances. The spread is taken over the whole matrix, zero diagonal
     included; it doubles as the affinity bandwidth. Each off-diagonal
-    distance counts twice. On every path it is sqrt(max(S2 - m^2, 0)): S2
-    is _second_moment's mean squared distance, taken before any block
-    buffer or packed triangle is allocated, so that those can take the
-    pages its temporary frees, and m = 2 sum_b (sum of block b) / n^2, the
-    blocks' sums added in block order, whatever the worker count. It is
-    0.0 where that sum is 0, every distance being 0. Each worker folds its
-    blocks' row and column minima into its own n floats (plus n of
-    scratch), and those are min-folded once all blocks are done.
+    distance counts twice. On both geometries it is sqrt(max(S2 - m^2, 0)):
+    S2 is _second_moment's mean squared distance, taken before any block
+    buffer is allocated, so that those can take the pages its temporary
+    frees, and m = 2 sum_b (sum of block b) / n^2, the blocks' sums added in
+    block order, whatever the worker count. It is 0.0 where that sum is 0,
+    every distance being 0. Each worker folds its blocks' row and column
+    minima into its own n floats (plus n of scratch), and those are
+    min-folded once all blocks are done.
 
-    Up to _ONE_PASS_PAIRS pairs, and above it when exact is set, the
-    blocks hold the exact distances, and the dispersion is exact (slack
-    0.0): the exact geometry's dispersion is by definition this one. The
-    floor is _skip_floor of the squared nearest distances. Above it
-    otherwise, the blocks are _products' estimates X, and their sums are of
+    By default the blocks are _products' estimates X, and their sums are of
     the clipped square roots. The slack is _dispersion_slack's, and the
     floor is _skip_floor of the least X - delta of each point, which bounds
     every exact squared distance from below; the geometry also carries the
@@ -551,7 +503,10 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
     lower corner, and the largest block's delta, for _sketch_bounds. That
     raises Uncertain where the interval reaches 0 but the points are not
     all zero (the exact dispersion could be 0 or not), or where a squared
-    norm is too large to estimate.
+    norm is too large to estimate. When exact is set, the blocks hold the
+    exact distances, and the dispersion is exact (slack 0.0): the exact
+    geometry's dispersion is by definition this one. The floor is then
+    _skip_floor of the squared nearest distances.
     """
     z = normalized.values
     n, d = z.shape
@@ -560,37 +515,38 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
     rows, workers = _block_plan(n)
     folds = np.full((workers, 2, n), np.inf)
     second = _second_moment(z)
-    pairs = n * (n - 1) // 2
-    packed = sketches = estimate = None
-    if exact or pairs <= _ONE_PASS_PAIRS:
-        packed = np.empty(pairs) if pairs <= _ONE_PASS_PAIRS else None
-        cols, scratch = np.ascontiguousarray(z.T), _tile_scratch(n, workers)
+    corner = np.tri(min(rows, n), dtype=bool)
+    if exact:
+        cols, scratch = np.ascontiguousarray(z.T), np.empty((workers, min(rows, n) * n))
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
-            block = _exact_block(cols, rect, i0, scratch[t], folds[t])
-            if packed is not None:
-                packed[_row_offset(n, i0) :][: block.size] = block
-            return float(block.sum()), 0.0, 0.0
+        def fill(rect: np.ndarray, i0: int, t: int) -> float:
+            _exact_block(cols, rect, i0, scratch[t])
+            return 0.0
 
     else:
         estimate = _products(z)
         if estimate is None:
             raise Uncertain("a squared norm is too large for the product estimate")
         sketches = np.zeros((workers, _SKETCH_INNER + 1), dtype=np.int64)
-        corner = np.tri(min(rows, n), dtype=bool)
 
-        def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
-            r, m = rect.shape
-            delta = estimate(rect, i0)
-            least = _fold_nearest(rect, i0, folds[t], delta)
-            e = 2.0 * delta
-            pairs = np.arange(m - 1, m - 1 - r, -1, dtype=np.float64)  # each row's, right of (a, a)
-            spread = 2.0 * float(pairs @ (e * (e / np.maximum(least, e))))
-            np.copyto(rect[:, :r], 0.0, where=corner[:r, :r])  # repeated pairs and the diagonal
-            total = _root_sum(rect.reshape(-1), least.min() < 0.0)
-            sketches[t] += _sketch(rect.reshape(-1))
-            sketches[t, -1] -= r * (r + 1) // 2  # the corner's zeros
-            return total, spread, delta
+        def fill(rect: np.ndarray, i0: int, t: int) -> float:
+            return estimate(rect, i0)
+
+    def visit(rect: np.ndarray, i0: int, t: int) -> tuple[float, float, float]:
+        r, m = rect.shape
+        delta = fill(rect, i0, t)
+        least = _fold_nearest(rect, i0, folds[t], delta)
+        np.copyto(rect[:, :r], 0.0, where=corner[:r, :r])  # repeated pairs and the diagonal
+        block = rect.reshape(-1)
+        if exact:
+            return float(block.sum()), 0.0, 0.0
+        e = 2.0 * delta
+        pairs = np.arange(m - 1, m - 1 - r, -1, dtype=np.float64)  # each row's, right of (a, a)
+        spread = 2.0 * float(pairs @ (e * (e / np.maximum(least, e))))
+        total = _root_sum(block, least.min() < 0.0)
+        sketches[t] += _sketch(block)
+        sketches[t, -1] -= r * (r + 1) // 2  # the corner's zeros
+        return total, spread, delta
 
     blocks = _map_blocks(n, visit)  # each block's (sum, spread, delta)
     least = np.min(folds[:, 0], axis=0)
@@ -600,10 +556,11 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
     mean = 2.0 * total / count
     variance = second - mean * mean
     dispersion = math.sqrt(max(variance, 0.0)) if total else 0.0
-    slack = 0.0
-    if estimate is None:
+    if exact:
         np.multiply(least, least, out=least)  # nearest2: the squared nearest distances
-    elif z.any():  # else every estimate is exactly 0, and so is every distance
+        return Geometry(dispersion=dispersion, slack=0.0, floor=_skip_floor(least, d))
+    slack = 0.0
+    if z.any():  # else every estimate is exactly 0, and so is every distance
         spread = 0.0
         for _, b_spread, _ in blocks:
             spread += b_spread
@@ -615,9 +572,8 @@ def distance_matrix(normalized: NormalizedData, exact: bool = False) -> Geometry
         dispersion=dispersion,
         slack=slack,
         floor=_skip_floor(least, d),
-        packed=packed,
-        sketch=None if sketches is None else sketches.sum(axis=0),
-        delta=0.0 if estimate is None else max(b[2] for b in blocks),
+        sketch=sketches.sum(axis=0),
+        delta=max(b[2] for b in blocks),
     )
 
 
@@ -653,14 +609,14 @@ def select_threshold(
 def bisect_floats(holds: Callable[[np.ndarray], np.ndarray], guess: np.ndarray) -> np.ndarray:
     """The least float x >= 0 at which each of a set of tests holds.
 
-    holds(probes) judges probes[i] by test i and returns one boolean per
-    test; it may overwrite probes. Every test fails at 0.0, holds at inf and
-    changes once as x grows. The int64 bit patterns of the non-negative
-    floats order as the floats do, so each answer is bisected over them:
-    over the 2^10 patterns either side of guess[i] where the test fails at
-    the lower end of that bracket and holds at the upper, else over all of
-    [0.0, inf]. 11 halvings, or at most 63, find every answer, so a poor
-    guess costs steps, never the answer. The midpoint is
+    holds(probes) judges probes[i] by test i, i any index of guess, and
+    returns one boolean per test; it may overwrite probes. Every test fails
+    at 0.0, holds at inf and changes once as x grows. The int64 bit patterns
+    of the non-negative floats order as the floats do, so each answer is
+    bisected over them: over the 2^10 patterns either side of guess[i] where
+    the test fails at the lower end of that bracket and holds at the upper,
+    else over all of [0.0, inf]. 11 halvings, or at most 63, find every
+    answer, so a poor guess costs steps, never the answer. The midpoint is
     lo + (hi - lo) // 2, because lo + hi overflows int64 near inf's pattern.
     A probe may overflow to inf or meet it, so those warnings are off while
     the tests run.
@@ -686,8 +642,8 @@ def _affinities(gap2: np.ndarray, dispersion: float) -> np.ndarray:
     return np.exp(gap2, out=gap2)
 
 
-def affinity_cuts(dispersion: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every cut an affinity model compares with at this dispersion, by one bisect_floats.
+def affinity_cuts(dispersion: float | tuple[float, ...], bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every cut an affinity model compares with, at a dispersion or at each of several.
 
     With A = _affinities, each cut is the least float probe p >= 0 at
     which fl(A(p) * s) <= c:
@@ -708,19 +664,26 @@ def affinity_cuts(dispersion: float, bins: int) -> tuple[np.ndarray, np.ndarray]
     at most the largest float. The edges do not rise with m, and no cut
     falls as the dispersion grows (a correctly rounded quotient is monotone
     in its divisor).
+
+    One bisect_floats finds them all. Given a sequence of dispersions, such
+    as a model's two interval ends, edges and bars gain a leading axis, one
+    row per dispersion. Each row's tests divide by -2 sigma of its own
+    dispersion, elementwise, so its cuts are the bits a call at that
+    dispersion alone gives.
     """
-    m, t, two_sigma = np.arange(1.0, bins), (np.arange(bins) + 0.5) / bins, 2.0 * dispersion
+    sigma = np.asarray(dispersion, dtype=np.float64)[..., None]
+    m, t, two_sigma = np.arange(1.0, bins), (np.arange(bins) + 0.5) / bins, 2.0 * sigma
     scale, cuts = np.repeat([float(bins), 1.0], [bins - 1, bins]), np.concatenate([m, t])
     # where exp(-d^2 / 2 sigma) * bins = m, and where exp(-gap2 / 2 sigma) = t
-    guess = np.concatenate([np.sqrt(two_sigma * np.log(bins / m)), two_sigma * -np.log(t)])
+    guess = np.concatenate([np.sqrt(two_sigma * np.log(bins / m)), two_sigma * -np.log(t)], axis=-1)
 
     def holds(probes: np.ndarray) -> np.ndarray:
-        distances = probes[: bins - 1]
+        distances = probes[..., : bins - 1]
         np.multiply(distances, distances, out=distances)
-        return _affinities(probes, dispersion) * scale <= cuts
+        return _affinities(probes, sigma) * scale <= cuts
 
     found = bisect_floats(holds, guess)
-    return found[: bins - 1], found[bins - 1 :]
+    return found[..., : bins - 1], found[..., bins - 1 :]
 
 
 def _skip_floor(least2: np.ndarray, d: int) -> np.ndarray:
@@ -766,13 +729,6 @@ def _bands(d: int, high_edges: np.ndarray, low_edges: np.ndarray) -> tuple[np.nd
         return hi, (below * below - tiny) * (1.0 - 4.0 * g)
 
 
-def _sketch_ends() -> tuple[np.ndarray, np.ndarray]:
-    """_sketch_bounds' x0 and x1 of each inner bucket: its pairs have x0 <= X+ < x1."""
-    y = ((np.arange(_SKETCH_INNER + 1) + _SKETCH_FIRST) << _SKETCH_SHIFT).view(np.float64)
-    x = y * y  # exact: y has 8 significant bits
-    return np.nextafter(np.nextafter(x[:-1], 0.0), 0.0), x[1:]
-
-
 def _sketch_bounds(
     sketch: np.ndarray, delta: float, bands: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -793,7 +749,7 @@ def _sketch_bounds(
     """
     bins = bands[0].size + 1
     hi, lo = (bands[0] + delta)[::-1], (bands[1] - delta)[::-1]  # ascending
-    x0, x1 = _sketch_ends()
+    x0, x1 = _SKETCH_ENDS
     first = np.ones(sketch.size, dtype=np.int64)  # the least bin each bucket may hold
     last = np.full(sketch.size, bins, dtype=np.int64)  # and the largest
     first[:-1] += bins - 1 - np.searchsorted(lo, x1, side="left")
@@ -885,7 +841,7 @@ def _screened_counts(
     delta. An edge whose square overflows
     lies beyond every X. The lower r x r corner of a block's rectangle, its
     pairs below the diagonal and each point with itself, is set to -inf,
-    below every lo_m.
+    below every lo_m and every edge, in estimates and exact distances alike.
 
     On an interval, E comes from the edges at its high end and P from those
     at its low end. The edges do not fall as the dispersion grows, so a
@@ -896,7 +852,7 @@ def _screened_counts(
     counted against the edges on an exact geometry, and raises Uncertain on
     an interval; so do all blocks where _products cannot estimate. Each
     worker has a mask of as many booleans as its block buffer and, on an
-    exact geometry, a _tile_scratch, both allocated here.
+    exact geometry, as many floats of kernel scratch, both allocated here.
     """
     n, d = z.shape
     estimate = _products(z)
@@ -907,7 +863,7 @@ def _screened_counts(
     masks = np.empty((workers, min(rows, n) * n), dtype=bool)
     lower = np.tri(min(rows, n), dtype=bool)
     if edges is not None:
-        cols, scratch = np.ascontiguousarray(z.T), _tile_scratch(n, workers)
+        cols, scratch = np.ascontiguousarray(z.T), np.empty(masks.shape)
 
     def visit(rect: np.ndarray, i0: int, t: int) -> np.ndarray:
         r = rect.shape[0]
@@ -919,7 +875,9 @@ def _screened_counts(
                 return at_least
             if edges is None:
                 raise Uncertain("a pair lies within its bin edge's band")
-        return _at_least(_exact_block(cols, rect, i0, scratch[t]), masks[t], edges)
+        _exact_block(cols, rect, i0, scratch[t])
+        np.copyto(rect[:, :r], -np.inf, where=lower[:r, :r])
+        return _at_least(rect, masks[t], edges)
 
     return sum(_map_blocks(n, visit))
 
@@ -937,14 +895,13 @@ def build_affinity_model(
     for both tight and diffuse data. Each pair of the upper triangle is
     counted twice; the n self-affinities of exactly 1 go to the top bin.
 
-    affinity_cuts runs once at each end of the dispersion interval (once
-    when it is a point) and gives every cut the model compares with: the
-    edges, whose _bands the sketch and the screen share, and the bars. A
-    geometry with a sketch (the product geometry) first bounds the counts by
-    _sketch_bounds; where select_threshold names the bin from those bounds,
-    the model keeps them. Otherwise the counts are exact: _at_least counts
-    a packed triangle against the edges in cache-sized tiles, and
-    _screened_counts any other geometry, or raises Uncertain. timings, when
+    One affinity_cuts call bisects the cuts at both ends of the dispersion
+    interval (at its one end when it is a point) and gives every cut the
+    model compares with: the edges, whose _bands the sketch and the screen
+    share, and the bars. A geometry with a sketch (the product geometry)
+    first bounds the counts by _sketch_bounds; where select_threshold names
+    the bin from those bounds, the model keeps them. Otherwise
+    _screened_counts counts them exactly, or raises Uncertain. timings, when
     given, gets the screen's wall time in seconds under "screen" when a
     sketch left the bin open. The model keeps the threshold bin's bar at
     both ends of the interval and the geometry's skip floor.
@@ -960,9 +917,8 @@ def build_affinity_model(
     z = normalized.values
     n, d = z.shape
     low, high = _interval(dispersion, geometry.slack)
-    low_edges, low_bars = affinity_cuts(low, bins)
-    high_edges, high_bars = (low_edges, low_bars) if high == low else affinity_cuts(high, bins)
-    bands = _bands(d, high_edges, low_edges)
+    edges, bars = affinity_cuts((low,) if high == low else (low, high), bins)
+    bands = _bands(d, edges[-1], edges[0])
 
     def histogram(counts: np.ndarray) -> np.ndarray:
         doubled = 2 * counts
@@ -975,15 +931,7 @@ def build_affinity_model(
         picked = select_threshold(lower, upper)
     if picked is None:
         started = time.perf_counter()
-        packed = geometry.packed
-        if packed is None:
-            at_least = _screened_counts(z, bands, low_edges if high == low else None)
-        else:
-            mask = np.empty(min(packed.size, _TILE_ENTRIES), dtype=bool)
-            at_least = sum(
-                _at_least(packed[c : c + mask.size], mask, low_edges)
-                for c in range(0, packed.size, mask.size)
-            )
+        at_least = _screened_counts(z, bands, edges[0] if high == low else None)
         lower = upper = histogram(np.diff(at_least, prepend=0, append=n * (n - 1) // 2))
         picked = select_threshold(lower)
         if geometry.sketch is not None and timings is not None:
@@ -993,6 +941,6 @@ def build_affinity_model(
         histogram=(lower, upper),
         threshold=threshold,
         threshold_bin=threshold_bin,
-        bar=(float(low_bars[threshold_bin - 1]), float(high_bars[threshold_bin - 1])),
+        bar=(float(bars[0, threshold_bin - 1]), float(bars[-1, threshold_bin - 1])),
         floor=geometry.floor,
     )

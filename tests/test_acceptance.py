@@ -41,7 +41,7 @@ from affclust.preprocess import (
     distance_matrix,
     normalize,
 )
-from test_preprocess import affinity_histogram
+from test_preprocess import affinity_histogram, assert_bounds_hold
 
 MANIFEST_PATH = Path(__file__).resolve().parents[1] / "data" / "reference_corpus.ini"
 SKIP = "corpus file not available; criterion replaced by the synthetic suite (criterion 5)"
@@ -342,7 +342,7 @@ def test_criterion_6e_preprocess_invariants_on_random_data():
             assert np.abs(norm.values[:, live].mean(axis=0)).max() < 1e-9
         assert not norm.values[:, ~live].any()
 
-        geometry = distance_matrix(norm)
+        geometry = distance_matrix(norm, exact=True)
         dispersion = geometry.dispersion
         dense = cdist(norm.values, norm.values)
         assert dense.min() >= 0.0
@@ -364,6 +364,7 @@ def test_criterion_6e_preprocess_invariants_on_random_data():
         assert 1 <= model.threshold_bin <= 9
         assert abs(model.threshold - (model.threshold_bin - 0.5) / 10) < 1e-15
         assert 0.0 < model.threshold < 1.0
+        assert_bounds_hold(build_affinity_model(norm, distance_matrix(norm), bins=10), lower)
 
 
 # ---------------------------------------------------------------------------

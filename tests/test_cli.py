@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end via subprocess."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from affclust import cli, preprocess
+from affclust import cli
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from affclust.evaluate import pair_counts
 from affclust.pipeline import run_pipeline
@@ -288,9 +289,14 @@ def test_histogram_counts_sum_to_n_squared(files):
     assert payload["bins"] == 12
     assert sum(payload["counts"]) == payload["n"] ** 2
     norm = normalize(files.dataset)
-    model = build_affinity_model(norm, distance_matrix(norm), bins=12)
+    geometry = distance_matrix(norm)
+    model = build_affinity_model(norm, dataclasses.replace(geometry, sketch=None), bins=12)
     lower, upper = model.histogram
     assert np.array_equal(lower, upper)
+    exact = build_affinity_model(norm, distance_matrix(norm, exact=True), bins=12)
+    assert np.array_equal(lower, exact.histogram[0])
+    bounds = build_affinity_model(norm, geometry, bins=12).histogram
+    assert (bounds[0] <= lower).all() and (lower <= bounds[1]).all()
     assert payload["counts"] == [int(c) for c in lower]
     assert payload["threshold"] == round(model.threshold, 6)
     assert payload["threshold_bin"] == model.threshold_bin
@@ -301,7 +307,6 @@ def test_histogram_builds_one_model_and_leaves_the_geometry_alone(files, monkeyp
     """On the product geometry the command builds one model, from a copy of
     the geometry with its sketch set aside, and reports the exact counts;
     the geometry distance_matrix returned keeps its sketch."""
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     geometries, built = [], []
 
     def recorded(norm, exact=False):

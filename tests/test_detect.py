@@ -374,8 +374,11 @@ def grid_points(draw):
 @settings(max_examples=60, deadline=None)
 @given(grid_points())
 def test_windowed_scan_matches_naive_reference_on_grids(pts):
+    """On the exact geometry, which a run falls back to wherever the
+    product geometry cannot decide: two identical grid points off the
+    origin put its dispersion interval at 0, and exact ties its joins."""
     norm = NormalizedData(pts, np.zeros(pts.shape[1]), np.ones(pts.shape[1]))
-    geometry = distance_matrix(norm)
+    geometry = distance_matrix(norm, exact=True)
     assume(geometry.dispersion > 0)
     model = build_affinity_model(norm, geometry)
     got = find_clusters(norm, model)
@@ -430,14 +433,12 @@ def test_moves_match_the_oracle_on_the_corpus_shapes(i):
 
 
 @pytest.mark.parametrize("i", range(24))
-def test_product_models_move_as_the_exact_ones_on_the_corpus_shapes(i, monkeypatch):
-    """Each set streamed (the one-pass cap at 0): the product geometry's
-    count bounds hold the exact geometry's histogram, its model has the
-    exact model's threshold, its bar interval holds the exact g*, and its
-    sweep makes the oracle's moves on the exact model, at 10 bins and every
-    budget share and, for the swept sets, at every bin count corpus-cli
-    sweeps."""
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+def test_product_models_move_as_the_exact_ones_on_the_corpus_shapes(i):
+    """Each set on both geometries: the product geometry's count bounds hold
+    the exact geometry's histogram, its model has the exact model's
+    threshold, its bar interval holds the exact g*, and its sweep makes the
+    oracle's moves on the exact model, at 10 bins and every budget share
+    and, for the swept sets, at every bin count corpus-cli sweeps."""
     norm = normalize(generate_synthetic(corpus_shape(i)))
     product, exact = distance_matrix(norm), distance_matrix(norm, exact=True)
     assert product.slack > 0.0 == exact.slack
@@ -720,11 +721,16 @@ def test_affinity_bar_at_the_threshold_extremes(two_sigma, picked):
 
 
 def test_model_bar_is_the_serial_bar_on_the_reference_seeds():
+    """On the exact geometry the bar is the serial bar of the exact
+    dispersion; the product model's bar interval holds it."""
     for seed in range(30):
-        norm, model = prepared(interesting_points(seed))
-        two_sigma = 2.0 * distance_matrix(norm).dispersion
-        bar = serial_affinity_bar(two_sigma, model.threshold)
+        norm, product = prepared(interesting_points(seed))
+        geometry = distance_matrix(norm, exact=True)
+        model = build_affinity_model(norm, geometry)
+        bar = serial_affinity_bar(2.0 * geometry.dispersion, model.threshold)
         assert model.bar == (bar, bar)
+        assert model.threshold == product.threshold
+        assert product.bar[0] <= bar <= product.bar[1]
 
 
 def test_scan_reads_only_the_bar_and_floor_of_the_model():

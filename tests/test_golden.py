@@ -7,11 +7,11 @@ blocks; `bench` and `sweep-bins` over the bundled synthetic corpus; and
 `cluster` on two degenerate inputs, identical points and a set where every
 point is an outlier, `histogram` on the identical points and `evaluate`
 (both outlier policies) on the all-outlier set, which exit 3 but still
-report. Every report is checked three times: with the distances computed
-once by the numpy kernel (every input here is below the one-pass cap);
-streamed, with the cap forced to 0, from the product geometry, which must
-decide every count and join on these inputs; and with the product geometry
-forced to fall back (its slack made infinite), from the exact geometry.
+report. Every report is checked three times: from the product geometry,
+which must decide every count and join on these inputs; from the same
+geometry with its sketch set aside, so that the screen counts every
+histogram exactly; and with the product geometry forced to fall back (its
+slack made infinite), from the exact geometry.
 Any change to the reports shows up here; a deliberate one is made by
 rewriting the files with `write_goldens()` from the repository root and
 recording why in CHANGES.md:
@@ -20,6 +20,7 @@ recording why in CHANGES.md:
 import test_golden; test_golden.write_goldens()"
 """
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affclust import preprocess
+from affclust import pipeline, preprocess
 from affclust.cli import main
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from affclust.evaluate import OUTLIER_POLICIES
@@ -135,17 +136,24 @@ def test_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(("case", "command", "fmt"), REPORT_PARAMS)
 def test_streamed_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch):
-    """The same bytes when every input takes the streamed product path."""
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    """The same bytes when every run's geometry comes without its sketch, as
+    the histogram command's does: every model whose bin the sketch would
+    name counts its histogram exactly, by the screen, instead."""
+    distances = pipeline.distance_matrix
+
+    def sketchless(norm, exact=False):
+        return dataclasses.replace(distances(norm, exact=exact), sketch=None)
+
+    monkeypatch.setattr(pipeline, "distance_matrix", sketchless)
     test_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize(("case", "command", "fmt"), REPORT_PARAMS)
 def test_fallback_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch):
-    """The same bytes when every streamed run falls back to the exact
-    geometry: an infinite slack leaves the product geometry deciding
-    nothing. Only identical points, whose estimates are exactly 0, take no
-    slack and need no fallback."""
+    """The same bytes when every run falls back to the exact geometry: an
+    infinite slack leaves the product geometry deciding nothing. Only
+    identical points, whose estimates are exactly 0, take no slack and need
+    no fallback."""
     attempts = []
 
     def infinite(*args):
@@ -153,5 +161,5 @@ def test_fallback_report_matches_golden_bytes(case, command, fmt, tmp_path, monk
         return math.inf
 
     monkeypatch.setattr(preprocess, "_dispersion_slack", infinite)
-    test_streamed_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch)
+    test_report_matches_golden_bytes(case, command, fmt, tmp_path, monkeypatch)
     assert bool(attempts) == (case != "identical")

@@ -7,8 +7,6 @@ comparison is array_equal on the int64 views, so a 0.0 against a -0.0 or
 one NaN payload against another would fail too.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -58,25 +56,39 @@ def test_kernel_matches_cdist_on_identical_rows_and_constant_columns():
     z[:, 4] = 3.5
     z[10:20] = z[0]
     assert same_bits(pairwise_distances(z, z), cdist(z, z))
-    geometry = distance_matrix(NormalizedData(z, z.mean(0), z.std(0)))
-    assert same_bits(geometry.packed, upper(cdist(z, z)))
+    geometry = distance_matrix(NormalizedData(z, z.mean(0), z.std(0)), exact=True)
     assert (geometry.floor[10:20] < 0.0).all()  # nearest2 is 0.0, less the floor's slack
 
 
-@pytest.mark.parametrize("tile_entries", [1, 64, 1 << 12, preprocess._TILE_ENTRIES, 1 << 20])
+def exact_blocks(norm):
+    """The exact geometry of norm, and the strict upper triangle of each
+    rectangle _exact_block writes, packed row-major, keyed by its first row."""
+    exact, blocks = preprocess._exact_block, {}
+
+    def spy(cols, rect, i0, tmp):
+        exact(cols, rect, i0, tmp)
+        blocks[i0] = rect[np.arange(rect.shape[0])[:, None] < np.arange(rect.shape[1])]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preprocess, "_exact_block", spy)
+        geometry = distance_matrix(norm, exact=True)
+    return geometry, [blocks[i0] for i0 in sorted(blocks)]
+
+
+@pytest.mark.parametrize("block_entries", [1, 64, 1 << 12, 1 << 15, 1 << 20])
 @pytest.mark.parametrize(("n", "d"), [(2, 1), (5, 3), (90, 2), (300, 17), (700, 64)])
-def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, tile_entries, n, d):
-    """Tiles of one row, several rows, and one tile wider than a whole block
-    all give cdist's distances. On the one-pass path they pack cdist's upper
-    triangle. Above the cap, in blocks of a few rows on one worker and on
-    two, the exact geometry packs each block in place: its dispersion is
-    the fold of cdist's blocks, and so is the screen's histogram when every
-    block is computed exactly (_products estimating none). Every path folds
-    the same nearest distances into the skip floor."""
+def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, block_entries, n, d):
+    """_kernel's tile is the exact visit's whole block. Blocks of one row,
+    several rows, and one block holding the whole triangle, on one worker
+    and on two, all give cdist's distances: the strict upper triangles of
+    the rectangles _exact_block writes, packed row-major in block order,
+    are cdist's upper triangle. The dispersion is the fold of cdist's
+    blocks, and so is the screen's histogram when every block is computed
+    exactly (_products estimating none). Every worker count folds the same
+    nearest distances into the skip floor."""
     from test_preprocess import serial_blocks, serial_dispersion, serial_histogram
 
-    monkeypatch.setattr(preprocess, "_TILE_ENTRIES", tile_entries)
-    monkeypatch.setattr(preprocess, "_STREAMED_TILE_ENTRIES", tile_entries)
+    monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
     monkeypatch.setattr(preprocess, "_products", lambda z: None)
     z = np.random.default_rng(n * d).normal(size=(n, d))
     norm = NormalizedData(z, z.mean(0), z.std(0))
@@ -84,19 +96,14 @@ def test_packed_triangle_matches_cdist_at_any_tile_width(monkeypatch, tile_entri
     packed = upper(dense)
     np.fill_diagonal(dense, np.inf)
     nearest = dense.min(axis=1)
-    for workers in (None, 1, 2):  # None: the one-pass path
-        if workers is not None:
-            monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
-            monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
-            monkeypatch.setattr(preprocess, "_available_cores", lambda: workers)
-        geometry = distance_matrix(norm, exact=workers is not None)
-        assert (geometry.packed is None) == (workers is not None)
-        if workers is None:
-            assert same_bits(geometry.packed, packed)
-        sigma = serial_dispersion(z, serial_blocks(z))
+    sigma = serial_dispersion(z, serial_blocks(z))
+    for workers in (1, 2):
+        monkeypatch.setattr(preprocess, "_available_cores", lambda: workers)
+        geometry, blocks = exact_blocks(norm)
+        assert same_bits(np.concatenate(blocks), packed)
         assert geometry.dispersion == sigma and geometry.slack == 0.0, workers
         assert same_bits(geometry.floor, preprocess._skip_floor(nearest * nearest, d))
-        screened = build_affinity_model(norm, dataclasses.replace(geometry, packed=None), 10)
+        screened = build_affinity_model(norm, geometry, 10)
         assert np.array_equal(screened.histogram[0], serial_histogram(n, serial_blocks(z), sigma, 10))
 
 

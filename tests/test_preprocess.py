@@ -1,22 +1,21 @@
 """Preprocess stage: z-scores, distance dispersion, affinity histogram, threshold.
 
-Production never holds an n x n matrix. Up to preprocess._ONE_PASS_PAIRS
-pairs it computes each distance once with its own kernel and keeps the
-packed triangle. Above that it streams blocks spread over worker threads:
-on the product path it estimates the dispersion from matrix products with
-a certified slack, bounds each bin's count from a sketch of the estimates,
-and where those bounds cannot name the threshold bin counts the histogram
-with a screen that raises Uncertain where the slack leaves a count open.
-A model's histogram is a (lower, upper) pair, one array twice where the
-counts are exact (`exact_counts`); on the product path the oracle must lie
-between them (`assert_bounds_hold`). On the exact path, the fallback, it
-computes the distances by its kernel, block by block, and counts only the
-screen's uncertain blocks exactly. `each_path` runs a test body on all
-three paths.
+Production never holds an n x n matrix. It streams blocks spread over
+worker threads (one block, or a few, on the calling thread): on the
+product path, every run's first, it estimates the dispersion from matrix
+products with a certified slack, bounds each bin's count from a sketch of
+the estimates, and where those bounds cannot name the threshold bin counts
+the histogram with a screen that raises Uncertain where the slack leaves a
+count open. A model's histogram is a (lower, upper) pair, one array twice
+where the counts are exact (`exact_counts`); on the product path the
+oracle must lie between them (`assert_bounds_hold`). On the exact path,
+the fallback, it computes the distances by its kernel, block by block, and
+counts only the screen's uncertain blocks exactly; `exact_model_of` builds
+a model there. `PATHS` names both paths for tests that run on each.
 The dense matrices these tests compare against are built here, by
 `dense_distances` and `dense_affinities`, and so is the serial
 one-block-at-a-time stream (`serial_blocks`, `serial_dispersion`,
-`serial_histogram`) whose bits the exact paths must reproduce, and whose
+`serial_histogram`) whose bits the exact path must reproduce, and whose
 dispersion the product path's interval must hold. `affinity_histogram`,
 the binning production once used, is the histogram oracle, and
 `affinity_bins` and `affinity_bar` bin a pair and find g* through exp one
@@ -151,6 +150,11 @@ def model_of(norm, bins=10):
     return build_affinity_model(norm, distance_matrix(norm), bins)
 
 
+def exact_model_of(norm, bins=10):
+    """The affinity model over norm's exact geometry, whose counts are exact."""
+    return build_affinity_model(norm, distance_matrix(norm, exact=True), bins)
+
+
 def exact_counts(model):
     """The model's histogram where it must be exact: its two bounds are equal."""
     lower, upper = model.histogram
@@ -166,16 +170,8 @@ def assert_bounds_hold(model, expect):
     assert (model.threshold, model.threshold_bin) == select_threshold(expect)
 
 
-ONE_PASS_PAIRS = preprocess._ONE_PASS_PAIRS
-
-
-def each_path(monkeypatch):
-    """Yield "one-pass" with the distances computed in one pass by the kernel
-    (the default cap), then, with the cap at 0, "exact" for them streamed by
-    the kernel and "product" for the product estimates."""
-    for path, cap in (("one-pass", ONE_PASS_PAIRS), ("exact", 0), ("product", 0)):
-        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", cap)
-        yield path
+# The exact distances by the kernel, and the product estimates.
+PATHS = ("exact", "product")
 
 
 def holds(geometry, sigma):
@@ -202,26 +198,19 @@ def strict_upper(flat, n):
 def folded_blocks(z, exact=False):
     """z's geometry and the row blocks its distance pass reduces, in block order.
 
-    A spy copies each block the pass reduces: the packed distances the
-    exact visit takes from _exact_block on the exact paths, and the strict
-    upper triangle of the square roots _root_sum leaves in the product
-    path's rectangle. Under 2 or 3 workers the blocks arrive out of order,
-    so each is keyed by its first row i0, which its size gives: a packed
-    block of r rows from row i0 holds r (n - i0) - r (r + 1) / 2 pairs, and
-    a rectangle r (n - i0) entries, counts that fall as i0 grows.
+    A spy copies the strict upper triangle of each block's rectangle: the
+    exact distances _exact_block writes on the exact path, and the square
+    roots _root_sum leaves on the product path. Under 2 or 3 workers the
+    blocks arrive out of order, so each is keyed by its first row i0, which
+    its rectangle's size gives.
     """
     n = z.shape[0]
-    rows = max(1, preprocess._BLOCK_ENTRIES // n)
-    first_row = {}
-    for i0 in range(0, n - 1, rows):
-        r = min(rows, n - i0)
-        first_row[r * (n - i0) - r * (r + 1) // 2] = i0
     distances, roots, blocks = preprocess._exact_block, preprocess._root_sum, {}
 
-    def exact_spy(*args):
-        block = distances(*args)
-        blocks[first_row[block.size]] = block.copy()
-        return block
+    def exact_spy(cols, rect, i0, tmp):
+        distances(cols, rect, i0, tmp)
+        upper, first = strict_upper(rect.reshape(-1), n)
+        blocks[first] = upper
 
     def roots_spy(block, clip):
         total = roots(block, clip)
@@ -233,36 +222,43 @@ def folded_blocks(z, exact=False):
         patch.setattr(preprocess, "_exact_block", exact_spy)
         patch.setattr(preprocess, "_root_sum", roots_spy)
         geometry = distance_matrix(nd(z), exact=exact)
-    assert sorted(blocks) == sorted(first_row.values())
+    assert sorted(blocks) == sorted(rectangles(n).values())
     return geometry, [blocks[i0] for i0 in sorted(blocks)]
 
 
 def streamed_upper(z):
-    """Every distance the exact streamed path's blocks hold, concatenated in block order."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
-        return np.concatenate(folded_blocks(z, exact=True)[1])
+    """Every distance the exact path's blocks hold, concatenated in block order."""
+    return np.concatenate(folded_blocks(z, exact=True)[1])
 
 
 def serial_blocks(z):
-    """Reference: the upper triangle in production's row blocks, masked out of
-    one fresh cdist rectangle per block, one block at a time."""
+    """Reference: production's row blocks, one fresh cdist rectangle per
+    block, one block at a time, its lower corner (the pairs below the
+    diagonal, which repeat pairs above it, and the diagonal) set to 0."""
     n = z.shape[0]
     rows = max(1, preprocess._BLOCK_ENTRIES // n)
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n)
-        upper = np.arange(i1 - i0)[:, None] < np.arange(n - i0)
-        yield cdist(z[i0:i1], z[i0:])[upper]
+        rect = cdist(z[i0:i1], z[i0:])
+        rect[np.arange(i1 - i0)[:, None] >= np.arange(n - i0)] = 0.0
+        yield rect
+
+
+def serial_upper(z):
+    """Reference: the strict upper triangle of each of serial_blocks' rectangles."""
+    n = z.shape[0]
+    return [strict_upper(rect.reshape(-1), n)[0] for rect in serial_blocks(z)]
 
 
 def serial_dispersion(z, blocks):
     """Reference: the dispersion of z from the serial stream's blocks, by the
     closed form sqrt(max(S2 - m^2, 0)). S2 = 2 sum_i |z_i - c|^2 / n, c the
-    column mean, and m = 2 sum_b (sum of block b) / n^2, the block sums
+    column mean, and m = 2 sum_b (sum of block b) / n^2, each block's
+    rectangle summed as it is, corner zeros included, and the block sums
     added in order; 0.0 where that sum is 0."""
     n, total = z.shape[0], 0.0
     for block in blocks:
-        total += float(block.sum())
+        total += float(block.reshape(-1).sum())
     y = z - z.mean(axis=0)
     second = 2.0 * float(np.square(y).sum()) / n
     mean = 2.0 * total / (float(n) * n)
@@ -270,9 +266,10 @@ def serial_dispersion(z, blocks):
 
 
 def serial_histogram(n, blocks, dispersion, bins):
-    """Reference: the serial stream's affinities binned block by block."""
+    """Reference: the affinities of the strict upper triangle of each of the
+    serial stream's rectangles, binned block by block."""
     histogram = affinity_histogram(np.ones(n), bins)
-    for block in map(np.copy, blocks):
+    for block in (strict_upper(rect.reshape(-1), n)[0] for rect in blocks):
         np.multiply(block, block, out=block)
         np.divide(block, -2.0 * dispersion, out=block)
         np.exp(block, out=block)
@@ -354,17 +351,16 @@ def test_normalized_columns_recompute_to_zero_mean_unit_spread():
 def test_three_four_five_triangle_distance():
     norm = nd([[0.0, 0.0], [3.0, 4.0]])
     assert streamed_upper(norm.values).tolist() == pytest.approx([5.0], abs=1e-12)
-    geometry = distance_matrix(norm)
-    assert geometry.packed.tolist() == pytest.approx([5.0], abs=1e-12)
-    assert geometry.dispersion == pytest.approx(2.5, abs=1e-12)  # std of [0, 5, 5, 0]
+    for exact in (True, False):
+        geometry = distance_matrix(norm, exact=exact)
+        assert geometry.dispersion == pytest.approx(2.5, abs=1e-12)  # std of [0, 5, 5, 0]
 
 
 def test_distance_matrix_matches_double_loop_oracle():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(5, 2))
     expect = [math.sqrt(((z[i] - z[j]) ** 2).sum()) for i in range(5) for j in range(i + 1, 5)]
-    for got in (streamed_upper(z), distance_matrix(nd(z)).packed):
-        assert np.abs(got - expect).max() < 1e-12
+    assert np.abs(streamed_upper(z) - expect).max() < 1e-12
 
 
 def test_distance_diagonal_zero_and_symmetric():
@@ -374,7 +370,6 @@ def test_distance_diagonal_zero_and_symmetric():
     assert np.array_equal(np.diag(dist), np.zeros(9))
     assert np.array_equal(dist, dist.T)
     assert np.array_equal(streamed_upper(z), dist[np.triu_indices(9, 1)])
-    assert np.array_equal(distance_matrix(nd(z)).packed, dist[np.triu_indices(9, 1)])
 
 
 def test_dispersion_is_population_std_over_all_entries():
@@ -401,17 +396,18 @@ def exact_moments(values):
 
 
 @pytest.mark.parametrize("case", ["eye-1000", "thin-shell", "uniform-500d"])
-def test_exact_dispersion_is_within_the_closed_forms_bound_of_the_exact_sd(monkeypatch, case):
+def test_exact_dispersion_is_within_the_closed_forms_bound_of_the_exact_sd(case):
     """The exact geometry's dispersion against the population SD s of the
-    dense cdist matrix D, in exact fractions, one-pass and streamed.
+    dense cdist matrix D, in exact fractions.
 
     The dispersion is fl(sqrt(max(v, 0))), v = fl(S2 - fl(m^2)), with S2
     from _second_moment and m twice the blocks' sums over N = n^2. Let
     mu = E[D] and q = E[D^2] over the N entries, so s^2 = q - mu^2, and
     u = 2^-53.
 
-    - m sums the P = n (n - 1) / 2 non-negative pairs in blocks and divides
-      once, so it is within g1 mu of mu, g1 = gamma_(P+n).
+    - m sums the P = n (n - 1) / 2 non-negative pairs in blocks, whose
+      corner zeros add exactly, and divides once, so it is within g1 mu of
+      mu, g1 = gamma_(P+n).
     - S2 = 2 A^ / n, A^ the computed sum of the n d squares of y = z - c,
       c the computed column means: within gamma_(nd+3) of 2 A / n. In
       reals 2 A / n = E[S] + 2 |T|^2 / n^2, S the exact squared
@@ -447,14 +443,12 @@ def test_exact_dispersion_is_within_the_closed_forms_bound_of_the_exact_sd(monke
     t = 2 * gamma(n) ** 2 * sum(Fraction(float(v)) ** 2 for v in np.abs(z).mean(axis=0))
     e2 = gamma(n * d + d + 9) * (q + t) + t
     g1 = gamma(n * (n - 1) // 2 + n)
-    for cap in (ONE_PASS_PAIRS, 0):
-        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", cap)
-        sigma = Fraction(distance_matrix(nd(z), exact=True).dispersion)
-        assert sigma > 0  # so |v| is at most sigma^2 (1 + 3 u)
-        m = mu * (1 + g1)  # at least m
-        bound = e2 + g1 * (2 + g1) * mu * mu + u * m * m + (2 * (1 + 3 * u) + 3) * u * sigma * sigma
-        assert bound < s2 / 10**6
-        assert abs(sigma * sigma - s2) <= bound, float(abs(sigma * sigma - s2) / s2)
+    sigma = Fraction(distance_matrix(nd(z), exact=True).dispersion)
+    assert sigma > 0  # so |v| is at most sigma^2 (1 + 3 u)
+    m = mu * (1 + g1)  # at least m
+    bound = e2 + g1 * (2 + g1) * mu * mu + u * m * m + (2 * (1 + 3 * u) + 3) * u * sigma * sigma
+    assert bound < s2 / 10**6
+    assert abs(sigma * sigma - s2) <= bound, float(abs(sigma * sigma - s2) / s2)
 
 
 def test_distance_matrix_rejects_single_point():
@@ -467,8 +461,10 @@ def test_distance_matrix_rejects_single_point():
 
 def test_zero_distance_gives_unit_affinity():
     # the far pair's affinity is exp(-50), bin 1; the two self-affinities are exactly 1
-    model = model_of(nd([[0.0], [50.0]]), bins=10)
-    assert exact_counts(model).tolist() == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+    norm = nd([[0.0], [50.0]])
+    expect = [2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+    assert exact_counts(exact_model_of(norm)).tolist() == expect
+    assert_bounds_hold(model_of(norm), np.array(expect))
 
 
 def test_distance_squared_twice_dispersion_maps_to_e_inverse():
@@ -476,7 +472,7 @@ def test_distance_squared_twice_dispersion_maps_to_e_inverse():
     d = math.sqrt(2.0 * sigma)
     bins = 10_000
     norm = nd([[0.0], [d]])
-    geometry = dataclasses.replace(distance_matrix(norm), dispersion=sigma)
+    geometry = dataclasses.replace(distance_matrix(norm, exact=True), dispersion=sigma)
     model = build_affinity_model(norm, geometry, bins=bins)
     expect = np.zeros(bins, dtype=np.int64)
     expect[math.ceil(math.exp(-1.0) * bins) - 1] = 2  # 0.36788 lands in bin 3679
@@ -486,7 +482,7 @@ def test_distance_squared_twice_dispersion_maps_to_e_inverse():
 
 def test_affinity_matches_scalar_recomputation():
     norm = normalize(random_dataset(23))
-    geometry = distance_matrix(norm)
+    geometry = distance_matrix(norm, exact=True)
     dispersion = geometry.dispersion
     dist = dense_distances(norm.values)
     n = norm.values.shape[0]
@@ -497,6 +493,7 @@ def test_affinity_matches_scalar_recomputation():
             v = math.exp(-dist[i, j] ** 2 / (2.0 * dispersion))
             expect[min(bins, max(1, math.ceil(v * bins))) - 1] += 1
     assert exact_counts(build_affinity_model(norm, geometry, bins)).tolist() == expect
+    assert_bounds_hold(model_of(norm, bins), np.array(expect))
 
 
 def test_identical_points_are_rejected_as_degenerate():
@@ -504,11 +501,10 @@ def test_identical_points_are_rejected_as_degenerate():
         model_of(normalize(ds([[4.0, 4.0]] * 5)))
 
 
-def test_identical_rows_off_the_origin_fall_back_to_the_exact_dispersion(monkeypatch):
+def test_identical_rows_off_the_origin_fall_back_to_the_exact_dispersion():
     """Identical rows that are not zero: their product estimates are rounding
     noise, so the interval reaches 0 and the product path raises Uncertain;
     the exact path finds the dispersion 0. All-zero rows estimate exactly."""
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     z = np.tile([0.1, 3.7, -2.9], (600, 1))
     with pytest.raises(Uncertain):
         distance_matrix(nd(z))
@@ -519,26 +515,27 @@ def test_identical_rows_off_the_origin_fall_back_to_the_exact_dispersion(monkeyp
 
 def test_affinity_decreases_with_distance():
     norm = normalize(random_dataset(31))
-    geometry = distance_matrix(norm)
+    geometry = distance_matrix(norm, exact=True)
     dist = dense_distances(norm.values)
     a = dense_affinities(dist, geometry.dispersion)
     iu = np.triu_indices_from(a, k=1)
     order = np.argsort(dist[iu])
     assert (np.diff(a[iu][order]) <= 1e-15).all()
     assert np.array_equal(exact_counts(build_affinity_model(norm, geometry)), affinity_histogram(a))
+    assert_bounds_hold(model_of(norm), affinity_histogram(a))
 
 
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
-def test_streamed_model_matches_dense_reference(monkeypatch, n):
-    """Several blocks and a partial last one, on every path: the dense
+def test_streamed_model_matches_dense_reference(n):
+    """Several blocks and a partial last one, on both paths: the dense
     histogram at the exact dispersion, which the product path's interval
     holds and its count bounds hold; the dense distances and dispersion on
-    the exact paths."""
+    the exact path."""
     rng = np.random.default_rng(n)
     for z in (rng.normal(size=(n, 3)), np.eye(n)):  # eye: every pair equidistant
         dist = dense_distances(z)
         sigma = serial_dispersion(z, serial_blocks(z))
-        for path in each_path(monkeypatch):
+        for path in PATHS:
             geometry, blocks = folded_blocks(z, exact=path == "exact")
             if path == "product":
                 assert holds(geometry, sigma)
@@ -558,20 +555,20 @@ def test_streamed_model_matches_dense_reference(monkeypatch, n):
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3, 513, 600, 1100])
 def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cores, block_entries):
-    """Every path, at any worker count, gives the serial stream's histograms,
+    """Both paths, at any worker count, give the serial stream's histograms,
     or on the product path count bounds that hold them and the bin they
-    select. The exact paths give its blocks and dispersion bits, and the
+    select. The exact path gives its blocks and dispersion bits, and the
     skip floor of the dense nearest-neighbour distances; the product path's
     interval holds that dispersion.
 
     At the real block size only n=1100 has more than one worker's worth of
-    pairs; 4,096-entry blocks give every n > 90 three workers and a partial
-    last block. Three workers outnumber this machine's cores when it has two,
-    and a short switch interval interleaves them often: a lost or misplaced
-    block result would break the comparison. The one-pass path runs on the
-    calling thread; it must cut the triangle into the same blocks. The
-    product path must give each block's square roots, and the dispersion,
-    slack, floor, sketch and delta bits, that it gives on one worker.
+    pairs, and the smaller inputs run on the calling thread; 4,096-entry
+    blocks give every n > 90 three workers and a partial last block. Three
+    workers outnumber this machine's cores when it has two, and a short
+    switch interval interleaves them often: a lost or misplaced block result
+    would break the comparison. The product path must give each block's
+    square roots, and the dispersion, slack, floor, sketch and delta bits,
+    that it gives on one worker.
     """
     monkeypatch.setattr(preprocess, "_available_cores", lambda: cores)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
@@ -584,7 +581,7 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
             sigma = serial_dispersion(z, expect)
             floor = preprocess._skip_floor(dense_nearest2(z), z.shape[1])
             histograms = {bins: serial_histogram(n, expect, sigma, bins) for bins in (2, 10, 30)}
-            for path in each_path(monkeypatch):
+            for path in PATHS:
                 geometry, got = folded_blocks(z, exact=path == "exact")
                 assert len(got) == len(expect)
                 if path == "product":
@@ -601,7 +598,7 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
                     assert geometry.sketch.sum() == n * (n - 1) // 2
                     assert geometry.delta.hex() == serial.delta.hex()
                 else:
-                    assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+                    assert all(np.array_equal(g, e) for g, e in zip(got, serial_upper(z)))
                     assert geometry.dispersion.hex() == sigma.hex()
                     assert np.array_equal(geometry.floor, floor)
                 for bins, histogram in histograms.items():
@@ -616,9 +613,9 @@ def test_threaded_passes_match_the_serial_stream_bit_for_bit(monkeypatch, n, cor
 
 
 @pytest.mark.parametrize("n", [3, 40, 513, 1100])
-def test_nearest2_is_the_dense_minimum_squared(monkeypatch, n):
+def test_nearest2_is_the_dense_minimum_squared(n):
     """The skip floor comes from the dense nearest2, bit for bit, on the
-    exact paths, with duplicates (nearest2 0) and one isolated point. On the
+    exact path, with duplicates (nearest2 0) and one isolated point. On the
     product path it stays below every gap2 detection computes, and within a
     few ulps of the squared distance's scale of it."""
     rng = np.random.default_rng(n)
@@ -626,7 +623,7 @@ def test_nearest2_is_the_dense_minimum_squared(monkeypatch, n):
     z[n // 2] = z[0]
     z[-1] += 100.0
     least = least_gap2(z)
-    for path in each_path(monkeypatch):
+    for path in PATHS:
         floor = distance_matrix(nd(z), exact=path == "exact").floor
         if path == "product":
             assert (floor <= least).all()
@@ -663,7 +660,6 @@ def test_the_interval_holds_the_dispersion_where_the_estimate_misses_it(monkeypa
     floor still stays below every gap2. On the thin shell the slack's
     cancellation term carries it: without it the interval would miss."""
     z = estimate_misses()[case]
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
     sigma = serial_dispersion(z, serial_blocks(z))
     if case == "thin-shell":
@@ -685,7 +681,6 @@ def test_the_slack_covers_every_mean_its_derivation_allows(monkeypatch, case):
     estimates' error on the thin shell, where the cancellation is steep."""
     if case == "thin-shell":
         z = estimate_misses()[case]
-        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
         monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
     else:
         z = normalize(noisy_64d(1)).values
@@ -712,7 +707,6 @@ def root_sums(z, clip=None):
         return roots(block, flag if clip is None else clip)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
         patch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
         patch.setattr(preprocess, "_root_sum", spy)
         geometry = distance_matrix(nd(z))
@@ -803,81 +797,80 @@ def test_workers_allocate_no_block_sized_array(monkeypatch):
 
 
 def test_exact_geometry_memory_is_the_buffers_and_the_tile_scratch(monkeypatch):
-    """Above the cap the exact geometry packs each block in place: with W
-    workers it peaks below the W block buffers, each worker's tile of kernel
-    scratch and O(n d) more, so no other block-sized array is allocated."""
+    """The exact visit's kernel computes a whole block at a time, so its tile
+    of scratch is a block: with W workers the exact geometry peaks below the
+    W block buffers, each worker's scratch and O(n d) more, so no other
+    block-sized array is allocated."""
     workers = 2
     monkeypatch.setattr(preprocess, "_available_cores", lambda: workers)
     norm = five_thousand_points()
     n, d = norm.values.shape
     rows, _ = preprocess._block_plan(n)
-    tile = max(1, preprocess._STREAMED_TILE_ENTRIES // n) * n
     peak = traced_peak(lambda: distance_matrix(norm, exact=True))
-    budget = (workers * (rows * n + tile) + 16 * n * d) * 8
+    budget = (workers * 2 * rows * n + 16 * n * d) * 8
     assert peak < budget, f"peak {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
 
 
-def cap_points():
-    """The largest input the one-pass path takes: n(n-1)/2 at most the cap."""
-    n = math.isqrt(2 * preprocess._ONE_PASS_PAIRS)
-    while n * (n - 1) // 2 > preprocess._ONE_PASS_PAIRS:
-        n -= 1
+def two_blobs(n):
     z = np.random.default_rng(8).normal(size=(n, 2))
     z[n // 2 :] += 6.0
     return nd(z)
 
 
 def test_one_pass_memory_is_the_packed_triangle_plus_one_block():
-    """At the cap, distance_matrix plus build_affinity_model peak below the
-    packed triangle, one block of scratch and O(n) more; the model does not
-    keep the triangle."""
-    norm = cap_points()
+    """The packed triangle is gone, so an input of one block, visited once
+    on the calling thread, peaks below its one block buffer and less than
+    half a block more, the one-worker budget of the product visit; the model
+    keeps no array longer than n."""
+    norm = two_blobs(512)
     n = norm.n_points
-    assert n * (n - 1) // 2 <= preprocess._ONE_PASS_PAIRS < n * (n + 1) // 2
+    assert len(rectangles(n)) == 1 and len(rectangles(n + 1)) == 2
     models = []
     peak = traced_peak(lambda: models.append(model_of(norm)))
-    budget = (n * (n - 1) // 2 + preprocess._BLOCK_ENTRIES + 64 * n) * 8
+    budget = 1.5 * preprocess._BLOCK_ENTRIES * 8
     assert peak < budget, f"peak {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
+    assert_bounds_hold(models[0], exact_counts(exact_model_of(norm)))
     for field in dataclasses.fields(models[0]):
         value = getattr(models[0], field.name)
         assert np.size(value) <= n, field.name
 
 
 def test_one_pass_path_stays_on_the_calling_thread(monkeypatch):
-    """Below the cap, with four cores on offer, neither pass starts a thread:
-    _block_plan gives the one-pass path one worker, the calling thread, and
-    the memory budget at the cap counts on it. Above the cap the same input
-    would start a pool."""
+    """With four cores on offer, neither geometry nor the model of an input
+    of at most _BLOCK_ENTRIES pairs starts a thread: _block_plan gives it
+    one worker, the calling thread. One pair more starts a pool."""
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(preprocess, "_available_cores", lambda: 4)
     monkeypatch.setattr(preprocess, "ThreadPoolExecutor", no_pool)
-    norm = cap_points()
-    geometry = distance_matrix(norm)
-    assert geometry.packed is not None
-    assert exact_counts(build_affinity_model(norm, geometry)).sum() == norm.n_points**2
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
+    norm = two_blobs(512)
+    model_of(norm)
+    assert exact_counts(exact_model_of(norm)).sum() == norm.n_points**2
+    assert 724 * 723 // 2 <= preprocess._BLOCK_ENTRIES < 725 * 724 // 2
+    distance_matrix(two_blobs(724))
+    distance_matrix(two_blobs(724), exact=True)
     with pytest.raises(AssertionError, match="thread pool"):
-        distance_matrix(norm)
+        distance_matrix(two_blobs(725))
 
 
 def test_run_result_does_not_keep_the_packed_triangle(monkeypatch):
-    """The triangle is freed once the threshold is known: by the time the
-    run returns, nothing refers to it."""
-    norm = cap_points()
-    geometries = []
+    """The geometry keeps nothing longer than n but its sketch, and by the
+    time the run returns nothing refers to the sketch; the run's result
+    keeps no array longer than n."""
+    norm = two_blobs(512)
+    sketches = []
 
     def recorded(normalized, exact=False):
         geometry = distance_matrix(normalized, exact=exact)
-        geometries.append(weakref.ref(geometry.packed))
+        sketches.append(weakref.ref(geometry.sketch))
         return geometry
 
     monkeypatch.setattr(pipeline, "distance_matrix", recorded)
-    result = run_pipeline(Dataset(points=norm.values, name="cap"))
+    result = run_pipeline(Dataset(points=norm.values, name="one-block"))
     gc.collect()
-    assert geometries[0]() is None
+    assert len(sketches) == 1 and sketches[0]() is None
     for field in dataclasses.fields(result):
         value = getattr(result, field.name)
         assert np.size(value) <= norm.n_points, field.name
@@ -929,6 +922,23 @@ def test_affinity_cuts_bars_are_the_bars_of_each_threshold(bins, dispersion):
 
 
 @pytest.mark.parametrize("bins", [2, 10, 30])
+def test_cuts_at_both_ends_in_one_call_are_each_ends_own(bins):
+    """affinity_cuts bisects both ends of a dispersion interval in one call,
+    and each end's edges and bars are the bits of a call at that end alone:
+    300 dispersions spread over 12 decades, each with a relative slack
+    between 1e-12 and 1e-3."""
+    rng = np.random.default_rng(bins)
+    for sigma in np.geomspace(1e-6, 1e6, 300) * rng.uniform(0.5, 2.0, size=300):
+        ends = preprocess._interval(float(sigma), float(sigma * 10.0 ** rng.uniform(-12.0, -3.0)))
+        edges, bars = affinity_cuts(ends, bins)
+        assert edges.shape == (2, bins - 1) and bars.shape == (2, bins)
+        for row, end in enumerate(ends):
+            alone = affinity_cuts(end, bins)
+            assert np.array_equal(edges[row].view(np.int64), alone[0].view(np.int64))
+            assert np.array_equal(bars[row].view(np.int64), alone[1].view(np.int64))
+
+
+@pytest.mark.parametrize("bins", [2, 10, 30])
 def test_bisect_floats_answers_do_not_depend_on_the_guess(bins):
     """Guesses that bracket nothing (0, a subnormal, the largest float, inf,
     nan, a negative) cost steps and change no edge."""
@@ -942,22 +952,17 @@ def test_bisect_floats_answers_do_not_depend_on_the_guess(bins):
         assert np.array_equal(got, expect)
 
 
-def screened_histogram(
-    monkeypatch, z, dispersion, bins, block_entries=1 << 12, slack=0.0, one_pass=False
-):
-    """The streamed model's histogram of z at this dispersion, and how many
-    blocks the screen left to the exact counting (a spy on _exact_block,
-    which once the geometry is built only those blocks reach). With a
-    slack, the dispersion is an interval, as on the product path, and the
-    histogram is None where the screen raises Uncertain. With one_pass, the
-    model counts the packed triangle, and no block is computed again."""
-    if not one_pass:
-        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
-        monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
+def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12, slack=0.0):
+    """The model's histogram of z at this dispersion, counted by the screen
+    in blocks of block_entries, and how many blocks the screen left to the
+    exact counting (a spy on _exact_block, which once the geometry is built
+    only those blocks reach). With a slack, the dispersion is an interval,
+    as on the product path, and the histogram is None where the screen
+    raises Uncertain."""
+    monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
     geometry = dataclasses.replace(
         distance_matrix(nd(z), exact=True), dispersion=dispersion, slack=slack
     )
-    assert (geometry.packed is not None) == one_pass
     exact, fallbacks = preprocess._exact_block, []
     with monkeypatch.context() as patch:
         patch.setattr(preprocess, "_exact_block", lambda *a: fallbacks.append(a[2]) or exact(*a))
@@ -1005,23 +1010,25 @@ def test_screen_bins_pairs_within_ulps_of_an_edge_exactly(monkeypatch, d, one_pa
     and on it: the screen cannot tell which side, so that block is counted
     exactly, and the histogram is the dense one's. An interval of the
     smallest slack around the same dispersion raises Uncertain wherever a
-    block was counted exactly, and gives the dense histogram elsewhere. On
-    the one-pass path, whose geometry is exact, the packed triangle is
-    counted against the same edges and gives the dense histogram."""
+    block was counted exactly, and gives the dense histogram elsewhere.
+    The blocks hold 2^12 entries or, with one_pass, the default plan's,
+    which makes these 300 points one block: the screen, and the exact count
+    of that block, each take one pass over the whole triangle, its
+    rectangle's lower corner holding every pair below the diagonal."""
     rng = np.random.default_rng(d)
     z = rng.normal(size=(300, d))
     dist = dense_distances(z)
+    entries = preprocess._BLOCK_ENTRIES if one_pass else 1 << 12
     fallbacks = 0
     for bins, m, (i, j) in ((10, 4, (0, 1)), (10, 9, (5, 200)), (2, 1, (7, 299)), (30, 17, (150, 151))):
         for dispersion in near_edge_dispersions(dist[i, j], bins, m).values():
-            got, used = screened_histogram(monkeypatch, z, dispersion, bins, one_pass=one_pass)
+            got, used = screened_histogram(monkeypatch, z, dispersion, bins, entries)
             expect = dense_histogram(z, dispersion, bins)
             assert np.array_equal(got, expect)
             fallbacks += used
-            if not one_pass:
-                narrow, _ = screened_histogram(monkeypatch, z, dispersion, bins, slack=5e-324)
-                assert narrow is None if used else np.array_equal(narrow, expect)
-    assert (fallbacks > 0) != one_pass
+            narrow, _ = screened_histogram(monkeypatch, z, dispersion, bins, entries, slack=5e-324)
+            assert narrow is None if used else np.array_equal(narrow, expect)
+    assert fallbacks > 0
 
 
 @pytest.mark.parametrize("width", [1e-9, 1e-6, 1e-4, 1e-2])
@@ -1087,25 +1094,23 @@ def test_screen_bins_two_identical_clusters_exactly(monkeypatch):
 @pytest.mark.parametrize(
     ("case", "seed", "stage", "models"),
     [
-        ("one-pass", 7, None, [(False, 1)]),
-        ("product", 0, None, [(True, 2)]),
-        ("sketch-open", 7, "screen", [(True, 2)]),
+        ("product", 0, None, [(True, 1)]),
+        ("sketch-open", 7, "screen", [(True, 1)]),
         ("fallback", 7, "exact", [(False, 1)]),
     ],
-    ids=["one-pass", "product", "sketch-open", "fallback"],
+    ids=["product", "sketch-open", "fallback"],
 )
 def test_exp_sees_only_the_bisection_once_per_dispersion_end(monkeypatch, case, seed, stage, models):
-    """Through run_pipeline, on the one-pass path, the product path with the
-    bin named by the sketch or left open to the screen, and the fallback
-    forced by an infinite slack: exp is applied to at most 2 bins - 1
-    values at a time, affinity_cuts' probes, never to a block of pairs, and
-    each model bisects once per end of its dispersion interval (a model is
-    listed as whether its geometry has a slack, and its bisections)."""
+    """Through run_pipeline, on the product path with the bin named by the
+    sketch or left open to the screen, and the fallback forced by an
+    infinite slack: exp is applied only to affinity_cuts' probes, never to
+    a block of pairs, 2 bins - 1 values per end of the model's dispersion
+    interval at a time, and each model bisects once, both ends in one call
+    (a model is listed as whether its geometry has a slack, and its
+    bisections)."""
     from test_detect import interesting_points
 
     bins = 10
-    if case != "one-pass":
-        monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     if case == "fallback":
         monkeypatch.setattr(preprocess, "_dispersion_slack", lambda *args: math.inf)
     affinities, bisect, build = (
@@ -1126,7 +1131,7 @@ def test_exp_sees_only_the_bisection_once_per_dispersion_end(monkeypatch, case, 
 
     monkeypatch.setattr(pipeline, "build_affinity_model", counted)
     result = run_pipeline(ds(interesting_points(seed)), bins=bins)
-    assert 0 < max(sizes) <= 2 * bins - 1
+    assert set(sizes) == {(2 * bins - 1) * (1 + slack) for slack, _ in models}
     assert built == models
     assert {"screen", "exact"} & set(result.timings_ms) == ({stage} if stage else set())
 
@@ -1204,24 +1209,21 @@ def sketch_outcomes(z, bin_counts):
 
 
 @pytest.mark.parametrize("i", range(24))
-def test_sketch_bounds_hold_the_oracle_on_the_corpus_grid(monkeypatch, i):
-    """perfbench's corpus grid, streamed, at the bin counts corpus-cli runs."""
+def test_sketch_bounds_hold_the_oracle_on_the_corpus_grid(i):
+    """perfbench's corpus grid, at the bin counts corpus-cli runs."""
     from test_detect import corpus_shape, swept_shapes
 
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     z = normalize(generate_synthetic(corpus_shape(i))).values
     sketch_outcomes(z, range(2, 31) if i in swept_shapes() else [10])
 
 
 @pytest.mark.parametrize("case", [f"blobs-k{k}" for k in range(2, 7)] + ["blobs15-d2"])
-def test_sketch_names_the_bin_on_the_streamed_golden_sets(monkeypatch, case):
-    """The golden sets, streamed, at the bin counts the golden reports use
-    (10, and 2..6 for sweep-bins): the sketch names every bin, so no
-    streamed golden report but `histogram`, which prints the counts, runs
-    the screen."""
+def test_sketch_names_the_bin_on_the_streamed_golden_sets(case):
+    """The golden sets at the bin counts the golden reports use (10, and
+    2..6 for sweep-bins): the sketch names every bin, so no golden report
+    but `histogram`, which prints the counts, runs the screen."""
     from test_golden import BLOBS15, SYNTHETIC
 
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     if case == "blobs15-d2":
         dataset, bin_counts = generate_synthetic(BLOBS15), [10]
     else:
@@ -1230,11 +1232,10 @@ def test_sketch_names_the_bin_on_the_streamed_golden_sets(monkeypatch, case):
     assert sketch_outcomes(normalize(dataset).values, bin_counts) == 0
 
 
-def test_sketch_bounds_hold_the_oracle_on_the_reference_seeds(monkeypatch):
-    """Detection's 30 reference seeds, streamed, at 2, 10 and 30 bins."""
+def test_sketch_bounds_hold_the_oracle_on_the_reference_seeds():
+    """Detection's 30 reference seeds at 2, 10 and 30 bins."""
     from test_detect import interesting_points
 
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     for seed in range(30):
         sketch_outcomes(normalize(ds(interesting_points(seed))).values, (2, 10, 30))
 
@@ -1298,7 +1299,6 @@ def test_sketch_bounds_hold_where_the_estimates_miss_the_distances(monkeypatch, 
     distances, the estimates of those pairs err by more than the edges'
     rounding bands: only the block delta keeps the oracle within the
     sketch's bounds. A bin is named only where the oracle's is that bin."""
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", 1 << 12)
     z = far_cluster(offset)
     inner = dense_distances(z[240:])[np.triu_indices(240, 1)]
@@ -1315,13 +1315,12 @@ def test_sketch_bounds_hold_where_the_estimates_miss_the_distances(monkeypatch, 
 
 
 @pytest.mark.parametrize("d", [1, 4])
-def test_estimates_outside_the_window_are_never_decided(monkeypatch, d):
+def test_estimates_outside_the_window_are_never_decided(d):
     """A pair of identical points, whose estimate is rounding noise at most
     2^-84, and pairs 2^34 apart or more, whose estimates pass 2^64, go to
     the outside bucket, which bounds no bin from below and every bin from
     above, at any dispersion; pairs 2^-20 apart land in inner buckets. The
     sketch counts each pair once, and none of the rectangles' corners."""
-    monkeypatch.setattr(preprocess, "_ONE_PASS_PAIRS", 0)
     z = np.zeros((50, d))
     z[1:25, 0] = np.ldexp(1.0, -20) * np.arange(1, 25)
     z[25:, 0] = np.ldexp(1.0, 34) * np.arange(1, 26)
@@ -1377,12 +1376,12 @@ def test_the_sketch_counts_a_negative_estimate_as_its_clip():
 def test_each_estimate_lies_within_the_ends_of_its_roots_bucket():
     """For X at, and up to three floats either side of, the square of every
     inner bucket end y, the bucket of D~ = fl(sqrt(X)) has x0 <= X < x1
-    (_sketch_ends). In exact fractions y^2 is exact, and x0 is at most y0^2
+    (_SKETCH_ENDS). In exact fractions y^2 is exact, and x0 is at most y0^2
     (1 - u)^2, below every X whose root rounds to y0 or above. x0 needs
     that margin: below some y0^2 a float's root still rounds to y0."""
     inner = preprocess._SKETCH_INNER
     y = ((np.arange(inner + 1) + preprocess._SKETCH_FIRST) << preprocess._SKETCH_SHIFT).view(np.float64)
-    x0, x1 = preprocess._sketch_ends()
+    x0, x1 = preprocess._SKETCH_ENDS
     u = Fraction(1, 2**53)
     squares = y * y
     assert all(Fraction(s) == Fraction(v) ** 2 for s, v in zip(squares.tolist(), y.tolist()))
@@ -1441,7 +1440,7 @@ def test_value_at_085_buckets_into_ninth_bin():
 
 def test_histogram_matches_brute_force_bucketing():
     norm = normalize(random_dataset(41, max_n=4))
-    geometry = distance_matrix(norm)
+    geometry = distance_matrix(norm, exact=True)
     a = dense_affinities(dense_distances(norm.values), geometry.dispersion)
     bins = 10
     expect = [0] * bins
@@ -1450,14 +1449,17 @@ def test_histogram_matches_brute_force_bucketing():
         expect[b - 1] += 1
     assert affinity_histogram(a, bins).tolist() == expect
     assert exact_counts(build_affinity_model(norm, geometry, bins)).tolist() == expect
+    assert_bounds_hold(model_of(norm, bins), np.array(expect))
 
 
 def test_histogram_counts_sum_to_n_squared():
     norm = normalize(random_dataset(43, max_n=30))
-    geometry = distance_matrix(norm)
+    geometry = distance_matrix(norm, exact=True)
     n = norm.n_points
     for bins in (2, 7, 10, 30):
-        assert exact_counts(build_affinity_model(norm, geometry, bins)).sum() == n * n
+        histogram = exact_counts(build_affinity_model(norm, geometry, bins))
+        assert histogram.sum() == n * n
+        assert_bounds_hold(model_of(norm, bins), histogram)
 
 
 def test_histogram_rejects_single_bin():
@@ -1488,8 +1490,10 @@ def test_threshold_matches_independent_difference_scan():
         rng.normal(loc=(0, 0), scale=1.0, size=(20, 2)),
         rng.normal(loc=(10, 10), scale=1.0, size=(20, 2)),
     ])
-    model = model_of(normalize(ds(pts)), bins=10)
+    norm = normalize(ds(pts))
+    model = exact_model_of(norm, bins=10)
     histogram = exact_counts(model)
+    assert_bounds_hold(model_of(norm, bins=10), histogram)
     best_k, best_jump = None, None
     for i in range(1, 10):
         jump = int(histogram[i]) - int(histogram[i - 1])
@@ -1540,11 +1544,14 @@ def test_all_negative_jumps_still_pick_a_bin():
 
 def test_model_composition_is_consistent():
     norm = normalize(random_dataset(61))
-    geometry = distance_matrix(norm)
+    geometry = distance_matrix(norm, exact=True)
     model = build_affinity_model(norm, geometry, bins=10)
     bar = affinity_bar(geometry.dispersion, model.threshold)
     assert model.bar == (bar, bar)
     histogram = exact_counts(model)
+    product = model_of(norm)
+    assert_bounds_hold(product, histogram)
+    assert product.bar[0] <= bar <= product.bar[1]
     assert histogram.size == 10
     assert histogram.sum() == norm.n_points**2
     assert model.threshold == (model.threshold_bin - 0.5) / histogram.size
@@ -1619,17 +1626,17 @@ def test_row_permutation_cannot_move_the_threshold(seed):
     rng = np.random.default_rng(seed + 1)
     perm = rng.permutation(base.n_points)
     shuffled = Dataset(points=base.points[perm], name=base.name)
-    m1 = model_of(normalize(base))
-    m2 = model_of(normalize(shuffled))
+    m1 = exact_model_of(normalize(base))
+    m2 = exact_model_of(normalize(shuffled))
     assert np.array_equal(m1.histogram, m2.histogram)
-    assert m1.threshold == m2.threshold
+    assert m1.threshold == m2.threshold == model_of(normalize(shuffled)).threshold
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_affinity_model_invariants_hold_on_random_data(seed):
     norm = normalize(random_dataset(seed))
-    geometry = distance_matrix(norm)
+    geometry = distance_matrix(norm, exact=True)
     n = norm.values.shape[0]
     model = build_affinity_model(norm, geometry, bins=10)
     a = dense_affinities(dense_distances(norm.values), geometry.dispersion)
@@ -1639,3 +1646,4 @@ def test_affinity_model_invariants_hold_on_random_data(seed):
     assert np.array_equal(exact_counts(model), affinity_histogram(a, 10))
     assert exact_counts(model).sum() == n * n
     assert 0.0 < model.threshold < 1.0
+    assert_bounds_hold(model_of(norm), affinity_histogram(a, 10))

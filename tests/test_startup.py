@@ -39,7 +39,7 @@ def test_clustering_a_small_input_loads_no_scipy():
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
-RUN_ABOVE_THE_CAP = """
+RUN_BOTH_GEOMETRIES = """
 import json, math, sys
 import numpy as np
 from affclust import preprocess
@@ -51,26 +51,24 @@ def loaded():
 
 spec = SyntheticSpec(cluster_count=3, points_per_cluster=483, dimension=2, seed=5)
 dataset = generate_synthetic(spec)
-n = dataset.n_points
-cap = preprocess._ONE_PASS_PAIRS
-preprocess._ONE_PASS_PAIRS = n * (n - 1) // 2  # this input, in one pass
-one_pass = run_pipeline(dataset)
-preprocess._ONE_PASS_PAIRS = cap
-if sys.argv[1] == "wide":  # a slack that reaches 0: the product geometry decides nothing
-    preprocess._dispersion_slack = lambda *args: math.inf
-streamed = run_pipeline(dataset)
+product = run_pipeline(dataset)
+# a slack that reaches 0: the product geometry decides nothing
+preprocess._dispersion_slack = lambda *args: math.inf
+exact = run_pipeline(dataset)
 same = all(
-    np.array_equal(getattr(one_pass, f), getattr(streamed, f))
-    for f in vars(one_pass) if f != "timings_ms"
+    np.array_equal(getattr(product, f), getattr(exact, f))
+    for f in vars(product) if f != "timings_ms"
 )
-print(json.dumps([n * (n - 1) // 2 > cap, loaded(), streamed.timings_ms, same]))
+run = product if sys.argv[1] == "product" else exact
+print(json.dumps([loaded(), run.timings_ms, same]))
 """
 
 
 def test_a_run_above_the_cap_loads_no_scipy_with_the_same_result():
-    """The product geometry decides every count and join on this input."""
-    above, scipy, timings, same = json.loads(python("-c", RUN_ABOVE_THE_CAP, "product").stdout)
-    assert above
+    """A run of 1,449 points, several blocks on the worker threads: the
+    product geometry decides every count and join, with the result of a
+    run forced onto the exact geometry."""
+    scipy, timings, same = json.loads(python("-c", RUN_BOTH_GEOMETRIES, "product").stdout)
     assert not scipy
     assert list(timings) == ["normalize", "distances", "affinity", "detect", "merge"]
     assert same
@@ -78,11 +76,10 @@ def test_a_run_above_the_cap_loads_no_scipy_with_the_same_result():
 
 def test_a_forced_fallback_loads_no_scipy_with_the_same_result():
     """With the slack forced wide, the run reruns from the exact geometry,
-    whose distances _kernel computes. The product geometry raised before
-    its distances stage ended; the rerun's stages are timed under their own
-    keys, within "exact"."""
-    above, scipy, timings, same = json.loads(python("-c", RUN_ABOVE_THE_CAP, "wide").stdout)
-    assert above
+    whose distances _kernel computes, and gives the product run's result.
+    The product geometry raised before its distances stage ended; the
+    rerun's stages are timed under their own keys, within "exact"."""
+    scipy, timings, same = json.loads(python("-c", RUN_BOTH_GEOMETRIES, "wide").stdout)
     assert not scipy
     rerun = ["exact_distances", "exact_affinity", "exact_detect"]
     assert list(timings) == ["normalize", "exact", *rerun, "merge"]
