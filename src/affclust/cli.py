@@ -312,14 +312,17 @@ def cmd_histogram(args) -> int:
     def model_of(exact: bool):
         """The affinity model with exact counts, or None for identical
         points, which have no affinity histogram: null counts and threshold
-        are reported, and the exit code is 3. A geometry without a sketch
-        gives exact counts, so a product geometry is counted by the screen
-        with its sketch set aside."""
+        are reported, and the exit code is 3. A product geometry is counted
+        by the screen with its sketch set aside; a pair inside a band makes
+        its two bounds differ, which is as undecided as Uncertain."""
         geometry = distance_matrix(normalized, exact=exact)
         if geometry.dispersion <= 0.0:
             return None
         sketchless = dataclasses.replace(geometry, sketch=None)
-        return build_affinity_model(normalized, sketchless, bins=args.bins)
+        model = build_affinity_model(normalized, sketchless, bins=args.bins)
+        if not np.array_equal(*model.histogram):
+            raise Uncertain("a pair lies within its bin edge's band")
+        return model
 
     try:
         model = model_of(False)

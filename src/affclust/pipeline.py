@@ -33,9 +33,10 @@ class RunResult:
     Every run starts from the product geometry, whatever its size, and
     timings_ms holds a "screen" entry, the part of "affinity" the screen
     took, only when the sketch left the threshold bin open, and, only when
-    the product geometry left a decision uncertain, an "exact" entry, the
-    rerun from the exact geometry, and the rerun's own stages under
-    "exact_distances", "exact_affinity" and "exact_detect".
+    the product geometry left a decision uncertain (a pair inside a band
+    only widens the screen's bounds), an "exact" entry, the rerun from the
+    exact geometry, and its own stages under "exact_distances",
+    "exact_affinity" and "exact_detect".
     """
 
     name: str

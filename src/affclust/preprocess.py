@@ -51,25 +51,23 @@ distance with a cut. affinity_cuts finds every cut at both ends of a
 dispersion interval in one bisection, the only place exp is applied: the
 bin edges, and detection's join bar g* for each threshold a histogram can
 pick. Every histogram counts C_m, the pairs at or beyond edge m
-(_at_least), one compare per edge on exact distances, and a bin's count is
-the difference of adjacent C_m.
+(_at_least), at both ends of each edge's band (the edge itself, on exact
+distances), and a bin's count is the difference of adjacent C_m.
 
 The product geometry's dispersion is an interval. The cuts are monotone in
 the dispersion, so a pair's bin and a join are decided wherever the cuts at
-the interval's two ends agree; where they do not, Uncertain is raised and
-the caller reruns from the exact geometry. Only the bin below the steepest
-jump reaches the clustering, and on the product geometry the sketch usually
-names it: a bucket wholly past a bin edge's rounding band (_bands) at both
-ends of the interval is decided, so the sketch bounds each bin's count
-(_sketch_bounds), and select_threshold names the bin where no rival jump
-can reach the winner's. Otherwise the counts come from a screen
-(_screened_counts) on either geometry: matrix products estimate every
-squared distance of a block, and a pair outside every band is counted as
-it is. A block holding any other pair is computed by _exact_block and
-counted against the edges on the exact geometry, and raises Uncertain on
-the product geometry. Either way each pair lands in the bin its exact
-distance gives at the exact dispersion, so the histogram is the dense
-one's.
+the interval's two ends agree. Only the bin below the steepest jump reaches
+the clustering. Each count source gives, per edge m, the certain C_m past
+the far end of its rounding band (_bands) and the possible C_m past its
+near end; _bin_bounds bounds each bin's count from them, and
+select_threshold names the bin where no rival jump can reach the winner's.
+The sketch (_sketch_bounds) usually names it; otherwise a screen
+(_screened_counts) on either geometry estimates every squared distance of a
+block by matrix products. On the exact geometry a block with a pair inside
+a band is computed by _exact_block and counted against the edges, so the
+counts are the dense histogram's. On the product geometry Uncertain is
+raised, for the caller to rerun from the exact geometry, only where the
+bounds leave the bin open, or a join lies between the bars.
 """
 
 from __future__ import annotations
@@ -117,7 +115,7 @@ _SKETCH_ENDS = (np.nextafter(np.nextafter(_SKETCH_SQUARES[:-1], 0.0), 0.0), _SKE
 
 
 class Uncertain(Exception):
-    """A count or a join that the product geometry's slack cannot decide.
+    """A threshold bin or a join that the product geometry's slack leaves open.
 
     The caller reruns from the exact geometry, distance_matrix(..., exact=True).
     """
@@ -155,7 +153,7 @@ class AffinityModel:
     """The Gaussian affinity histogram, its threshold, and detection's two bars."""
 
     # (bins,) counts over equal-width affinity bins: a lower and an upper
-    # bound on each, the same array twice when the counts are exact
+    # bound on each, equal when the counts are exact
     histogram: tuple[np.ndarray, np.ndarray]
     threshold: float       # midpoint of the bin below the steepest positive jump
     threshold_bin: int     # 1-based index k of that bin
@@ -729,6 +727,19 @@ def _bands(d: int, high_edges: np.ndarray, low_edges: np.ndarray) -> tuple[np.nd
         return hi, (below * below - tiny) * (1.0 - 4.0 * g)
 
 
+def _bin_bounds(
+    certain: np.ndarray, possible: np.ndarray, pairs: int, outside: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on each bin count from the certain and the possible C_m, m = 1..bins-1.
+
+    With C_0 = 0 and C_bins = pairs, bin m holds at least certain C_m less
+    possible C_(m-1), and at most possible C_m less certain C_(m-1), plus
+    the outside pairs, of no known bin. Equal C_m give the exact counts.
+    """
+    certain, possible = (np.concatenate(([0], counts, [pairs])) for counts in (certain, possible))
+    return np.maximum(certain[1:] - possible[:-1], 0), possible[1:] - certain[:-1] + outside
+
+
 def _sketch_bounds(
     sketch: np.ndarray, delta: float, bands: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -741,60 +752,42 @@ def _sketch_bounds(
     there is at least u y0^2). Against _bands widened by delta, the largest
     block's, a bucket with x0 >= hi_m + delta holds pairs of bin m or
     below, and one with x1 <= lo_m - delta pairs above bin m (X <= X+ <
-    x1). So its pairs' bins lie in [1 + #{m: lo_m - delta >= x1}, bins -
-    #{m: hi_m + delta <= x0}], and a bucket a band touches spans two bins
-    or more. The outside bucket spans every bin. A bucket of one bin adds
-    its pairs to that bin's lower and upper bound, any other bucket to the
-    upper bound of each bin it spans; the exact counts lie between.
+    x1). The former give the certain C_m, all but the latter the possible
+    C_m: one lookup of the band ends in x0 and in x1, both ascending, over
+    one cumulative sum. The outside bucket spans every bin (_bin_bounds).
     """
-    bins = bands[0].size + 1
-    hi, lo = (bands[0] + delta)[::-1], (bands[1] - delta)[::-1]  # ascending
     x0, x1 = _SKETCH_ENDS
-    first = np.ones(sketch.size, dtype=np.int64)  # the least bin each bucket may hold
-    last = np.full(sketch.size, bins, dtype=np.int64)  # and the largest
-    first[:-1] += bins - 1 - np.searchsorted(lo, x1, side="left")
-    last[:-1] -= np.searchsorted(hi, x0, side="right")
-    one = first == last
-    lower = np.zeros(bins, dtype=np.int64)
-    np.add.at(lower, first[one] - 1, sketch[one])
-    spans = np.zeros(bins + 1, dtype=np.int64)  # each bucket's pairs from bin `first` to `last`
-    np.add.at(spans, first - 1, sketch)
-    np.subtract.at(spans, last, sketch)
-    return lower, np.cumsum(spans[:bins])
+    above = np.cumsum(sketch[::-1])[::-1] - sketch[-1]  # each bucket's and the later inner ones' pairs
+    certain = above[np.searchsorted(x0, bands[0] + delta, side="left")]
+    possible = above[np.searchsorted(x1, bands[1] - delta, side="right")]
+    return _bin_bounds(certain, possible, above[0], sketch[-1])
 
 
-def _at_least(
-    x: np.ndarray, mask: np.ndarray, hi: np.ndarray, lo: np.ndarray | None = None
-) -> np.ndarray | None:
-    """C_m = #(x >= hi[m - 1]) for m = 1..bins-1: the count every histogram takes.
+def _at_least(x: np.ndarray, mask: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """C_m = #(x >= hi[m - 1]) and #(x >= lo[m - 1]) for m = 1..bins-1: every histogram's count.
 
-    On exact distances x, hi is affinity_cuts' edges, one compare per edge,
-    and C_m counts the pairs of bin m or below: bin 1 holds C_1 of them, bin
-    m C_m - C_(m-1) and the top bin the rest. On estimates x, hi and lo are
-    the ends of each edge's band, and None is returned where an x lies in
-    some [lo_m, hi_m). mask is flat boolean scratch of x's size or more.
+    On exact distances x, hi and lo are both affinity_cuts' edges, and C_m
+    counts the pairs of bin m or below: bin 1 holds C_1 of them, bin m
+    C_m - C_(m-1) and the top bin the rest. On estimates x, hi and lo are
+    the ends of each edge's band, and the two rows are the certain and the
+    possible C_m. mask is flat boolean scratch of x's size or more.
     """
     mask = mask[: x.size].reshape(x.shape)
-    at_least = np.empty(hi.size, dtype=np.int64)
-    for m, edge in enumerate(hi):
-        at_least[m] = np.count_nonzero(np.greater_equal(x, edge, out=mask))
-        if lo is not None and np.count_nonzero(np.greater_equal(x, lo[m], out=mask)) > at_least[m]:
-            return None
-    return at_least
+    counts = [[np.count_nonzero(np.greater_equal(x, cut, out=mask)) for cut in cuts] for cuts in (hi, lo)]
+    return np.array(counts, dtype=np.int64)
 
 
 def _screened_counts(
     z: np.ndarray, bands: tuple[np.ndarray, np.ndarray], edges: np.ndarray | None
 ) -> np.ndarray:
-    """_at_least's C_m over the strict upper triangle, each pair counted once.
+    """_at_least's certain and possible C_m over the strict upper triangle, each pair counted once.
 
     bands is _bands' (hi, lo) over the geometry's dispersion interval, and
     edges is affinity_cuts' edges on an exact geometry, None on an interval.
     With E = edges[m - 1], C_m pairs have an exact distance D >= E, that is
     a bin of m or below. A visit of _map_blocks estimates its block's
-    squared distances by _products and returns the block's C_m where the
-    estimates decide them; integer counts, whose sum does not depend on the
-    worker count.
+    squared distances by _products and returns the block's two rows of C_m;
+    integer counts, whose sum does not depend on the worker count.
 
     Let a and b be two rows of z, S the exact sum of the squares of a - b,
     M = |a|^2 + |b|^2 exactly, u = 2^-53 and g = gamma_(d+2) =
@@ -848,9 +841,10 @@ def _screened_counts(
     pair counted either way is counted as at every dispersion in the
     interval, the exact one among them.
 
-    A block with a pair in some [lo_m, hi_m) is computed by _exact_block and
-    counted against the edges on an exact geometry, and raises Uncertain on
-    an interval; so do all blocks where _products cannot estimate. Each
+    A block with a pair in some [lo_m, hi_m), whose two rows then differ, is
+    computed by _exact_block and counted against the edges on an exact
+    geometry; so are all blocks where _products cannot estimate, which
+    raises Uncertain on an interval. Each
     worker has a mask of as many booleans as its block buffer and, on an
     exact geometry, as many floats of kernel scratch, both allocated here.
     """
@@ -871,13 +865,11 @@ def _screened_counts(
             delta = estimate(rect, i0)
             np.copyto(rect[:, :r], -np.inf, where=lower[:r, :r])
             at_least = _at_least(rect, masks[t], hi + delta, lo - delta)
-            if at_least is not None:
+            if edges is None or np.array_equal(*at_least):
                 return at_least
-            if edges is None:
-                raise Uncertain("a pair lies within its bin edge's band")
         _exact_block(cols, rect, i0, scratch[t])
         np.copyto(rect[:, :r], -np.inf, where=lower[:r, :r])
-        return _at_least(rect, masks[t], edges)
+        return _at_least(rect, masks[t], edges, edges)
 
     return sum(_map_blocks(n, visit))
 
@@ -900,11 +892,12 @@ def build_affinity_model(
     model compares with: the edges, whose _bands the sketch and the screen
     share, and the bars. A geometry with a sketch (the product geometry)
     first bounds the counts by _sketch_bounds; where select_threshold names
-    the bin from those bounds, the model keeps them. Otherwise
-    _screened_counts counts them exactly, or raises Uncertain. timings, when
-    given, gets the screen's wall time in seconds under "screen" when a
-    sketch left the bin open. The model keeps the threshold bin's bar at
-    both ends of the interval and the geometry's skip floor.
+    the bin from those bounds, the model keeps them. Otherwise it keeps
+    _bin_bounds of _screened_counts, exact on an exact geometry, or raises
+    Uncertain where they leave the bin open. timings, when given, gets the
+    screen's wall time in seconds under "screen" when a sketch left the bin
+    open. The model keeps the threshold bin's bar at both ends of the
+    interval and the geometry's skip floor.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
@@ -932,10 +925,12 @@ def build_affinity_model(
     if picked is None:
         started = time.perf_counter()
         at_least = _screened_counts(z, bands, edges[0] if high == low else None)
-        lower = upper = histogram(np.diff(at_least, prepend=0, append=n * (n - 1) // 2))
-        picked = select_threshold(lower)
+        lower, upper = map(histogram, _bin_bounds(*at_least, n * (n - 1) // 2))
+        picked = select_threshold(lower, upper)
         if geometry.sketch is not None and timings is not None:
             timings["screen"] = time.perf_counter() - started
+        if picked is None:
+            raise Uncertain("the screen's bounds leave the threshold bin open")
     threshold, threshold_bin = picked
     return AffinityModel(
         histogram=(lower, upper),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from affclust import cli
+from affclust import cli, preprocess
 from affclust.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from affclust.evaluate import pair_counts
 from affclust.pipeline import run_pipeline
@@ -327,6 +328,37 @@ def test_histogram_builds_one_model_and_leaves_the_geometry_alone(files, monkeyp
     expect = build_affinity_model(norm, distance_matrix(norm, exact=True))
     assert payload["counts"] == [int(c) for c in expect.histogram[0]]
     assert payload["threshold_bin"] == expect.threshold_bin
+
+
+def test_histogram_prints_exact_counts_when_a_pair_lies_within_a_band(files, monkeypatch, capsys):
+    """With the dispersion's slack widened to a relative 1e-2, the screen
+    meets pairs inside their edges' bands: its bounds still name the bin,
+    but they differ, so the command builds the exact geometry too and
+    prints its counts."""
+    monkeypatch.setattr(
+        preprocess, "_dispersion_slack", lambda variance, *rest: 1e-2 * math.sqrt(max(variance, 0.0))
+    )
+    geometries, models = [], []
+
+    def recorded(norm, exact=False):
+        geometries.append(distance_matrix(norm, exact=exact))
+        return geometries[-1]
+
+    def counted(norm, geometry, bins):
+        models.append(build_affinity_model(norm, geometry, bins=bins))
+        return models[-1]
+
+    monkeypatch.setattr(cli, "distance_matrix", recorded)
+    monkeypatch.setattr(cli, "build_affinity_model", counted)
+    assert cli.main(["histogram", "-i", files.points]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [g.slack > 0.0 for g in geometries] == [True, False]
+    lower, upper = models[0].histogram
+    assert (lower != upper).any()
+    norm = normalize(files.dataset)
+    expect = build_affinity_model(norm, distance_matrix(norm, exact=True))
+    assert payload["counts"] == [int(c) for c in expect.histogram[0]]
+    assert payload["threshold_bin"] == expect.threshold_bin == models[0].threshold_bin
 
 
 def test_histogram_csv_has_one_row_per_bin(files):

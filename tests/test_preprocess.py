@@ -5,10 +5,11 @@ worker threads (one block, or a few, on the calling thread): on the
 product path, every run's first, it estimates the dispersion from matrix
 products with a certified slack, bounds each bin's count from a sketch of
 the estimates, and where those bounds cannot name the threshold bin counts
-the histogram with a screen that raises Uncertain where the slack leaves a
-count open. A model's histogram is a (lower, upper) pair, one array twice
-where the counts are exact (`exact_counts`); on the product path the
-oracle must lie between them (`assert_bounds_hold`). On the exact path,
+the histogram with a screen, whose bounds differ where a pair lies inside
+its edge's band and which raises Uncertain where they leave the bin open.
+A model's histogram is a (lower, upper) pair, equal where the counts are
+exact (`exact_counts`); on the product path the oracle must lie between
+them (`assert_bounds_hold`). On the exact path,
 the fallback, it computes the distances by its kernel, block by block, and
 counts only the screen's uncertain blocks exactly; `exact_model_of` builds
 a model there. `PATHS` names both paths for tests that run on each.
@@ -952,25 +953,51 @@ def test_bisect_floats_answers_do_not_depend_on_the_guess(bins):
         assert np.array_equal(got, expect)
 
 
-def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12, slack=0.0):
+def screened_histogram(monkeypatch, z, dispersion, bins, block_entries=1 << 12):
     """The model's histogram of z at this dispersion, counted by the screen
     in blocks of block_entries, and how many blocks the screen left to the
     exact counting (a spy on _exact_block, which once the geometry is built
-    only those blocks reach). With a slack, the dispersion is an interval,
-    as on the product path, and the histogram is None where the screen
-    raises Uncertain."""
+    only those blocks reach)."""
+    monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
+    geometry = dataclasses.replace(distance_matrix(nd(z), exact=True), dispersion=dispersion)
+    exact, fallbacks = preprocess._exact_block, []
+    with monkeypatch.context() as patch:
+        patch.setattr(preprocess, "_exact_block", lambda *a: fallbacks.append(a[2]) or exact(*a))
+        histogram = exact_counts(build_affinity_model(nd(z), geometry, bins))
+    return histogram, len(fallbacks)
+
+
+def screened_bounds(monkeypatch, z, dispersion, slack, bins, block_entries=1 << 12):
+    """The screen's bounds on z's histogram over the interval of this slack
+    around the dispersion, as on the product path, in blocks of
+    block_entries. They hold the dense histogram at both ends of the
+    interval and at the dispersion, and where they name a bin it is the
+    dense one's there; the model keeps them, and raises Uncertain only where
+    select_threshold cannot name the bin from them (a spy on it, which sees
+    the bounds the model tests). Returns the bounds."""
     monkeypatch.setattr(preprocess, "_BLOCK_ENTRIES", block_entries)
     geometry = dataclasses.replace(
         distance_matrix(nd(z), exact=True), dispersion=dispersion, slack=slack
     )
-    exact, fallbacks = preprocess._exact_block, []
+    tested = []
     with monkeypatch.context() as patch:
-        patch.setattr(preprocess, "_exact_block", lambda *a: fallbacks.append(a[2]) or exact(*a))
+        patch.setattr(preprocess, "select_threshold", lambda *b: tested.append(b) or select_threshold(*b))
         try:
-            histogram = exact_counts(build_affinity_model(nd(z), geometry, bins))
+            model = build_affinity_model(nd(z), geometry, bins)
         except Uncertain:
-            histogram = None
-    return histogram, len(fallbacks)
+            model = None
+    ((lower, upper),) = tested
+    low, high = preprocess._interval(dispersion, slack)
+    named = select_threshold(lower, upper)
+    for sigma in (low, dispersion, high):
+        expect = dense_histogram(z, sigma, bins)
+        assert (lower <= expect).all() and (expect <= upper).all()
+        assert named is None or named == select_threshold(expect)
+    assert (model is None) == (named is None)
+    if model is not None:
+        assert np.array_equal(model.histogram, (lower, upper))
+        assert (model.threshold, model.threshold_bin) == named
+    return lower, upper
 
 
 def dense_histogram(z, dispersion, bins):
@@ -1008,9 +1035,10 @@ def near_edge_dispersions(distance, bins, m, reach=3):
 def test_screen_bins_pairs_within_ulps_of_an_edge_exactly(monkeypatch, d, one_pass):
     """A pair whose cdist distance sits a few ulps from edge m, on either side
     and on it: the screen cannot tell which side, so that block is counted
-    exactly, and the histogram is the dense one's. An interval of the
-    smallest slack around the same dispersion raises Uncertain wherever a
-    block was counted exactly, and gives the dense histogram elsewhere.
+    exactly, and the histogram is the dense one's. On an interval of the
+    smallest slack around the same dispersion, the screen's bounds differ
+    wherever a block was counted exactly, and hold the dense histogram
+    (screened_bounds); elsewhere both are the dense histogram.
     The blocks hold 2^12 entries or, with one_pass, the default plan's,
     which makes these 300 points one block: the screen, and the exact count
     of that block, each take one pass over the whole triangle, its
@@ -1026,18 +1054,19 @@ def test_screen_bins_pairs_within_ulps_of_an_edge_exactly(monkeypatch, d, one_pa
             expect = dense_histogram(z, dispersion, bins)
             assert np.array_equal(got, expect)
             fallbacks += used
-            narrow, _ = screened_histogram(monkeypatch, z, dispersion, bins, entries, slack=5e-324)
-            assert narrow is None if used else np.array_equal(narrow, expect)
+            lower, upper = screened_bounds(monkeypatch, z, dispersion, 5e-324, bins, entries)
+            assert np.array_equal(lower, upper) == (not used)
     assert fallbacks > 0
 
 
 @pytest.mark.parametrize("width", [1e-9, 1e-6, 1e-4, 1e-2])
 @pytest.mark.parametrize("d", [2, 16])
 def test_screen_counts_a_pair_only_where_both_ends_agree(monkeypatch, d, width):
-    """A dispersion interval of relative width 2 width: the screen gives the
-    dense histogram at both ends where they agree, which is then the
-    histogram at every dispersion between them, and raises Uncertain
-    wherever the ends disagree on some pair's bin."""
+    """A dispersion interval of relative width 2 width: the screen's bounds
+    hold the dense histogram at both ends and name only its bin
+    (screened_bounds). They are equal, the dense histogram at every
+    dispersion between the ends, where the ends agree, and differ wherever
+    the ends disagree on some pair's bin."""
     z = np.random.default_rng(d).normal(size=(400, d))
     dispersion = distance_matrix(nd(z)).dispersion
     outcomes = set()
@@ -1045,16 +1074,17 @@ def test_screen_counts_a_pair_only_where_both_ends_agree(monkeypatch, d, width):
         slack = width * dispersion
         low, high = preprocess._interval(dispersion, slack)
         ends = [dense_histogram(z, sigma, bins) for sigma in (low, dispersion, high)]
-        got, _ = screened_histogram(monkeypatch, z, dispersion, bins, slack=slack)
+        lower, upper = screened_bounds(monkeypatch, z, dispersion, slack, bins)
+        exact = np.array_equal(lower, upper)
         if not np.array_equal(ends[0], ends[2]):
-            assert got is None
-        if got is not None:
-            assert all(np.array_equal(got, end) for end in ends)
-        outcomes.add(got is None)
+            assert not exact
+        if exact:
+            assert all(np.array_equal(lower, end) for end in ends)
+        outcomes.add(exact)
     if width <= 1e-9:
-        assert outcomes == {False}
+        assert outcomes == {True}
     if width >= 1e-2:
-        assert True in outcomes
+        assert False in outcomes
 
 
 def test_screen_bins_a_far_tight_cluster_exactly(monkeypatch):
@@ -1254,10 +1284,40 @@ def test_the_sketch_decides_noisy_64d_as_the_screen_does(monkeypatch, seed):
             distance_matrix(norm, exact=exact), sketch=None
         ))
         screened = run_pipeline(dataset)
+    assert_same_run(result, screened)
+
+
+def assert_same_run(result, expect):
+    """Two RunResults agree in every field but their timings."""
     for field in dataclasses.fields(result):
         if field.name != "timings_ms":
-            got, expect = getattr(result, field.name), getattr(screened, field.name)
-            assert np.array_equal(got, expect), field.name
+            got, want = getattr(result, field.name), getattr(expect, field.name)
+            assert np.array_equal(got, want), field.name
+
+
+def test_a_pair_inside_a_band_keeps_the_run_on_the_product_geometry(monkeypatch):
+    """Detection's reference seed 22 (48 points, d = 2) with the dispersion's
+    slack widened to a relative 1e-3: the sketch leaves the bin open, and
+    the screen meets pairs inside their edges' bands (its certain C_m below
+    its possible C_m), but its bounds still name the bin. The run keeps the
+    product geometry, with no exact rerun, and equals the run an infinite
+    slack forces onto the exact geometry."""
+    from test_detect import interesting_points
+
+    dataset = ds(interesting_points(22))
+    screened, screen = [], preprocess._screened_counts
+    monkeypatch.setattr(preprocess, "_screened_counts", lambda *a: screened.append(screen(*a)) or screened[-1])
+    monkeypatch.setattr(
+        preprocess, "_dispersion_slack", lambda variance, *rest: 1e-3 * math.sqrt(max(variance, 0.0))
+    )
+    result = run_pipeline(dataset)
+    assert "screen" in result.timings_ms and "exact" not in result.timings_ms
+    ((certain, possible),) = screened
+    assert (certain < possible).any()
+    monkeypatch.setattr(preprocess, "_dispersion_slack", lambda *args: math.inf)
+    forced = run_pipeline(dataset)
+    assert "exact" in forced.timings_ms
+    assert_same_run(result, forced)
 
 
 def test_a_bin_the_sketch_leaves_open_runs_the_screen_for_the_exact_model():
@@ -1394,6 +1454,67 @@ def test_each_estimate_lies_within_the_ends_of_its_roots_bucket():
     held = keys < inner
     assert (x0[keys[held]] <= x[held]).all() and (x[held] < x1[keys[held]]).all()
     assert ((x < squares[keys.clip(max=inner - 1)]) & held).any()
+
+
+def per_bucket_bins(size, delta, bands):
+    """Reference: the least and the largest bin each of size buckets may
+    hold, the outside bucket last. An inner bucket lies past lo_m - delta
+    (above bin m) at x1 and past hi_m + delta (at bin m or below) at x0;
+    the outside bucket spans every bin."""
+    bins = bands[0].size + 1
+    hi, lo = (bands[0] + delta)[::-1], (bands[1] - delta)[::-1]  # ascending
+    x0, x1 = preprocess._SKETCH_ENDS
+    first = np.ones(size, dtype=np.int64)
+    last = np.full(size, bins, dtype=np.int64)
+    first[:-1] += bins - 1 - np.searchsorted(lo, x1, side="left")
+    last[:-1] -= np.searchsorted(hi, x0, side="right")
+    return first, last
+
+
+def per_bucket_bounds(sketch, delta, bands):
+    """Reference: the sketch's bounds by the per-bucket rule. A bucket of
+    one bin adds its pairs to that bin's lower and upper bound, any other
+    bucket to the upper bound of each bin it spans."""
+    bins = bands[0].size + 1
+    first, last = per_bucket_bins(sketch.size, delta, bands)
+    one = first == last
+    lower = np.zeros(bins, dtype=np.int64)
+    np.add.at(lower, first[one] - 1, sketch[one])
+    spans = np.zeros(bins + 1, dtype=np.int64)  # each bucket's pairs from bin `first` to `last`
+    np.add.at(spans, first - 1, sketch)
+    np.subtract.at(spans, last, sketch)
+    return lower, np.cumsum(spans[:bins])
+
+
+def test_sketch_bounds_are_the_per_bucket_rules():
+    """_sketch_bounds' lookups of the band ends give the bits of the
+    per-bucket rule (per_bucket_bounds) on 300 random sparse sketches, the
+    buckets at and beside every band end filled among others, the outside
+    bucket too: dispersions over 24 decades, relative slack 1e-12 to 1e-3,
+    delta 0 or over 19 decades, and 2, 10 or 30 bins. A bucket wider than
+    a bin, which spans three bins or more and so bounds no bin from below,
+    is among them."""
+    rng = np.random.default_rng(29)
+    inner, (x0, _) = preprocess._SKETCH_INNER, preprocess._SKETCH_ENDS
+    wide = 0
+    for case in range(300):
+        bins = (2, 10, 30)[case % 3]
+        sigma = 10.0 ** rng.uniform(-12.0, 12.0)
+        slack = sigma * 10.0 ** rng.uniform(-12.0, -3.0)
+        delta = 0.0 if case % 10 == 0 else sigma * 10.0 ** rng.uniform(-18.0, 1.0)
+        bands = bands_of(2, preprocess._interval(sigma, slack), bins)
+        ends = np.concatenate([bands[0] + delta, bands[1] - delta])
+        beside = np.searchsorted(x0, ends)[:, None] + np.arange(-2, 3)
+        keys = np.concatenate([beside.ravel().clip(0, inner - 1), rng.integers(0, inner, 40)])
+        sketch = np.zeros(inner + 1, dtype=np.int64)
+        np.add.at(sketch, keys, rng.integers(0, 1000, keys.size))
+        sketch[-1] = rng.integers(1, 100) if case % 4 else 0
+        got, expect = preprocess._sketch_bounds(sketch, delta, bands), per_bucket_bounds(sketch, delta, bands)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        first, last = per_bucket_bins(sketch.size, delta, bands)
+        wide += bool(((last - first >= 2) & (sketch > 0))[:-1].any())
+    assert wide
 
 
 def test_a_bucket_a_band_touches_is_not_decided():
